@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/distributed/shard_ops.h"
-#include "linalg/jacobi_eig.h"
 #include "support/check.h"
 #include "support/log.h"
 
@@ -19,32 +18,17 @@ constexpr std::uint64_t kSmallMsgBytes = 32;
 // ---------------------------------------------------------------------------
 
 ManagerActor::ManagerActor(FusionParams params, const hsi::ImageCube* cube,
-                           JobOutcome* outcome,
+                           JobOutcome& outcome,
                            std::function<void()> on_complete)
     : params_(std::move(params)),
-      cube_(cube),
       outcome_(outcome),
       on_complete_(std::move(on_complete)),
-      model_(params_.cost_model()) {
-  RIF_CHECK(outcome_ != nullptr);
-  if (params_.mode == ExecutionMode::kFull) {
-    RIF_CHECK_MSG(cube_ != nullptr, "Full mode requires a cube");
-    RIF_CHECK(cube_->width() == params_.shape.width &&
-              cube_->height() == params_.shape.height &&
-              cube_->bands() == params_.shape.bands);
-  }
+      model_(params_.cost_model()),
+      coord_(params_.shape, full() ? cube : nullptr, params_.total_tiles,
+             params_.screening_threshold, params_.output_components,
+             params_.jacobi, outcome) {
+  RIF_CHECK_MSG(!full() || cube != nullptr, "Full mode requires a cube");
   RIF_CHECK(static_cast<int>(params_.worker_tids.size()) == params_.workers);
-}
-
-void ManagerActor::on_start(scp::ActorContext& /*ctx*/) {
-  tiles_ = hsi::partition_rows(params_.shape, params_.total_tiles);
-  if (params_.mode == ExecutionMode::kFull) {
-    global_unique_.emplace(params_.shape.bands, params_.screening_threshold);
-  }
-  if (params_.mode == ExecutionMode::kFull) {
-    outcome_->composite =
-        hsi::RgbImage(params_.shape.width, params_.shape.height);
-  }
 }
 
 void ManagerActor::on_message(scp::ActorContext& ctx, scp::ThreadId from,
@@ -57,7 +41,7 @@ void ManagerActor::on_message(scp::ActorContext& ctx, scp::ThreadId from,
       on_screen_result(ctx, msg);
       break;
     case kCovSum:
-      on_cov_sum(ctx, from, msg);
+      on_cov_sum(ctx, msg);
       break;
     case kColorTile:
       on_color_tile(ctx, msg);
@@ -69,114 +53,85 @@ void ManagerActor::on_message(scp::ActorContext& ctx, scp::ThreadId from,
 
 void ManagerActor::on_request_work(scp::ActorContext& ctx,
                                    scp::ThreadId from) {
-  if (next_tile_ >= static_cast<int>(tiles_.size())) {
+  if (next_tile_ >= coord_.tile_count()) {
     ctx.send(from, scp::Message{kNoMoreTiles, {}, kSmallMsgBytes});
     return;
   }
-  const hsi::Tile tile = tiles_[next_tile_++];
-  ++outcome_->tiles_distributed;
-
-  TileAssignMsg assign;
-  assign.tile = WireTile::from(tile);
-  if (params_.mode == ExecutionMode::kFull) {
-    assign.data.reserve(tile.pixels() * tile.bands);
-    const std::int64_t first = tile.first_flat_index();
-    for (std::int64_t p = first; p < first + tile.pixels(); ++p) {
-      const auto px = cube_->pixel(p);
-      assign.data.insert(assign.data.end(), px.begin(), px.end());
-    }
-  }
-  ctx.send(from, assign.encode(model_.tile_bytes(tile.pixels())));
+  ++outcome_.tiles_distributed;
+  const TileAssignMsg assign = coord_.assign(next_tile_++);
+  ctx.send(from, assign.encode(model_.tile_bytes(assign.tile.pixels())));
 }
 
 void ManagerActor::on_screen_result(scp::ActorContext& ctx,
                                     const scp::Message& msg) {
   ScreenResultMsg result = ScreenResultMsg::decode(msg);
-  outcome_->screen_comparisons += result.comparisons;
-  pending_results_.emplace(result.tile.index, std::move(result));
-
-  // Merge strictly in tile order (see header comment for why).
   double merge_charge = 0.0;
-  while (true) {
-    auto it = pending_results_.find(merged_tiles_);
-    if (it == pending_results_.end()) break;
-    const ScreenResultMsg& r = it->second;
-    if (params_.mode == ExecutionMode::kFull) {
-      std::uint64_t comparisons = 0;
-      UniqueSet tile_set = UniqueSet::from_flat(
-          params_.shape.bands, params_.screening_threshold,
-          std::vector<float>(r.vectors));
-      global_unique_->merge(tile_set, &comparisons);
-      outcome_->merge_comparisons += comparisons;
-      merge_charge +=
-          static_cast<double>(comparisons) * model_.flops_per_comparison();
-    } else {
-      // Saturating growth of the merged set; the remainder are duplicates.
-      const double returned = static_cast<double>(r.unique_count);
+  bool screening_done = false;
+  if (full()) {
+    const std::uint64_t before = outcome_.merge_comparisons;
+    const auto intake = coord_.accept_screen(std::move(result));
+    RIF_CHECK_MSG(intake != FusionCoordinator::Intake::kRefused,
+                  "manager: refused screen result");
+    merge_charge =
+        static_cast<double>(outcome_.merge_comparisons - before) *
+        model_.flops_per_comparison();
+    screening_done = coord_.screening_done();
+  } else {
+    outcome_.screen_comparisons += result.comparisons;
+    pending_counts_.emplace(result.tile.index, result.unique_count);
+    // Saturating growth of the merged set, in tile order; the remainder
+    // are duplicates.
+    for (auto it = pending_counts_.find(merged_tiles_);
+         it != pending_counts_.end();
+         it = pending_counts_.find(merged_tiles_)) {
+      const double returned = static_cast<double>(it->second);
       const double room =
           std::max(0.0, 1.0 - model_unique_count_ /
                                   model_.params().global_unique_size);
       model_unique_count_ += returned * room;
       merge_charge += model_.merge_flops(returned);
+      pending_counts_.erase(it);
+      ++merged_tiles_;
     }
-    pending_results_.erase(it);
-    ++merged_tiles_;
+    screening_done = merged_tiles_ == coord_.tile_count();
   }
-
-  const bool screening_done =
-      merged_tiles_ == static_cast<int>(tiles_.size());
   ctx.compute(merge_charge, [this, &ctx, screening_done] {
     if (screening_done) start_covariance_phase(ctx);
   });
 }
 
 void ManagerActor::start_covariance_phase(scp::ActorContext& ctx) {
-  // Step 3: mean vector over the unique set (sequential at the manager).
-  std::int64_t unique_count;
-  if (params_.mode == ExecutionMode::kFull) {
-    unique_count = static_cast<std::int64_t>(global_unique_->size());
-    linalg::MeanAccumulator acc(params_.shape.bands);
-    for (std::size_t i = 0; i < global_unique_->size(); ++i) {
-      acc.add(global_unique_->member(i));
-    }
-    mean_ = acc.mean();
-  } else {
-    unique_count = static_cast<std::int64_t>(model_unique_count_);
-    mean_.assign(params_.shape.bands, 0.0);
-  }
-  outcome_->unique_set_size = static_cast<std::size_t>(unique_count);
-  RIF_LOG_DEBUG("fusion", "screening done, unique set K=" << unique_count);
-
-  ctx.compute(model_.mean_flops(), [this, &ctx, unique_count] {
-    // Step 4 dispatch: shard the unique set across the workers.
-    const auto chunks =
-        hsi::partition_range(unique_count, params_.workers);
-    for (int w = 0; w < params_.workers; ++w) {
-      CovShardMsg shard;
-      shard.shard_index = static_cast<std::uint64_t>(w);
-      shard.shard_count = static_cast<std::uint64_t>(chunks[w].size());
-      shard.mean = mean_;
-      if (params_.mode == ExecutionMode::kFull) {
-        shard.vectors.reserve(chunks[w].size() * params_.shape.bands);
-        for (std::int64_t i = chunks[w].begin; i < chunks[w].end; ++i) {
-          const auto m = global_unique_->member(static_cast<std::size_t>(i));
-          shard.vectors.insert(shard.vectors.end(), m.begin(), m.end());
-        }
+  // Step 3: the mean vector, charged at the manager; then step 4: shard the
+  // unique set across the workers, shard w to worker w.
+  ctx.compute(model_.mean_flops(), [this, &ctx] {
+    std::vector<CovShardMsg> shards;
+    if (full()) {
+      shards = coord_.covariance_shards(params_.workers);
+    } else {
+      const auto modelled = static_cast<std::int64_t>(model_unique_count_);
+      outcome_.unique_set_size = static_cast<std::size_t>(modelled);
+      shards = FusionCoordinator::size_shards(modelled, params_.workers);
+      for (CovShardMsg& shard : shards) {
+        shard.mean.assign(params_.shape.bands, 0.0);
       }
+    }
+    RIF_LOG_DEBUG("fusion", "screening done, unique set K="
+                                << outcome_.unique_set_size);
+    for (int w = 0; w < params_.workers; ++w) {
+      const CovShardMsg& shard = shards[w];
       const std::uint64_t declared =
-          model_.unique_vectors_bytes(
-              static_cast<double>(chunks[w].size())) +
+          model_.unique_vectors_bytes(static_cast<double>(shard.shard_count)) +
           params_.shape.bands * 8;
       ctx.send(params_.worker_tids[w], shard.encode(declared));
     }
   });
 }
 
-void ManagerActor::on_cov_sum(scp::ActorContext& ctx, scp::ThreadId from,
+void ManagerActor::on_cov_sum(scp::ActorContext& ctx,
                               const scp::Message& msg) {
-  if (params_.mode == ExecutionMode::kFull) {
-    CovSumMsg sum = CovSumMsg::decode(msg);
-    cov_sums_.emplace(from, std::move(sum.accumulator));
+  if (full()) {
+    const bool stored = coord_.accept_cov_sum(CovSumMsg::decode(msg));
+    RIF_CHECK_MSG(stored, "manager: refused covariance sum");
   }
   if (++cov_received_ < params_.workers) return;
 
@@ -188,36 +143,15 @@ void ManagerActor::on_cov_sum(scp::ActorContext& ctx, scp::ThreadId from,
 
 void ManagerActor::broadcast_transform(scp::ActorContext& ctx) {
   TransformMsg tm;
-  tm.components = params_.output_components;
-  tm.bands = params_.shape.bands;
-
-  if (params_.mode == ExecutionMode::kFull) {
-    // Step 5: average the per-worker sums, merged in worker order (the map
-    // is keyed by thread id) for bit-reproducibility.
-    linalg::CovarianceAccumulator total(params_.shape.bands, mean_);
-    for (const auto& [tid, bytes] : cov_sums_) {
-      if (!bytes.empty()) {
-        total.merge(linalg::CovarianceAccumulator::decode(bytes));
-      }
-    }
-    const linalg::Matrix cov = total.covariance();
-    const linalg::EigenResult eig = linalg::jacobi_eigen(cov, params_.jacobi);
-    outcome_->eigenvalues = eig.values;
-    const linalg::Matrix t =
-        transform_matrix(eig.vectors, params_.output_components);
-    tm.matrix.assign(t.data(), t.data() + t.rows() * t.cols());
-    tm.mean = mean_;
-    const auto scales = scales_from_eigenvalues(eig.values);
-    for (const auto& s : scales) {
-      tm.scale_mean.push_back(s.mean);
-      tm.scale_gain.push_back(s.gain);
-    }
+  if (full()) {
+    tm = coord_.transform();
   } else {
-    tm.mean = mean_;
+    tm.components = params_.output_components;
+    tm.bands = params_.shape.bands;
+    tm.mean.assign(params_.shape.bands, 0.0);
     tm.scale_mean.assign(3, 0.0);
     tm.scale_gain.assign(3, 1.0);
   }
-
   for (const auto w : params_.worker_tids) {
     ctx.send(w, tm.encode(model_.transform_bytes()));
   }
@@ -225,21 +159,16 @@ void ManagerActor::broadcast_transform(scp::ActorContext& ctx) {
 
 void ManagerActor::on_color_tile(scp::ActorContext& ctx,
                                  const scp::Message& msg) {
-  ColorTileMsg color = ColorTileMsg::decode(msg);
-  if (params_.mode == ExecutionMode::kFull) {
-    const hsi::Tile tile = color.tile.to_tile();
-    RIF_CHECK(color.rgb.size() ==
-              static_cast<std::size_t>(tile.pixels()) * 3);
-    const std::size_t dst_off =
-        static_cast<std::size_t>(tile.first_flat_index()) * 3;
-    std::copy(color.rgb.begin(), color.rgb.end(),
-              outcome_->composite.data.begin() + dst_off);
+  const ColorTileMsg color = ColorTileMsg::decode(msg);
+  if (full()) {
+    const bool placed = coord_.accept_color(color);
+    RIF_CHECK_MSG(placed, "manager: refused colour tile");
+  } else {
+    ++outcome_.tiles_colored;
   }
-  ++tiles_colored_;
-  outcome_->tiles_colored = tiles_colored_;
-  if (tiles_colored_ == static_cast<int>(tiles_.size())) {
-    outcome_->completed = true;
-    outcome_->completion_time = ctx.now();
+  if (outcome_.tiles_colored == coord_.tile_count()) {
+    outcome_.completed = true;
+    outcome_.completion_time = ctx.now();
     RIF_LOG_INFO("fusion", "job complete at t=" << to_seconds(ctx.now())
                                                 << "s");
     ctx.finish();
@@ -287,7 +216,6 @@ void WorkerActor::on_message(scp::ActorContext& ctx, scp::ThreadId /*from*/,
 void WorkerActor::on_tile(scp::ActorContext& ctx, const scp::Message& msg) {
   TileAssignMsg assign = TileAssignMsg::decode(msg);
   const std::int64_t pixels = assign.tile.pixels();
-  const int bands = assign.tile.bands;
 
   // Overlap: request the next sub-problem before computing this one
   // (paper §3: "a worker overlaps the request for its next sub-problem

@@ -1,13 +1,17 @@
-// Manager and worker actors of the distributed spectral-screening PCT.
+// Manager and worker actors of the distributed spectral-screening PCT on
+// the simulated cluster.
 //
 // The manager (logical thread 0) runs the paper's manager/worker
-// decomposition: it owns the cube, hands out sub-cube tiles on request
-// (workers prefetch — they request the next tile *before* screening the
-// current one, the paper's communication/computation overlap), merges the
-// returned per-tile unique sets in tile order (step 2, sequential), computes
-// the mean (step 3), shards the unique set for the concurrent covariance
-// sums (step 4), averages and eigen-decomposes (steps 5-6), broadcasts the
-// transform, and assembles the colour tiles (steps 7-8 results).
+// decomposition: it hands out sub-cube tiles on request (workers prefetch —
+// they request the next tile *before* screening the current one, the
+// paper's communication/computation overlap), merges the returned per-tile
+// unique sets in tile order (step 2), computes the mean (step 3), shards the
+// unique set for the concurrent covariance sums (step 4), averages and
+// eigen-decomposes (steps 5-6), broadcasts the transform, and assembles the
+// colour tiles (steps 7-8 results). In Full mode every one of those steps is
+// a call into core::FusionCoordinator — the same object the socket
+// coordinator (service/remote_exec.h) drives — and the actor adds only the
+// virtual-time cost charges. CostOnly mode keeps its own modelled merge.
 //
 // Merging strictly in tile-index order makes the distributed result a pure
 // function of the tile decomposition — independent of worker count, message
@@ -19,19 +23,13 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/distributed/fusion_coordinator.h"
 #include "core/distributed/messages.h"
-#include "core/pct.h"
-#include "core/spectral_angle.h"
 #include "hsi/image_cube.h"
-#include "hsi/image_io.h"
-#include "hsi/partition.h"
-#include "linalg/stats.h"
 #include "scp/actor.h"
-#include "support/time.h"
 
 namespace rif::core {
 
@@ -60,19 +58,6 @@ struct FusionParams {
   }
 };
 
-/// Where the manager deposits results; owned by the job runner.
-struct JobOutcome {
-  bool completed = false;
-  SimTime completion_time = 0;
-  std::size_t unique_set_size = 0;
-  std::uint64_t screen_comparisons = 0;
-  std::uint64_t merge_comparisons = 0;
-  std::vector<double> eigenvalues;
-  hsi::RgbImage composite;  ///< valid in Full mode only
-  int tiles_distributed = 0;
-  int tiles_colored = 0;
-};
-
 class ManagerActor final : public scp::Actor {
  public:
   /// `cube` must outlive the run and is required in Full mode.
@@ -84,9 +69,8 @@ class ManagerActor final : public scp::Actor {
   /// workers keep heartbeating). Without it (the paper's single-job world)
   /// it shuts the runtime down.
   ManagerActor(FusionParams params, const hsi::ImageCube* cube,
-               JobOutcome* outcome, std::function<void()> on_complete = {});
+               JobOutcome& outcome, std::function<void()> on_complete = {});
 
-  void on_start(scp::ActorContext& ctx) override;
   void on_message(scp::ActorContext& ctx, scp::ThreadId from,
                   const scp::Message& msg) override;
 
@@ -98,33 +82,27 @@ class ManagerActor final : public scp::Actor {
   void on_request_work(scp::ActorContext& ctx, scp::ThreadId from);
   void on_screen_result(scp::ActorContext& ctx, const scp::Message& msg);
   void start_covariance_phase(scp::ActorContext& ctx);
-  void on_cov_sum(scp::ActorContext& ctx, scp::ThreadId from,
-                  const scp::Message& msg);
+  void on_cov_sum(scp::ActorContext& ctx, const scp::Message& msg);
   void broadcast_transform(scp::ActorContext& ctx);
   void on_color_tile(scp::ActorContext& ctx, const scp::Message& msg);
 
+  [[nodiscard]] bool full() const {
+    return params_.mode == ExecutionMode::kFull;
+  }
+
   FusionParams params_;
-  const hsi::ImageCube* cube_;
-  JobOutcome* outcome_;
+  JobOutcome& outcome_;
   std::function<void()> on_complete_;
   CostModel model_;
-
-  std::vector<hsi::Tile> tiles_;
+  FusionCoordinator coord_;
   int next_tile_ = 0;
 
-  // Step-2 state: in-order merge of per-tile unique sets.
-  std::map<int, ScreenResultMsg> pending_results_;
+  // CostOnly step 2: modelled unique counts, merged in tile order.
+  std::map<int, std::uint64_t> pending_counts_;
   int merged_tiles_ = 0;
-  std::optional<UniqueSet> global_unique_;   // Full mode
-  double model_unique_count_ = 0.0;          // CostOnly mode
+  double model_unique_count_ = 0.0;
 
-  // Steps 3-6 state. Covariance sums are buffered per worker and merged in
-  // worker order so the result is bit-identical across timings/failures.
-  std::vector<double> mean_;
-  std::map<scp::ThreadId, std::vector<std::uint8_t>> cov_sums_;
   int cov_received_ = 0;
-
-  int tiles_colored_ = 0;
 };
 
 class WorkerActor final : public scp::Actor {

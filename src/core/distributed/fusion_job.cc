@@ -73,7 +73,7 @@ FusionTopology FusionJobInstance::spawn(
       "manager",
       [this, on_complete = std::move(on_complete)] {
         return std::make_unique<ManagerActor>(params_, config_.cube,
-                                              &outcome_, on_complete);
+                                              outcome_, on_complete);
       },
       std::move(mgr_opts));
   RIF_CHECK(mgr_tid == params_.manager_tid);

@@ -42,13 +42,15 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::run_one(std::unique_lock<std::mutex>& lock, bool helping) {
   std::function<void()> task = std::move(queue_.front());
   queue_.pop_front();
+  // Metric pointer reads stay under the pool mutex (like every other
+  // site), so bind_metrics can publish them race-free at any time. Count
+  // before running: the task's completion can release its caller, which
+  // must then see every task of its group counted.
+  if (tasks_metric_ != nullptr) tasks_metric_->add(1);
+  if (helping && helped_metric_ != nullptr) helped_metric_->add(1);
   lock.unlock();
   task();  // task wrappers never throw; errors land in their TaskGroup
   lock.lock();
-  // Metric pointer reads stay under the pool mutex (like every other
-  // site), so bind_metrics can publish them race-free at any time.
-  if (tasks_metric_ != nullptr) tasks_metric_->add(1);
-  if (helping && helped_metric_ != nullptr) helped_metric_->add(1);
 }
 
 void ThreadPool::bind_metrics(runtime::MetricsRegistry& registry,

@@ -403,41 +403,4 @@ void SocketClient::close() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// SocketTransport
-// ---------------------------------------------------------------------------
-
-void SocketTransport::bind_node(cluster::NodeId node, SessionId session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  routes_[node] = session;
-}
-
-void SocketTransport::unbind_session(SessionId session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = it->second == session ? routes_.erase(it) : std::next(it);
-  }
-}
-
-SessionId SocketTransport::session_of(cluster::NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = routes_.find(node);
-  return it == routes_.end() ? kNoSession : it->second;
-}
-
-void SocketTransport::deliver(cluster::NodeId dst_node,
-                              std::vector<std::uint8_t> frame) {
-  if (handler_) handler_(dst_node, std::move(frame));
-}
-
-SimTime SocketTransport::send(cluster::NodeId /*src*/, cluster::NodeId dst,
-                              std::vector<std::uint8_t> frame,
-                              std::uint64_t /*charged_bytes*/) {
-  const SessionId session = session_of(dst);
-  if (session == kNoSession || !server_.send(session, frame)) {
-    RIF_LOG_WARN("net", "frame to node " << dst << " dropped (no session)");
-  }
-  return 0;
-}
-
 }  // namespace rif::net

@@ -1,7 +1,7 @@
 // Real byte-level transport: length-prefixed frames over Unix or TCP
 // sockets, a nonblocking poll() event loop, graceful close.
 //
-// Split into three pieces:
+// Split into two pieces:
 //
 //   SocketServer — owns the listening socket and all accepted sessions,
 //     runs them on one background poll-loop thread (self-pipe wakeups, no
@@ -12,10 +12,6 @@
 //   SocketClient — blocking counterpart for worker processes: connect,
 //     send_frame, read_frame. Single-threaded by design; the worker
 //     protocol is strictly reactive.
-//   SocketTransport — net::Transport over a SocketServer: node ids map to
-//     sessions, send() frames the envelope onto the session's socket and
-//     inbound frames invoke the transport handler. The byte charge is
-//     ignored — real links bill by what actually crosses them.
 #pragma once
 
 #include <atomic>
@@ -27,9 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/node.h"
 #include "net/frame.h"
-#include "net/transport.h"
 
 namespace rif::net {
 
@@ -145,31 +139,6 @@ class SocketClient {
   int fd_ = -1;
   FrameAssembler assembler_;
   std::vector<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
-};
-
-/// net::Transport over real sockets. Destinations are registered
-/// explicitly: bind_node(node, session) routes frames for `node` onto that
-/// session. Inbound frames are decoded by the poll thread and handed to the
-/// transport handler tagged with the receiving node.
-class SocketTransport final : public Transport {
- public:
-  explicit SocketTransport(SocketServer& server) : server_(server) {}
-
-  void bind_node(cluster::NodeId node, SessionId session);
-  void unbind_session(SessionId session);
-  [[nodiscard]] SessionId session_of(cluster::NodeId node) const;
-
-  /// Feed an inbound frame (from the server's on_frame) to the handler.
-  void deliver(cluster::NodeId dst_node, std::vector<std::uint8_t> frame);
-
-  SimTime send(cluster::NodeId src, cluster::NodeId dst,
-               std::vector<std::uint8_t> frame,
-               std::uint64_t charged_bytes) override;
-
- private:
-  SocketServer& server_;
-  mutable std::mutex mu_;
-  std::map<cluster::NodeId, SessionId> routes_;
 };
 
 }  // namespace rif::net

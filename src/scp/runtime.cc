@@ -21,9 +21,9 @@ class Shell;
 
 /// Where to send a protocol reply (ack): the sender replica's address as
 /// carried by the incoming envelope. Address-based (not pointer-based) so
-/// the same routing works over any transport; delivery to a replica that
-/// died or was reincarnated since is dropped, exactly as a closure bound to
-/// the dead shell used to be.
+/// it survives the frame's encoding; delivery to a replica that died or was
+/// reincarnated since is dropped, exactly as a closure bound to the dead
+/// shell used to be.
 struct ReplyAddr {
   cluster::NodeId node = cluster::kNoNode;
   WireAddr addr;
@@ -59,7 +59,7 @@ struct Group {
 struct Runtime::Impl {
   Runtime& self;
   cluster::Cluster& cluster;
-  net::Transport& transport;
+  net::Network& network;
   RuntimeConfig& config;
   ProtocolStats& stats;
 
@@ -84,7 +84,7 @@ struct Runtime::Impl {
   explicit Impl(Runtime& rt)
       : self(rt),
         cluster(rt.cluster_),
-        transport(rt.transport_),
+        network(rt.network_),
         config(rt.config_),
         stats(rt.stats_) {
     placement = std::make_unique<cluster::LeastLoadedPlacement>(cluster);
@@ -132,7 +132,24 @@ struct Runtime::Impl {
   /// shell IS returned — its own dead_ check drops the payload, preserving
   /// the historical drop point.
   Shell* route(const WireAddr& addr);
-  /// Transport handler: decode one envelope and dispatch by kind.
+  /// Ship one encoded frame from `src` to `dst` over the virtual-time
+  /// network; it is delivered by closure at the simulated arrival time,
+  /// which this returns. The network is charged `charged_bytes`, not the
+  /// frame's size, on purpose: the sim models the paper's 64-byte protocol
+  /// header and CostOnly declared sizes, which the encoding does not
+  /// replicate.
+  SimTime send(cluster::NodeId src, cluster::NodeId dst,
+               std::vector<std::uint8_t> frame, std::uint64_t charged_bytes) {
+    // The deliver closure owns the frame; shared_ptr because std::function
+    // requires copyable callables.
+    auto carried =
+        std::make_shared<std::vector<std::uint8_t>>(std::move(frame));
+    return network.send(src, dst, charged_bytes,
+                        [this, dst, carried = std::move(carried)] {
+                          deliver(dst, std::move(*carried));
+                        });
+  }
+  /// Arrival of one frame: decode the envelope and dispatch by kind.
   void deliver(cluster::NodeId dst_node, std::vector<std::uint8_t> frame);
   void handle_snapshot_request(const WireEnvelope& e);
   void handle_state_install(WireEnvelope e);
@@ -233,7 +250,7 @@ class Shell final : public ActorContext {
 
   void restore(const std::vector<std::uint8_t>& bytes);
 
-  /// Arrival of an application message copy (routed from the transport).
+  /// Arrival of an application message copy (routed from deliver()).
   void receive_app(ThreadId src, std::uint64_t seq,
                    std::shared_ptr<const Message> msg,
                    const ReplyAddr& reply_to);
@@ -294,7 +311,7 @@ class Shell final : public ActorContext {
 
   /// Sends one point-to-point copy; returns its expected arrival time.
   /// The copy travels as an encoded WireEnvelope — the receiver decodes its
-  /// own Message — while the transport is charged the protocol's modelled
+  /// own Message — while the network is charged the protocol's modelled
   /// wire size (64-byte header + declared payload), not the encoding size.
   SimTime send_copy(ThreadId dst, std::uint64_t seq,
                     const std::shared_ptr<const Message>& msg,
@@ -317,8 +334,8 @@ class Shell final : public ActorContext {
     e.msg_type = msg->type;
     e.declared = msg->declared_bytes;
     e.payload = msg->payload;
-    const SimTime arrival = rt_.transport.send(node_, member.node, e.encode(),
-                                               msg->wire_bytes());
+    const SimTime arrival =
+        rt_.send(node_, member.node, e.encode(), msg->wire_bytes());
     ++rt_.stats.replica_messages;
     return arrival;
   }
@@ -362,7 +379,7 @@ class Shell final : public ActorContext {
     e.src = {tid_, slot_, inc_};
     e.dst = to.addr;
     e.seq = seq;
-    rt_.transport.send(node_, to.node, e.encode(), rt_.config.ack_bytes);
+    rt_.send(node_, to.node, e.encode(), rt_.config.ack_bytes);
   }
 
   void heartbeat_loop() {
@@ -372,8 +389,8 @@ class Shell final : public ActorContext {
     hb.src_node = node_;
     hb.dst_node = rt_.detector_node;
     hb.src = {tid_, slot_, inc_};
-    rt_.transport.send(node_, rt_.detector_node, hb.encode(),
-                       rt_.config.heartbeat_bytes);
+    rt_.send(node_, rt_.detector_node, hb.encode(),
+             rt_.config.heartbeat_bytes);
     ++rt_.stats.heartbeats;
     // The library's background machinery consumes a fixed CPU share per
     // replica; charge one heartbeat period's worth per beat.
@@ -729,7 +746,7 @@ void Runtime::Impl::ship_state(ThreadId tid, int slot, std::uint64_t new_inc,
         install.dst = {tid, slot, new_inc};
         install.flag = migration ? 1 : 0;
         install.payload = std::move(state);
-        transport.send(src_shell->node(), target, install.encode(), wire);
+        send(src_shell->node(), target, install.encode(), wire);
       });
 }
 
@@ -869,7 +886,7 @@ void Runtime::Impl::try_regenerate(ThreadId tid, int slot) {
   body.put<std::uint64_t>(new_inc);
   body.put<cluster::NodeId>(target);
   req.payload = std::move(body).take();
-  transport.send(detector_node, survivor->node, req.encode(), kControlBytes);
+  send(detector_node, survivor->node, req.encode(), kControlBytes);
 
   // The attempt expires if the state never arrives (e.g. the survivor died
   // mid-transfer); the detector loop then retries with another survivor.
@@ -953,25 +970,8 @@ void Runtime::Impl::install_replica(ThreadId tid, int slot, std::uint64_t inc,
 
 Runtime::Runtime(cluster::Cluster& cluster, net::Network& network,
                  RuntimeConfig config)
-    : cluster_(cluster),
-      owned_transport_(std::make_unique<net::SimTransport>(network)),
-      transport_(*owned_transport_),
-      config_(config) {
+    : cluster_(cluster), network_(network), config_(config) {
   impl_ = std::make_unique<Impl>(*this);
-  transport_.set_handler(
-      [this](cluster::NodeId dst, std::vector<std::uint8_t> frame) {
-        impl_->deliver(dst, std::move(frame));
-      });
-}
-
-Runtime::Runtime(cluster::Cluster& cluster, net::Transport& transport,
-                 RuntimeConfig config)
-    : cluster_(cluster), transport_(transport), config_(config) {
-  impl_ = std::make_unique<Impl>(*this);
-  transport_.set_handler(
-      [this](cluster::NodeId dst, std::vector<std::uint8_t> frame) {
-        impl_->deliver(dst, std::move(frame));
-      });
 }
 
 Runtime::~Runtime() = default;

@@ -45,7 +45,6 @@
 #include "cluster/cluster.h"
 #include "cluster/placement.h"
 #include "net/network.h"
-#include "net/transport.h"
 #include "scp/actor.h"
 #include "scp/types.h"
 #include "support/rng.h"
@@ -119,14 +118,10 @@ struct SpawnOptions {
 
 class Runtime {
  public:
-  /// Convenience: run the protocol over the virtual-time network through an
-  /// internally owned SimTransport (the historical behaviour, byte-for-byte).
+  /// Run the protocol over the virtual-time network. Every hop the runtime
+  /// takes travels as an encoded scp::WireEnvelope frame plus an explicit
+  /// byte charge for the network model.
   Runtime(cluster::Cluster& cluster, net::Network& network,
-          RuntimeConfig config = {});
-  /// Run the protocol over a caller-provided transport. Every hop the
-  /// runtime takes travels as an encoded scp::WireEnvelope frame plus an
-  /// explicit byte charge; the transport decides what both mean.
-  Runtime(cluster::Cluster& cluster, net::Transport& transport,
           RuntimeConfig config = {});
   ~Runtime();
   Runtime(const Runtime&) = delete;
@@ -215,8 +210,7 @@ class Runtime {
   std::unique_ptr<Impl> impl_;
 
   cluster::Cluster& cluster_;
-  std::unique_ptr<net::SimTransport> owned_transport_;  ///< network ctor only
-  net::Transport& transport_;
+  net::Network& network_;
   RuntimeConfig config_;
   ProtocolStats stats_;
   std::function<void(ThreadId)> on_group_lost_;

@@ -127,17 +127,7 @@ WireEnvelope WireEnvelope::decode(const std::vector<std::uint8_t>& bytes) {
 std::vector<std::uint8_t> HelloBody::encode() const {
   Writer w;
   w.put(protocol_version);
-  w.put(threads);
   return std::move(w).take();
-}
-
-HelloBody HelloBody::decode(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  HelloBody b;
-  b.protocol_version = r.get<std::uint32_t>();
-  b.threads = r.get<std::uint32_t>();
-  RIF_CHECK_MSG(r.exhausted(), "oversized hello");
-  return b;
 }
 
 std::vector<std::uint8_t> JobStartBody::encode() const {

@@ -101,10 +101,8 @@ struct WireEnvelope {
 /// kHello payload: what a connecting worker advertises.
 struct HelloBody {
   std::uint32_t protocol_version = 1;
-  std::uint32_t threads = 1;  ///< compute threads the worker will use
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static HelloBody decode(const std::vector<std::uint8_t>& bytes);
 };
 
 /// kJobStart payload: everything a worker needs before tiles arrive.

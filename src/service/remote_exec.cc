@@ -1,20 +1,14 @@
 #include "service/remote_exec.h"
 
 #include <algorithm>
-#include <cmath>
 #include <chrono>
 #include <deque>
 #include <map>
 #include <optional>
 #include <utility>
 
-#include "core/color_map.h"
+#include "core/distributed/fusion_coordinator.h"
 #include "core/distributed/messages.h"
-#include "core/pct.h"
-#include "core/spectral_angle.h"
-#include "hsi/partition.h"
-#include "linalg/matrix.h"
-#include "linalg/stats.h"
 #include "obs/span_tracer.h"
 #include "scp/wire.h"
 #include "support/check.h"
@@ -26,37 +20,31 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct Coordinator {
-  Coordinator(cluster::RemoteWorkerPool& pool_in, const RemoteExecParams& p_in)
-      : pool(pool_in), p(p_in) {}
+  Coordinator(cluster::RemoteWorkerPool& pool_in, const RemoteExecParams& p_in,
+              const hsi::CubeShape& shape)
+      : pool(pool_in),
+        p(p_in),
+        fusion(shape, p.cube, p.total_tiles, p.screening_threshold,
+               p.output_components, p.jacobi, out) {}
 
   cluster::RemoteWorkerPool& pool;
   const RemoteExecParams& p;
   RemoteExecResult out;
+  /// The manager steps themselves; this struct only moves their messages.
+  core::FusionCoordinator fusion;
 
-  std::vector<hsi::Tile> tiles;
   std::vector<int> live;  ///< surviving pool worker indices
-  int bands = 0;
-
-  // Screening state. holder[t] is the worker whose memory holds tile t's
-  // pixels (it will colour it later); merge order is strictly tile index.
+  // holder[t] is the worker whose memory holds tile t's pixels (it will
+  // colour it later).
   std::vector<int> holder;
-  std::vector<bool> merge_done;
-  std::vector<bool> colored;
-  std::map<int, core::ScreenResultMsg> pending;
-  std::optional<core::UniqueSet> global;
-  int merged_tiles = 0;
   int next_tile = 0;
-  int colored_count = 0;
   int rr = 0;  ///< round-robin cursor for failure reassignment
 
-  // Covariance state. Shard messages are retained so a dead worker's
-  // shards can be re-sent verbatim; sums merge in shard-index order.
-  std::vector<double> mean;
+  // Covariance shards are retained so a dead worker's shards can be re-sent
+  // verbatim.
   std::vector<core::CovShardMsg> shard_msgs;
-  std::vector<std::vector<std::uint8_t>> shard_acc;
   std::map<int, std::deque<int>> outstanding;  ///< worker -> shard FIFO
-  int shards_received = 0;
-  std::optional<core::TransformMsg> transform;
+  bool transform_sent = false;
 
   // Per-item supervision. Every assigned-but-unanswered tile and every
   // outstanding covariance shard carries its own deadline; there is no
@@ -185,21 +173,12 @@ struct Coordinator {
 
   void assign_tile(int w, int t) {
     holder[t] = w;
-    const hsi::Tile& tile = tiles[static_cast<std::size_t>(t)];
-    core::TileAssignMsg assign;
-    assign.tile = core::WireTile::from(tile);
-    assign.data.reserve(tile.pixels() * tile.bands);
-    const std::int64_t first = tile.first_flat_index();
-    for (std::int64_t px = first; px < first + tile.pixels(); ++px) {
-      const auto v = p.cube->pixel(px);
-      assign.data.insert(assign.data.end(), v.begin(), v.end());
-    }
-    send_app(w, assign.encode(0));
+    send_app(w, fusion.assign(t).encode(0));
     arm(tile_track[static_cast<std::size_t>(t)]);
   }
 
   void on_request_work(int w) {
-    if (next_tile < static_cast<int>(tiles.size())) {
+    if (next_tile < fusion.tile_count()) {
       assign_tile(w, next_tile++);
     } else {
       send_app(w, scp::Message{core::kNoMoreTiles, {}, 0});
@@ -207,163 +186,69 @@ struct Coordinator {
   }
 
   void on_screen_result(int w, const scp::Message& msg) {
-    // Bodies off the wire are untrusted: a corrupt one is dropped (the
-    // per-item deadline re-sends the work), never decoded with aborts.
-    auto decoded = core::ScreenResultMsg::try_decode(msg);
-    if (!decoded) return;
-    core::ScreenResultMsg result = std::move(*decoded);
-    // The index came off the wire: bound it before it touches any state.
-    const int t = result.tile.index;
-    if (t < 0 || t >= static_cast<int>(tiles.size())) return;
-    // So is the member array: from_flat would abort on a ragged length or
-    // a zero/non-finite member, and a peer that computed a valid checksum
-    // can still have produced garbage. Reject it while the tile can be
-    // re-screened elsewhere.
-    if (result.vectors.size() % static_cast<std::size_t>(bands) != 0) return;
-    for (const float v : result.vectors) {
-      if (!std::isfinite(v)) return;
-    }
-    for (std::size_t m = 0; m < result.vectors.size();
-         m += static_cast<std::size_t>(bands)) {
-      const auto* mem = result.vectors.data() + m;
-      if (std::all_of(mem, mem + bands, [](float v) { return v == 0.0f; })) {
-        return;
-      }
-    }
+    // Bodies off the wire are untrusted: a corrupt or refused one is
+    // dropped (the per-item deadline re-sends the work), never decoded
+    // with aborts.
+    auto result = core::ScreenResultMsg::try_decode(msg);
+    if (!result) return;
+    const int t = result->tile.index;
+    const auto intake = fusion.accept_screen(std::move(*result));
+    if (intake == core::FusionCoordinator::Intake::kRefused) return;
     holder[t] = w;
     // Pre-transform, a screen result settles the tile's outstanding work
     // (nothing more is owed until the transform broadcast re-arms it for
     // colour). Post-transform the colour reply is still owed: stay armed.
-    if (!transform) tile_track[static_cast<std::size_t>(t)].active = false;
-    if (merge_done[t] || pending.contains(t)) return;  // re-screened tile
-    out.screen_comparisons += result.comparisons;
-    pending.emplace(t, std::move(result));
-
-    // Merge strictly in tile order — same order, same arithmetic, same
-    // composite as the sim ManagerActor.
-    while (true) {
-      auto it = pending.find(merged_tiles);
-      if (it == pending.end()) break;
-      const core::ScreenResultMsg& r = it->second;
-      std::uint64_t comparisons = 0;
-      core::UniqueSet tile_set = core::UniqueSet::from_flat(
-          bands, p.screening_threshold, std::vector<float>(r.vectors));
-      global->merge(tile_set, &comparisons);
-      out.merge_comparisons += comparisons;
-      merge_done[it->first] = true;
-      pending.erase(it);
-      ++merged_tiles;
-    }
-    if (merged_tiles == static_cast<int>(tiles.size())) {
+    if (!transform_sent) tile_track[static_cast<std::size_t>(t)].active = false;
+    if (intake == core::FusionCoordinator::Intake::kAccepted &&
+        fusion.screening_done()) {
       start_covariance_phase();
     }
   }
 
   void start_covariance_phase() {
-    const auto unique_count = static_cast<std::int64_t>(global->size());
-    out.unique_set_size = static_cast<std::size_t>(unique_count);
-    linalg::MeanAccumulator acc(bands);
-    for (std::size_t i = 0; i < global->size(); ++i) {
-      acc.add(global->member(i));
-    }
-    mean = acc.mean();
-
-    const auto chunks = hsi::partition_range(unique_count, out.shards);
-    shard_msgs.resize(static_cast<std::size_t>(out.shards));
-    shard_acc.resize(static_cast<std::size_t>(out.shards));
-    shard_track.assign(static_cast<std::size_t>(out.shards), {});
+    shard_msgs = fusion.covariance_shards(out.shards);
+    shard_track.assign(shard_msgs.size(), {});
     for (int s = 0; s < out.shards; ++s) {
-      core::CovShardMsg& shard = shard_msgs[static_cast<std::size_t>(s)];
-      shard.shard_index = static_cast<std::uint64_t>(s);
-      shard.shard_count = static_cast<std::uint64_t>(chunks[s].size());
-      shard.mean = mean;
-      shard.vectors.reserve(chunks[s].size() * bands);
-      for (std::int64_t i = chunks[s].begin; i < chunks[s].end; ++i) {
-        const auto m = global->member(static_cast<std::size_t>(i));
-        shard.vectors.insert(shard.vectors.end(), m.begin(), m.end());
-      }
       const int w = live[static_cast<std::size_t>(s) % live.size()];
       outstanding[w].push_back(s);
-      send_app(w, shard.encode(0));
+      send_app(w, shard_msgs[static_cast<std::size_t>(s)].encode(0));
       arm(shard_track[static_cast<std::size_t>(s)]);
     }
   }
 
   void on_cov_sum(int w, const scp::Message& msg) {
-    auto decoded = core::CovSumMsg::try_decode(msg);
-    if (!decoded) return;
-    core::CovSumMsg sum = std::move(*decoded);
-    // The accumulator inside is wire bytes too: reject it here, while the
-    // shard can still be re-sent, not in the shard-order merge later.
-    if (!linalg::CovarianceAccumulator::try_decode(sum.accumulator)) return;
-    // Pair the reply with its shard by the echoed index, never by FIFO
-    // position: a stale or duplicate reply must not land in another
-    // shard's slot (the sum was computed against a specific mean).
-    if (sum.shard_index >= static_cast<std::uint64_t>(out.shards)) return;
-    const int s = static_cast<int>(sum.shard_index);
+    auto sum = core::CovSumMsg::try_decode(msg);
+    if (!sum || sum->shard_index >= shard_msgs.size()) return;
+    // Only the worker the shard is outstanding at may answer it: a stale
+    // reply from a worker the shard was moved away from is dropped.
+    const int s = static_cast<int>(sum->shard_index);
     auto it = outstanding.find(w);
     if (it == outstanding.end()) return;
     auto pos = std::find(it->second.begin(), it->second.end(), s);
-    if (pos == it->second.end()) return;  // not this worker's shard: drop
+    if (pos == it->second.end()) return;
+    // A sum that does not decode against its shard is refused while the
+    // shard can still be re-sent.
+    if (!fusion.accept_cov_sum(*sum)) return;
     it->second.erase(pos);
-    shard_acc[static_cast<std::size_t>(s)] = std::move(sum.accumulator);
     shard_track[static_cast<std::size_t>(s)].active = false;
-    if (++shards_received == out.shards) broadcast_transform();
+    if (fusion.covariance_done()) broadcast_transform();
   }
 
   void broadcast_transform() {
-    // Merge in shard-index order regardless of which worker computed each
-    // sum — this is what keeps the eigenbasis identical across failures.
-    linalg::CovarianceAccumulator total(bands, mean);
-    for (const auto& bytes : shard_acc) {
-      if (!bytes.empty()) {
-        total.merge(linalg::CovarianceAccumulator::decode(bytes));
-      }
-    }
-    const linalg::Matrix cov = total.covariance();
-    const linalg::EigenResult eig = linalg::jacobi_eigen(cov, p.jacobi);
-    out.eigenvalues = eig.values;
-
-    core::TransformMsg tm;
-    tm.components = p.output_components;
-    tm.bands = bands;
-    const linalg::Matrix t =
-        core::transform_matrix(eig.vectors, p.output_components);
-    tm.matrix.assign(t.data(), t.data() + t.rows() * t.cols());
-    tm.mean = mean;
-    const auto scales = core::scales_from_eigenvalues(eig.values);
-    for (const auto& s : scales) {
-      tm.scale_mean.push_back(s.mean);
-      tm.scale_gain.push_back(s.gain);
-    }
-    transform = std::move(tm);
-    for (const int w : live) send_app(w, transform->encode(0));
+    const core::TransformMsg tm = fusion.transform();
+    transform_sent = true;
+    for (const int w : live) send_app(w, tm.encode(0));
     // Every uncoloured tile is outstanding again — its holder owes a
     // colour reply now that the transform is out.
-    for (int t = 0; t < static_cast<int>(tiles.size()); ++t) {
-      if (!colored[t]) arm(tile_track[static_cast<std::size_t>(t)]);
+    for (int t = 0; t < fusion.tile_count(); ++t) {
+      if (!fusion.colored(t)) arm(tile_track[static_cast<std::size_t>(t)]);
     }
   }
 
   void on_color_tile(const scp::Message& msg) {
-    auto decoded = core::ColorTileMsg::try_decode(msg);
-    if (!decoded) return;
-    core::ColorTileMsg color = std::move(*decoded);
-    const int t = color.tile.index;
-    if (t < 0 || t >= static_cast<int>(tiles.size())) return;
-    if (colored[t]) return;  // duplicate from a re-screened tile
-    // Geometry comes from our own partition, never from the wire; a reply
-    // whose pixel count disagrees with it is dropped, not trusted.
-    const hsi::Tile& tile = tiles[static_cast<std::size_t>(t)];
-    if (color.rgb.size() != static_cast<std::size_t>(tile.pixels()) * 3) {
-      return;
-    }
-    const auto dst = static_cast<std::size_t>(tile.first_flat_index()) * 3;
-    std::copy(color.rgb.begin(), color.rgb.end(),
-              out.composite.data.begin() + dst);
-    colored[t] = true;
-    tile_track[static_cast<std::size_t>(t)].active = false;
-    ++colored_count;
+    auto color = core::ColorTileMsg::try_decode(msg);
+    if (!color || !fusion.accept_color(*color)) return;
+    tile_track[static_cast<std::size_t>(color->tile.index)].active = false;
   }
 
   void on_closed(int w) {
@@ -390,8 +275,8 @@ struct Coordinator {
     // Re-assign every tile whose only copy lived in its memory. Survivors
     // re-screen (the duplicate result is dropped) and — once they hold the
     // transform — colour it; merge/colour order is unaffected.
-    for (int t = 0; t < static_cast<int>(tiles.size()); ++t) {
-      if (holder[t] != w || colored[t]) continue;
+    for (int t = 0; t < fusion.tile_count(); ++t) {
+      if (holder[t] != w || fusion.colored(t)) continue;
       const int v = live[static_cast<std::size_t>(rr++) % live.size()];
       ++out.tiles_requeued;
       assign_tile(v, t);
@@ -405,23 +290,18 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
                                     const std::vector<int>& workers,
                                     const RemoteExecParams& p) {
   RIF_CHECK_MSG(p.cube != nullptr, "remote execution requires a cube");
-  Coordinator c{pool, p};
-  c.bands = p.cube->bands();
-  const hsi::CubeShape shape{p.cube->width(), p.cube->height(), c.bands};
-  c.tiles = hsi::partition_rows(shape, p.total_tiles);
+  const hsi::CubeShape shape{p.cube->width(), p.cube->height(),
+                             p.cube->bands()};
+  Coordinator c{pool, p, shape};
   for (const int w : workers) {
     if (pool.alive(w)) c.live.push_back(w);
   }
   if (c.live.empty()) return std::move(c.out);
 
-  const int total = static_cast<int>(c.tiles.size());
+  const int total = c.fusion.tile_count();
   c.out.shards = static_cast<int>(c.live.size());
   c.holder.assign(total, -1);
-  c.merge_done.assign(total, false);
-  c.colored.assign(total, false);
   c.tile_track.assign(static_cast<std::size_t>(total), {});
-  c.global.emplace(c.bands, p.screening_threshold);
-  c.out.composite = hsi::RgbImage(shape.width, shape.height);
 
   const scp::JobStartBody body{p.job_id,
                                shape.width,
@@ -439,7 +319,7 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
   const auto job_deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(p.deadline_seconds));
-  while (c.colored_count < total) {
+  while (c.out.tiles_colored < total) {
     const auto now = Clock::now();
     if (now >= job_deadline) {
       RIF_LOG_WARN("remote", "job " << p.job_id
@@ -448,11 +328,9 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
       return std::move(c.out);  // completed stays false: host fallback
     }
     if (!c.check_deadlines()) return std::move(c.out);  // budget exhausted
-    // Wake for whichever comes first: the poll cap, the job deadline, or
+    // Wake for whichever comes first: a pool event, the job deadline, or
     // the nearest per-item deadline.
-    double wait = std::min(
-        p.poll_timeout_seconds,
-        std::chrono::duration<double>(job_deadline - now).count());
+    double wait = std::chrono::duration<double>(job_deadline - now).count();
     if (const auto next = c.next_deadline()) {
       wait = std::min(wait,
                       std::chrono::duration<double>(*next - now).count());

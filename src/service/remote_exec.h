@@ -1,12 +1,12 @@
 // Coordinator for running one fusion job across real worker processes.
 //
-// This is the ManagerActor's Full-mode protocol replayed over sockets: the
-// same six messages, the same strictly-in-tile-order unique-set merge, the
-// same fixed shard partition and shard-order covariance merge. Because
-// every arithmetic step happens in the same order on the same shared
-// kernels, the composite is byte-identical to the sim-transport run and to
-// fuse_parallel with the same tile/shard counts — the sim stays the oracle
-// for the real deployment.
+// The manager steps — tile-order unique-set merge, mean and covariance
+// shards, shard-order covariance merge, eigen-decomposition, colour
+// placement — are core::FusionCoordinator, the same object the sim's
+// ManagerActor drives; execute_remote_job only carries its messages over
+// the worker pool's sockets. The composite is therefore byte-identical to
+// the sim run and to fuse_parallel with the same tile/shard counts by
+// construction: the sim stays the oracle for the real deployment.
 //
 // Fault handling: when a worker disconnects mid-job, every tile or
 // covariance shard it owned is re-queued onto the survivors and the job
@@ -20,15 +20,16 @@
 // silence clock exists to reset. Determinism survives all of this because
 // the merge orders are keyed by tile/shard index, never by which worker
 // answered — a resent item computed twice lands in the same slot with the
-// same bytes.
+// same bytes. Replies that fail the coordinator's checks are dropped and
+// their work re-sent, never decoded with aborts.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "cluster/remote_pool.h"
+#include "core/distributed/fusion_coordinator.h"
 #include "hsi/image_cube.h"
-#include "hsi/image_io.h"
 #include "linalg/jacobi_eig.h"
 #include "runtime/metrics.h"
 
@@ -41,9 +42,6 @@ struct RemoteExecParams {
   int output_components = 3;
   linalg::JacobiOptions jacobi;
   std::int64_t job_id = 0;
-  /// Upper bound on one poll_event wait (the loop wakes sooner when a
-  /// per-item deadline is nearer).
-  double poll_timeout_seconds = 2.0;
   /// Per-JOB wall deadline: give up (caller falls back to the host
   /// engine) this long after the job starts, whatever else is happening.
   double deadline_seconds = 300.0;
@@ -60,13 +58,9 @@ struct RemoteExecParams {
   runtime::MetricsRegistry* metrics = nullptr;
 };
 
-struct RemoteExecResult {
-  bool completed = false;
-  hsi::RgbImage composite;
-  std::size_t unique_set_size = 0;
-  std::vector<double> eigenvalues;
-  std::uint64_t screen_comparisons = 0;
-  std::uint64_t merge_comparisons = 0;
+/// The job's outcome (composite, eigenvalues, counts) plus what the socket
+/// plane did to get it.
+struct RemoteExecResult : core::JobOutcome {
   int shards = 0;             ///< fixed covariance shard count used
   int tiles_requeued = 0;     ///< tiles reassigned after a disconnect
   int worker_disconnects = 0;

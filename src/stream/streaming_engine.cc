@@ -35,7 +35,7 @@ struct ChunkBuffer {
   int line0 = 0;
   int rows = 0;
   std::vector<float> data;         // rows * samples * bands, BIP
-  std::uint64_t alloc_bytes = 0;   // capacity high-water (peak tracking)
+  std::uint64_t alloc_bytes = 0;   // bytes counted in the live total
   double read_seconds = 0.0;       // this fill's read_lines time (autotune)
 };
 
@@ -85,6 +85,30 @@ StreamingStats stats_view(const runtime::MetricsRegistry& reg) {
   return s;
 }
 
+/// Add `bytes` to `live` unless the total would pass `budget` (0 = none).
+/// Every growth of the live buffer total goes through a compare-and-swap
+/// like this one, so concurrent claims can never jointly overrun it.
+bool claim(std::atomic<std::uint64_t>& live, std::uint64_t bytes,
+           std::uint64_t budget) {
+  std::uint64_t cur = live.load(std::memory_order_relaxed);
+  do {
+    if (budget > 0 && cur + bytes > budget) return false;
+  } while (!live.compare_exchange_weak(cur, cur + bytes,
+                                       std::memory_order_relaxed));
+  return true;
+}
+
+/// Shrink `buf` to hold at most `bytes` (0 frees it), returning the excess
+/// to the live total.
+void trim(ChunkBuffer& buf, std::uint64_t bytes,
+          std::atomic<std::uint64_t>& live) {
+  if (buf.alloc_bytes <= bytes) return;
+  live.fetch_sub(buf.alloc_bytes - bytes, std::memory_order_relaxed);
+  std::vector<float>().swap(buf.data);
+  buf.data.reserve(static_cast<std::size_t>(bytes / sizeof(float)));
+  buf.alloc_bytes = bytes;
+}
+
 /// Shared state of one reader pass. The reader is a dedicated std::thread:
 /// it must never borrow the compute pool, or a pool blocked in pop() could
 /// starve the very stage that would refill it (see bounded_queue.h).
@@ -101,9 +125,14 @@ struct ReaderPass {
   /// Live chunk-buffer bytes, owned by the engine so it survives (and the
   /// peak gauge spans) both passes and any pass-boundary depth change.
   /// Atomic because during an autotuned pass BOTH sides move it: the
-  /// reader grows it as buffers widen while the consumer shrinks it
-  /// retiring/trimming buffers and reads it in the activation guard.
+  /// reader grows it as buffers widen, the consumer claims room for a
+  /// buffer it activates and shrinks it retiring/trimming buffers.
   std::atomic<std::uint64_t>* live_buffer_bytes = nullptr;
+  /// Cap on live_buffer_bytes; 0 = none. Every growth is claimed against
+  /// it by compare-and-swap before memory is allocated, so the cap holds by
+  /// construction — even when the chunk_lines this reader loaded is wider
+  /// than what the consumer has since published and budgeted for.
+  std::uint64_t memory_budget = 0;
   /// Job attribution for the reader thread's spans — the reader runs
   /// outside the consumer's JobScope, so the id travels explicitly.
   std::int64_t trace_job = obs::kNoJob;
@@ -114,15 +143,37 @@ struct ReaderPass {
     const int lines = reader->lines();
     int line0 = 0;
     while (line0 < lines) {
-      const int want = std::max(
-          1, std::min(chunk_lines->load(std::memory_order_relaxed),
-                      lines - line0));
       const auto idx = free_q->pop();
       if (!idx) return;  // aborted by the consumer
       ChunkBuffer& buf = (*buffers)[static_cast<std::size_t>(*idx)];
+      int want = std::max(
+          1, std::min(chunk_lines->load(std::memory_order_relaxed),
+                      lines - line0));
+      // Claim this fill's growth before allocating it. When the budget's
+      // headroom cannot cover `want` lines, read fewer — never under one,
+      // so the pass always progresses.
+      std::uint64_t live = live_buffer_bytes->load(std::memory_order_relaxed);
+      std::uint64_t grow = 0;
+      do {
+        if (memory_budget > 0) {
+          const std::uint64_t room =
+              buf.alloc_bytes +
+              (live < memory_budget ? memory_budget - live : 0);
+          want = std::max(1, static_cast<int>(std::min<std::uint64_t>(
+                                 room / reader->chunk_bytes(1),
+                                 static_cast<std::uint64_t>(want))));
+        }
+        const std::uint64_t needed = reader->chunk_bytes(want);
+        grow = needed > buf.alloc_bytes ? needed - buf.alloc_bytes : 0;
+      } while (grow > 0 && !live_buffer_bytes->compare_exchange_weak(
+                               live, live + grow, std::memory_order_relaxed));
+      if (grow > 0) {
+        buf.alloc_bytes += grow;
+        metrics->peak_buffer_bytes.record(static_cast<double>(live + grow));
+      }
       buf.line0 = line0;
       buf.rows = want;
-      // Grow to EXACTLY the needed footprint: resize()'s geometric growth
+      // Grow to EXACTLY the claimed footprint: resize()'s geometric growth
       // would otherwise hand a widening (autotuned) chunk up to 2x its
       // nominal bytes and quietly break the memory clamp.
       const auto needed = static_cast<std::size_t>(
@@ -144,16 +195,6 @@ struct ReaderPass {
       metrics->bytes_read.add(reader->chunk_bytes(buf.rows));
       metrics->chunk_bytes.record(
           static_cast<double>(reader->chunk_bytes(buf.rows)));
-      const auto cap_bytes =
-          static_cast<std::uint64_t>(buf.data.capacity()) * sizeof(float);
-      if (cap_bytes > buf.alloc_bytes) {
-        const std::uint64_t live =
-            live_buffer_bytes->fetch_add(cap_bytes - buf.alloc_bytes,
-                                         std::memory_order_relaxed) +
-            (cap_bytes - buf.alloc_bytes);
-        buf.alloc_bytes = cap_bytes;
-        metrics->peak_buffer_bytes.record(static_cast<double>(live));
-      }
       line0 += want;
       if (!full_q->push(*idx)) return;  // aborted by the consumer
     }
@@ -216,19 +257,33 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
   free_q.bind_metrics(metrics.reg, "free_queue.");
   full_q.bind_metrics(metrics.reg, "full_queue.");
   std::vector<int> idle;  // allocated structs not currently circulating
+  const std::uint64_t nominal =
+      reader.chunk_bytes(chunk_lines.load(std::memory_order_relaxed));
   for (int i = 0; i < static_cast<int>(buffers.size()); ++i) {
-    if (i < active_depth) {
-      free_q.push(i);
-    } else {
+    ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
+    if (i >= active_depth) {
       // Not part of this pass (depth shrank since the buffer last ran):
       // release its memory and drop it from the live accounting.
-      ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
-      live_buffer_bytes.fetch_sub(buf.alloc_bytes, std::memory_order_relaxed);
-      buf.alloc_bytes = 0;
-      buf.data = {};
+      trim(buf, 0, live_buffer_bytes);
       idle.push_back(i);
+    } else if (memory_budget > 0) {
+      trim(buf, nominal, live_buffer_bytes);
     }
   }
+  // Under a budget every circulating buffer starts the pass holding a claim
+  // on exactly one nominal chunk (the tuner keeps depth x nominal within
+  // the budget), so no claim made mid-pass can leave a buffer without room
+  // for the line its fill needs at the least.
+  for (int i = 0; i < active_depth; ++i) {
+    ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
+    if (memory_budget > 0 && buf.alloc_bytes < nominal &&
+        claim(live_buffer_bytes, nominal - buf.alloc_bytes, memory_budget)) {
+      buf.alloc_bytes = nominal;
+    }
+    free_q.push(i);
+  }
+  metrics.peak_buffer_bytes.record(
+      static_cast<double>(live_buffer_bytes.load(std::memory_order_relaxed)));
 
   ReaderPass pass;
   pass.reader = &reader;
@@ -238,6 +293,7 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
   pass.chunk_lines = &chunk_lines;
   pass.metrics = &metrics;
   pass.live_buffer_bytes = &live_buffer_bytes;
+  pass.memory_budget = memory_budget;
   pass.trace_job = trace_job;
   ReaderThread reader_thread(pass);
 
@@ -264,10 +320,7 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
       if (tuner->queue_depth() < active_depth) {
         // Retire the buffer we exclusively hold: free its memory FIRST,
         // then publish the (possibly wider) chunk_lines below.
-        live_buffer_bytes.fetch_sub(buf.alloc_bytes,
-                                    std::memory_order_relaxed);
-        buf.alloc_bytes = 0;
-        buf.data = {};
+        trim(buf, 0, live_buffer_bytes);
         idle.push_back(*idx);
         --active_depth;
         chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
@@ -278,23 +331,22 @@ bool run_reader_pass(hsi::ChunkedCubeReader& reader,
       // chunk before it recirculates — otherwise the live accounting
       // stays pinned at the old width and a later depth increase would
       // stack new buffers on top of stale ones, past the memory clamp.
-      const std::uint64_t nominal =
+      const std::uint64_t now_nominal =
           reader.chunk_bytes(chunk_lines.load(std::memory_order_relaxed));
-      if (buf.alloc_bytes > nominal) {
-        live_buffer_bytes.fetch_sub(buf.alloc_bytes - nominal,
-                                    std::memory_order_relaxed);
-        std::vector<float>().swap(buf.data);
-        buf.data.reserve(static_cast<std::size_t>(nominal / sizeof(float)));
-        buf.alloc_bytes = nominal;
-      }
+      trim(buf, now_nominal, live_buffer_bytes);
       if (tuner->queue_depth() > active_depth && !idle.empty() &&
-          (memory_budget == 0 ||
-           live_buffer_bytes.load(std::memory_order_relaxed) + nominal <=
-               memory_budget)) {
+          claim(live_buffer_bytes, now_nominal, memory_budget)) {
         // Activate read-ahead only when the ACTUAL live bytes (which may
         // still include not-yet-trimmed wide buffers) leave room for one
         // more nominal chunk — the tuner's check is against nominal
-        // geometry, this one is against reality.
+        // geometry, this one is against reality. The room is claimed for
+        // the buffer now, atomically with the check, so a reader fill
+        // racing this cannot take it first; the buffer allocates it on its
+        // first fill.
+        buffers[static_cast<std::size_t>(idle.back())].alloc_bytes =
+            now_nominal;
+        metrics.peak_buffer_bytes.record(static_cast<double>(
+            live_buffer_bytes.load(std::memory_order_relaxed)));
         free_q.push(idle.back());
         idle.pop_back();
         ++active_depth;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/distributed/fusion_coordinator.h"
 #include "core/distributed/fusion_job.h"
+#include "core/distributed/shard_ops.h"
 #include "core/parallel/parallel_pct.h"
 #include "core/pct.h"
 #include "hsi/scene.h"
@@ -108,6 +112,112 @@ TEST(CostOnlyTest, SmpNetworkFasterThanLan) {
   const FusionReport s = run_fusion_job(smp);
   ASSERT_TRUE(l.completed && s.completed);
   EXPECT_LT(s.elapsed_seconds, l.elapsed_seconds);
+}
+
+// --- The shared manager steps: refusals --------------------------------------
+
+TEST(FusionCoordinatorTest,
+     RefusalsLeaveNoTraceAndCleanRunMatchesFuseParallel) {
+  using Intake = FusionCoordinator::Intake;
+  const auto scene = test_scene();
+  const int tiles = 4;
+  const int shards = 3;
+  const int bands = scene.cube.bands();
+  const PctConfig pct;
+  JobOutcome out;
+  FusionCoordinator coord({scene.cube.width(), scene.cube.height(), bands},
+                          &scene.cube, tiles, pct.screening_threshold,
+                          pct.output_components, pct.jacobi, out);
+  ASSERT_EQ(coord.tile_count(), tiles);
+
+  std::vector<TileAssignMsg> assigned;
+  std::vector<ScreenResultMsg> screened;
+  for (int t = 0; t < tiles; ++t) {
+    assigned.push_back(coord.assign(t));
+    screened.push_back(screen_shard(assigned[t].tile, assigned[t].data.data(),
+                                    pct.screening_threshold));
+  }
+
+  // Tile 1 arrives first and waits for tile 0; every refusal must leave
+  // the counters, the merge and the pending tile exactly as they were.
+  ASSERT_EQ(coord.accept_screen(screened[1]), Intake::kAccepted);
+  const std::uint64_t screen_before = out.screen_comparisons;
+  const auto refused = [&](ScreenResultMsg r) {
+    EXPECT_EQ(coord.accept_screen(std::move(r)), Intake::kRefused);
+    EXPECT_EQ(out.screen_comparisons, screen_before);
+    EXPECT_EQ(out.merge_comparisons, 0u);
+    EXPECT_FALSE(coord.screening_done());
+  };
+  ScreenResultMsg bad = screened[0];
+  bad.tile.index = tiles;
+  refused(bad);
+  bad.tile.index = -1;
+  refused(bad);
+  bad = screened[0];
+  bad.vectors.push_back(1.0f);  // ragged
+  refused(bad);
+  bad = screened[0];
+  bad.vectors[0] = std::numeric_limits<float>::quiet_NaN();
+  refused(bad);
+  bad = screened[0];
+  bad.vectors.insert(bad.vectors.end(), static_cast<std::size_t>(bands), 0.0f);
+  refused(bad);
+  EXPECT_EQ(coord.accept_screen(screened[1]), Intake::kRepeat);
+  EXPECT_EQ(out.screen_comparisons, screen_before);
+
+  for (const int t : {0, 2, 3}) {
+    ASSERT_EQ(coord.accept_screen(screened[t]), Intake::kAccepted);
+  }
+  ASSERT_TRUE(coord.screening_done());
+  EXPECT_EQ(coord.accept_screen(screened[0]), Intake::kRepeat);
+
+  const std::vector<CovShardMsg> shard_msgs = coord.covariance_shards(shards);
+  ASSERT_EQ(shard_msgs.size(), static_cast<std::size_t>(shards));
+  std::vector<CovSumMsg> sums;
+  for (const CovShardMsg& shard : shard_msgs) {
+    sums.push_back(cov_shard_sum(shard, bands));
+  }
+  CovSumMsg bad_sum = sums[0];
+  bad_sum.shard_index = shards;  // out of range
+  EXPECT_FALSE(coord.accept_cov_sum(bad_sum));
+  bad_sum = sums[0];
+  bad_sum.accumulator.pop_back();  // undecodable
+  EXPECT_FALSE(coord.accept_cov_sum(bad_sum));
+  CovShardMsg other_mean = shard_msgs[0];
+  other_mean.mean[0] += 1.0;  // computed against a different mean
+  EXPECT_FALSE(coord.accept_cov_sum(cov_shard_sum(other_mean, bands)));
+  ASSERT_TRUE(coord.accept_cov_sum(sums[0]));
+  EXPECT_FALSE(coord.accept_cov_sum(sums[0]));  // repeated
+  EXPECT_FALSE(coord.covariance_done());
+  for (int s = 1; s < shards; ++s) ASSERT_TRUE(coord.accept_cov_sum(sums[s]));
+  ASSERT_TRUE(coord.covariance_done());
+
+  const TransformMsg tm = coord.transform();
+  std::vector<ColorTileMsg> colors;
+  for (int t = 0; t < tiles; ++t) {
+    colors.push_back(
+        color_shard(assigned[t].tile, assigned[t].data.data(), tm));
+  }
+  const std::vector<std::uint8_t> blank = out.composite.data;
+  ColorTileMsg bad_color = colors[2];
+  bad_color.rgb.pop_back();  // wrong pixel count
+  EXPECT_FALSE(coord.accept_color(bad_color));
+  bad_color = colors[2];
+  bad_color.tile.index = tiles;
+  EXPECT_FALSE(coord.accept_color(bad_color));
+  EXPECT_EQ(out.composite.data, blank);
+  EXPECT_EQ(out.tiles_colored, 0);
+  for (int t = 0; t < tiles; ++t) ASSERT_TRUE(coord.accept_color(colors[t]));
+  EXPECT_FALSE(coord.accept_color(colors[1]));  // repeat
+  EXPECT_EQ(out.tiles_colored, tiles);
+
+  ParallelPctConfig pcfg;
+  pcfg.threads = shards;
+  pcfg.tiles = tiles;
+  const PctResult reference = fuse_parallel(scene.cube, pcfg);
+  EXPECT_EQ(out.composite.data, reference.composite.data);
+  EXPECT_EQ(out.unique_set_size, reference.unique_set_size);
+  EXPECT_EQ(out.eigenvalues, reference.eigenvalues);
 }
 
 // --- Full mode correctness ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "core/parallel/parallel_pct.h"
@@ -111,18 +112,28 @@ TEST(ThreadPoolTest, IdleSecondsTracksParkedWorkers) {
   const double idle1 = pool.idle_seconds();
   EXPECT_GE(idle1 - idle0, 0.1);  // 2 parked workers x 100 ms, minus slop
 
-  // Saturating work: 3 spin tasks feed both workers AND the helping
-  // caller (which always drains the queue too, but is external and never
-  // counted), so worker idle accrues at most scheduling slop.
-  const double idle2 = pool.idle_seconds();
-  pool.parallel_tasks(3, [](int) {
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
-    while (std::chrono::steady_clock::now() < until) {
+  // Saturating work: 3 tasks occupy both workers AND the helping caller
+  // (which always drains the queue too, but is external and never
+  // counted). A 3-way start latch proves all three are inside tasks; the
+  // other two then hold at an exit barrier until the reading task is done.
+  // No worker is parked anywhere in that window, so worker idle must not
+  // move at all between two reads taken inside it.
+  std::latch started(3);
+  std::latch reads_done(1);
+  double in_a = -1.0;
+  double in_b = -2.0;
+  pool.parallel_tasks(3, [&](int i) {
+    started.arrive_and_wait();
+    if (i != 0) {
+      reads_done.wait();
+      return;
     }
+    in_a = pool.idle_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    in_b = pool.idle_seconds();
+    reads_done.count_down();
   });
-  const double idle3 = pool.idle_seconds();
-  EXPECT_LE(idle3 - idle2, 0.05);
+  EXPECT_EQ(in_a, in_b);
 }
 
 // Concurrent callers from non-pool threads (the FusionService pattern:

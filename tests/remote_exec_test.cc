@@ -305,7 +305,6 @@ TEST(RemoteExecTest, AllWorkersDeadReportsFailureForFallback) {
   RemoteExecParams params;
   params.cube = &scene.cube;
   params.total_tiles = 4;
-  params.poll_timeout_seconds = 0.2;
   params.deadline_seconds = 5.0;
   const RemoteExecResult real = execute_remote_job(pool, {0}, params);
   EXPECT_FALSE(real.completed);  // caller falls back to the host engine
