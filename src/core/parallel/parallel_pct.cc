@@ -65,25 +65,98 @@ void merge_blocked(UniqueSet& unique, const UniqueSet& other,
 
 }  // namespace
 
-void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
-                         const UniqueSet& tile_set,
-                         const linalg::MomentAccumulator& tile_moments,
-                         ThreadPool& pool, std::vector<std::uint8_t>& dropped,
-                         std::uint64_t* merge_comparisons) {
-  const int bands = unique.bands();
-  const std::size_t admit_start = unique.size();
-  merge_blocked(unique, tile_set, pool, dropped, merge_comparisons);
-  const std::size_t admits = unique.size() - admit_start;
-  const std::size_t drops = tile_set.size() - admits;
-  if (drops <= admits) {
-    total.merge(tile_moments);
-    for (std::size_t j = 0; j < tile_set.size(); ++j) {
-      if (dropped[j] != 0) total.remove(tile_set.member(j));
-    }
-  } else if (admits > 0) {
-    total.add_block(unique.flat().data() + admit_start * bands,
-                    static_cast<int>(admits));
+FusedScreen::FusedScreen(int bands, double screening_threshold)
+    : unique_(bands, screening_threshold) {}
+
+void FusedScreen::screen(std::span<const float> pixels, int width, int rows,
+                         int tiles, ThreadPool& pool) {
+  RIF_CHECK_MSG(tile_sets_.empty(), "screen() twice without fold()");
+  const int bands = unique_.bands();
+  RIF_CHECK(width > 0 && rows > 0 &&
+            pixels.size() >= static_cast<std::size_t>(width) * rows * bands);
+  // Per-tile spans execute on pool workers, outside the caller's JobScope;
+  // capture the ambient job once and attribute explicitly.
+  const std::int64_t trace_job = obs::current_job();
+  // Any shared origin works for the moment sums; a representative pixel
+  // keeps them small so the final mean correction is well-conditioned.
+  if (origin_.empty()) origin_.assign(pixels.begin(), pixels.begin() + bands);
+  const auto tile_list = hsi::partition_rows({width, rows, bands}, tiles);
+  const int tile_count = static_cast<int>(tile_list.size());
+  for (int i = 0; i < tile_count; ++i) {
+    tile_sets_.emplace_back(bands, unique_.threshold());
+    tile_moments_.emplace_back(bands, origin_);
   }
+  // As members are admitted into a tile's unique set, fold them into the
+  // tile's moment sums straight from the set's flat storage — cache-hot,
+  // in blocks sized for the packed-triangle kernel.
+  constexpr std::size_t kMomentBlock = 32;
+  std::atomic<std::uint64_t> comparisons{0};
+  pool.parallel_tasks(tile_count, [&](int i) {
+    RIF_TRACE_SPAN_JOB("tile_screen", trace_job);
+    UniqueSet& set = tile_sets_[static_cast<std::size_t>(i)];
+    linalg::MomentAccumulator& mom = tile_moments_[static_cast<std::size_t>(i)];
+    std::uint64_t local = 0;
+    std::size_t flushed = 0;
+    const auto& t = tile_list[static_cast<std::size_t>(i)];
+    for (std::int64_t p = t.first_flat_index(); p < t.end_flat_index(); ++p) {
+      set.screen(pixels.subspan(static_cast<std::size_t>(p) * bands,
+                                static_cast<std::size_t>(bands)),
+                 &local);
+      if (set.size() - flushed >= kMomentBlock) {
+        mom.add_block(set.flat().data() + flushed * bands,
+                      static_cast<int>(set.size() - flushed));
+        flushed = set.size();
+      }
+    }
+    if (set.size() > flushed) {
+      mom.add_block(set.flat().data() + flushed * bands,
+                    static_cast<int>(set.size() - flushed));
+    }
+    comparisons += local;
+  });
+  screen_comparisons_ += comparisons.load();
+}
+
+void FusedScreen::fold(ThreadPool& pool) {
+  for (std::size_t i = 0; i < tile_sets_.size(); ++i) {
+    const UniqueSet& tile_set = tile_sets_[i];
+    linalg::MomentAccumulator& tile_moments = tile_moments_[i];
+    if (!total_) {
+      unique_ = std::move(tile_sets_[i]);
+      total_ = std::move(tile_moments);
+      continue;
+    }
+    // The surviving moment sums follow the cheaper of two exact paths:
+    // retract the dropped members from the tile's sums, or rebuild the
+    // tile's contribution from the admitted members (contiguous in the
+    // merged set's flat storage, so the blocked kernel applies).
+    const std::size_t admit_start = unique_.size();
+    merge_blocked(unique_, tile_set, pool, dropped_, &merge_comparisons_);
+    const std::size_t admits = unique_.size() - admit_start;
+    const std::size_t drops = tile_set.size() - admits;
+    if (drops <= admits) {
+      total_->merge(tile_moments);
+      for (std::size_t j = 0; j < tile_set.size(); ++j) {
+        if (dropped_[j] != 0) total_->remove(tile_set.member(j));
+      }
+    } else if (admits > 0) {
+      total_->add_block(unique_.flat().data() + admit_start * unique_.bands(),
+                        static_cast<int>(admits));
+    }
+  }
+  tile_sets_.clear();
+  tile_moments_.clear();
+  RIF_CHECK(!total_ || total_->count() == unique_.size());
+}
+
+std::vector<double> FusedScreen::mean() const {
+  RIF_CHECK(total_.has_value());
+  return total_->mean();
+}
+
+linalg::Matrix FusedScreen::covariance() const {
+  RIF_CHECK(total_.has_value());
+  return total_->covariance();
 }
 
 PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
@@ -114,36 +187,12 @@ PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
   });
   result.screen_comparisons = comparisons.load();
 
-  // Step 2: merge the per-tile sets. Sequential left fold in tile order
-  // matches the distributed manager bit-for-bit; the parallel tree merge
-  // trades that for scalability on real multiprocessors.
+  // Step 2: merge the per-tile sets in tile order, as the distributed
+  // manager does.
   UniqueSet unique(bands, config.pct.screening_threshold);
-  std::atomic<std::uint64_t> merge_comparisons{0};
-  if (config.parallel_merge && tile_sets.size() > 1) {
-    std::vector<UniqueSet> level = std::move(tile_sets);
-    while (level.size() > 1) {
-      const int pairs = static_cast<int>(level.size() / 2);
-      pool.parallel_tasks(pairs, [&](int i) {
-        std::uint64_t local = 0;
-        level[2 * i].merge(level[2 * i + 1], &local);
-        merge_comparisons += local;
-      });
-      // Survivors are the even slots; an unpaired trailing set (odd count)
-      // is an even slot too and rides along to the next level.
-      std::vector<UniqueSet> next;
-      next.reserve((level.size() + 1) / 2);
-      for (std::size_t i = 0; i < level.size(); i += 2) {
-        next.push_back(std::move(level[i]));
-      }
-      level = std::move(next);
-    }
-    unique = std::move(level.front());
-  } else {
-    std::uint64_t local = 0;
-    for (const auto& set : tile_sets) unique.merge(set, &local);
-    merge_comparisons += local;
+  for (const auto& set : tile_sets) {
+    unique.merge(set, &result.merge_comparisons);
   }
-  result.merge_comparisons = merge_comparisons.load();
   result.unique_set_size = unique.size();
   RIF_CHECK_MSG(unique.size() >= 3, "degenerate scene: unique set too small");
 
@@ -205,93 +254,27 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   // Per-tile spans execute on pool workers, outside the caller's JobScope;
   // capture the ambient job once and attribute explicitly.
   const std::int64_t trace_job = obs::current_job();
-  const int bands = cube.bands();
   const int tiles = config.tiles > 0 ? config.tiles : pool.size();
   PctResult result;
 
-  const hsi::CubeShape shape{cube.width(), cube.height(), bands};
-  const auto tile_list = hsi::partition_rows(shape, tiles);
-  const int tile_count = static_cast<int>(tile_list.size());
-
-  // Common provisional origin for every tile's moment sums: the cube's
-  // first pixel. Any shared vector works; a representative pixel keeps the
-  // sums small so the final mean correction is well-conditioned.
-  std::vector<double> origin(bands);
-  {
-    const auto p0 = cube.pixel(0);
-    for (int b = 0; b < bands; ++b) origin[b] = static_cast<double>(p0[b]);
-  }
-
-  // Single fused pass (concurrent): screen each tile's pixels and, as
-  // members are admitted into the tile's unique set, fold them into the
-  // tile's moment sums straight from the set's flat storage — cache-hot,
-  // in blocks sized for the packed-triangle kernel.
-  std::vector<UniqueSet> tile_sets;
-  std::vector<linalg::MomentAccumulator> tile_moments;
-  tile_sets.reserve(tile_count);
-  tile_moments.reserve(tile_count);
-  for (int i = 0; i < tile_count; ++i) {
-    tile_sets.emplace_back(bands, config.pct.screening_threshold);
-    tile_moments.emplace_back(bands, origin);
-  }
-  constexpr std::size_t kMomentBlock = 32;
-  std::atomic<std::uint64_t> comparisons{0};
   // Manual phase begin/end (one RAII span would blanket the whole engine);
   // `traced` is captured once so every begun phase also ends.
   obs::SpanTracer& tracer = obs::SpanTracer::instance();
   const bool traced = tracer.enabled();
+  FusedScreen fused(cube.bands(), config.pct.screening_threshold);
   if (traced) tracer.begin("fused_screen", trace_job);
-  pool.parallel_tasks(tile_count, [&](int i) {
-    RIF_TRACE_SPAN_JOB("tile_screen", trace_job);
-    const auto& t = tile_list[i];
-    UniqueSet& set = tile_sets[i];
-    linalg::MomentAccumulator& mom = tile_moments[i];
-    std::uint64_t local = 0;
-    std::size_t flushed = 0;
-    for (std::int64_t p = t.first_flat_index(); p < t.end_flat_index(); ++p) {
-      set.screen(cube.pixel(p), &local);
-      if (set.size() - flushed >= kMomentBlock) {
-        mom.add_block(set.flat().data() + flushed * bands,
-                      static_cast<int>(set.size() - flushed));
-        flushed = set.size();
-      }
-    }
-    if (set.size() > flushed) {
-      mom.add_block(set.flat().data() + flushed * bands,
-                    static_cast<int>(set.size() - flushed));
-    }
-    comparisons += local;
-  });
-  result.screen_comparisons = comparisons.load();
+  fused.screen(cube.raw(), cube.width(), cube.height(), tiles, pool);
   if (traced) tracer.end("fused_screen", trace_job);
-
-  // Merge with the blocked-concurrent fold. The first tile is admitted
-  // wholesale: its members are mutually distinct under the same threshold,
-  // so the fold would accept every one. For later tiles the moment sums
-  // follow the cheaper of two exact bookkeeping paths: retract the dropped
-  // members from the tile's sums, or rebuild the tile's contribution from
-  // the admitted members (contiguous in the merged set's flat storage, so
-  // the blocked kernel applies). Either way the surviving sums are exactly
-  // those of the merged unique set, and `parallel_merge` is moot — this
-  // merge parallelizes while preserving the sequential fold's order.
-  UniqueSet unique = std::move(tile_sets.front());
-  linalg::MomentAccumulator total = std::move(tile_moments.front());
-  std::vector<std::uint8_t> dropped;
   if (traced) tracer.begin("fused_fold", trace_job);
-  for (int i = 1; i < tile_count; ++i) {
-    fold_unique_moments(unique, total, tile_sets[static_cast<std::size_t>(i)],
-                        tile_moments[static_cast<std::size_t>(i)], pool,
-                        dropped, &result.merge_comparisons);
-  }
+  fused.fold(pool);
   if (traced) tracer.end("fused_fold", trace_job);
-  result.unique_set_size = unique.size();
-  RIF_CHECK_MSG(unique.size() >= 3, "degenerate scene: unique set too small");
-  RIF_CHECK(total.count() == unique.size());
-
-  // Mean and covariance fall out of the moment sums — corrected against the
-  // final global mean instead of recomputed in extra passes.
-  result.mean = total.mean();
-  const linalg::Matrix cov = total.covariance();
+  result.screen_comparisons = fused.screen_comparisons();
+  result.merge_comparisons = fused.merge_comparisons();
+  result.unique_set_size = fused.unique_set_size();
+  RIF_CHECK_MSG(result.unique_set_size >= 3,
+                "degenerate scene: unique set too small");
+  result.mean = fused.mean();
+  const linalg::Matrix cov = fused.covariance();
 
   // Eigen-decomposition (sequential, as in every engine).
   if (traced) tracer.begin("fused_eigen", trace_job);
@@ -302,6 +285,8 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   result.jacobi_sweeps = eig.sweeps;
 
   // Transform + colour map, reusing the same row tiling as the fused pass.
+  const auto tile_list = hsi::partition_rows(
+      {cube.width(), cube.height(), cube.bands()}, tiles);
   const linalg::Matrix t =
       transform_matrix(eig.vectors, config.pct.output_components);
   const auto scales = scales_from_eigenvalues(eig.values);
@@ -310,7 +295,7 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
                                  std::vector<float>(n));
   result.composite = hsi::RgbImage(cube.width(), cube.height());
   if (traced) tracer.begin("fused_transform", trace_job);
-  pool.parallel_tasks(tile_count, [&](int i) {
+  pool.parallel_tasks(static_cast<int>(tile_list.size()), [&](int i) {
     RIF_TRACE_SPAN_JOB("tile_transform", trace_job);
     transform_and_map_range(cube, t, result.mean, scales,
                             result.component_planes, result.composite,

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/parallel/thread_pool.h"
@@ -28,12 +30,6 @@ struct ParallelPctConfig {
   /// grouping affects floating-point rounding, so fix this (e.g. to the
   /// distributed worker count) when bit-exact comparison matters.
   int cov_shards = 0;
-  /// Merge the per-tile unique sets as a parallel pairwise tree instead of
-  /// a sequential left fold. Lifts the main Amdahl bottleneck on real
-  /// multiprocessors; the resulting set is a valid unique set but differs
-  /// from the sequential fold's member order, so leave this off when
-  /// comparing against distributed runs bit-for-bit.
-  bool parallel_merge = false;
 };
 
 /// Fuse a cube with a caller-provided pool (reusable across calls).
@@ -44,16 +40,66 @@ PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
 PctResult fuse_parallel(const hsi::ImageCube& cube,
                         const ParallelPctConfig& config);
 
-/// Fused single-pass engine: each tile worker screens its pixels AND
-/// accumulates the tile's moment sums (mean + covariance about a common
-/// provisional origin, cache-blocked) in ONE sweep, so the unique set is
-/// never re-read after screening. The merge is a blocked-concurrent fold —
-/// candidates screen against the frozen member prefix in parallel while
-/// admission stays in fold order — and keeps the moment sums exact by
-/// either retracting dropped members or rebuilding from admitted ones,
-/// whichever is cheaper. The covariance is then corrected against the
-/// final global mean (see linalg::MomentAccumulator), and the
-/// transform/colour-map stage reuses the same row tiling.
+/// The fused engine's pass 1 and statistics barrier, written once for
+/// both of its drivers: fuse_parallel_fused screens the whole resident
+/// cube as one block, stream::fuse_streaming screens one block per chunk.
+///
+/// screen() cuts a block of BIP rows into row tiles exactly as
+/// hsi::partition_rows does and, per tile and in ONE sweep, builds the
+/// tile's unique set and its moment sums (about a common origin: the first
+/// pixel ever screened), flushing admitted members into the sums every 32
+/// admissions — so the unique set is never re-read after screening.
+/// fold() then merges those tiles in order into the running global pair.
+/// The very first tile is admitted wholesale (its members are mutually
+/// distinct under the same threshold). Every later tile goes through the
+/// blocked-concurrent fold: candidates screen against the frozen member
+/// prefix in parallel while admissions stay in fold order, so the merged
+/// set equals a sequential left fold in tile order whatever the pool's
+/// thread count. The moment sums stay exactly those of the merged set.
+///
+/// The result depends only on the sequence of tile boundaries: the same
+/// tiles fed as one block or as many blocks give identical bits.
+class FusedScreen {
+ public:
+  FusedScreen(int bands, double screening_threshold);
+
+  /// Screen `rows` lines of `width` BIP pixels (`pixels` holds at least
+  /// rows * width * bands floats) as `tiles` row tiles, concurrently on
+  /// `pool`. Each screen() must be followed by fold() before the next.
+  void screen(std::span<const float> pixels, int width, int rows, int tiles,
+              ThreadPool& pool);
+
+  /// Fold the tiles of the last screen(), in tile order, into the global
+  /// unique set and moment sums.
+  void fold(ThreadPool& pool);
+
+  [[nodiscard]] std::size_t unique_set_size() const { return unique_.size(); }
+  [[nodiscard]] std::uint64_t screen_comparisons() const {
+    return screen_comparisons_;
+  }
+  [[nodiscard]] std::uint64_t merge_comparisons() const {
+    return merge_comparisons_;
+  }
+  /// Mean and covariance of the merged unique set, corrected against its
+  /// final mean (see linalg::MomentAccumulator). Abort if nothing has been
+  /// folded yet.
+  [[nodiscard]] std::vector<double> mean() const;
+  [[nodiscard]] linalg::Matrix covariance() const;
+
+ private:
+  UniqueSet unique_;
+  std::optional<linalg::MomentAccumulator> total_;
+  std::vector<double> origin_;
+  std::vector<UniqueSet> tile_sets_;
+  std::vector<linalg::MomentAccumulator> tile_moments_;
+  std::vector<std::uint8_t> dropped_;  // fold scratch, reused across tiles
+  std::uint64_t screen_comparisons_ = 0;
+  std::uint64_t merge_comparisons_ = 0;
+};
+
+/// The in-memory driver of the fused engine: one FusedScreen pass over the
+/// resident cube, the eigen-solve on its statistics, then the transform and
+/// colour map over the same row tiling, with full component planes.
 ///
 /// With the same tile count this follows the same screening order and
 /// admission rule as fuse_parallel — both engines screen through the one
@@ -61,33 +107,12 @@ PctResult fuse_parallel(const hsi::ImageCube& cube,
 /// identical — and computes the same composite up to floating-point
 /// rounding of the moment correction (per-pixel tolerance, not
 /// bit-for-bit). `cov_shards` is ignored (covariance sharding is
-/// replaced by per-tile accumulation); `parallel_merge` is ignored (the
-/// blocked fold already parallelizes the merge without reordering
-/// members).
+/// replaced by per-tile accumulation).
 PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
                               const ParallelPctConfig& config);
 
 /// Convenience overload owning a transient pool.
 PctResult fuse_parallel_fused(const hsi::ImageCube& cube,
                               const ParallelPctConfig& config);
-
-/// The fused engine's merge step, exposed as the shared primitive behind
-/// fuse_parallel_fused and the out-of-core StreamingFusionEngine: fold one
-/// tile's unique set AND its moment sums into the running global pair.
-///
-/// The set fold is the blocked-concurrent variant — candidates screen
-/// against the frozen member prefix in parallel on `pool`, admissions stay
-/// in sequential fold order, so the merged set is identical to a
-/// sequential left fold (and independent of the pool's thread count). The
-/// surviving moment sums are kept exact by the cheaper of two paths:
-/// retract the dropped members from the tile's sums, or rebuild the tile's
-/// contribution from the admitted members. Both accumulators must share
-/// the same origin. `dropped` is caller-owned scratch (reused across
-/// calls); `merge_comparisons`, if non-null, accrues angle evaluations.
-void fold_unique_moments(UniqueSet& unique, linalg::MomentAccumulator& total,
-                         const UniqueSet& tile_set,
-                         const linalg::MomentAccumulator& tile_moments,
-                         ThreadPool& pool, std::vector<std::uint8_t>& dropped,
-                         std::uint64_t* merge_comparisons);
 
 }  // namespace rif::core

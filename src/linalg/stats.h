@@ -49,7 +49,7 @@ class MeanAccumulator {
 /// All accumulators that will be merged must share the same origin; any
 /// representative pixel (e.g. the cube's first) keeps the shift small, so the
 /// correction stays well-conditioned in doubles. This is the engine behind
-/// the fused screen+moments pass of `fuse_parallel_fused`.
+/// the fused screen+moments pass of `core::FusedScreen`.
 class MomentAccumulator {
  public:
   MomentAccumulator(int dims, std::vector<double> origin);

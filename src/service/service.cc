@@ -802,18 +802,22 @@ void FusionService::execute_host_jobs() {
           RIF_TRACE_SPAN("host_execute");
           const auto job_start = clock::now();
           const core::FusionJobConfig& req = job.request.config;
-          core::JobOutcome& out = job.record.outcome;
+          core::PctConfig pct;
+          pct.screening_threshold = req.screening_threshold;
+          pct.output_components = req.output_components;
+          pct.jacobi = req.jacobi;
+          // The job's pool budget (tiles screened at once) is the
+          // workers x tiles_per_worker the Scheduler admitted.
+          const int tiles = job.record.workers * req.tiles_per_worker;
+          core::PctResult r;
           if (job.stream_execute) {
             // Out-of-core: the job's cube streams from disk in bounded
-            // memory; its pool budget (sub-tiles screened at once) is the
-            // same workers x tiles_per_worker the Scheduler admitted.
+            // memory, each chunk cut into `tiles` sub-tiles.
             stream::StreamingConfig cfg;
-            cfg.pct.screening_threshold = req.screening_threshold;
-            cfg.pct.output_components = req.output_components;
-            cfg.pct.jacobi = req.jacobi;
+            cfg.pct = pct;
             cfg.chunk_lines = job.request.chunk_lines;
             cfg.queue_depth = job.request.queue_depth;
-            cfg.tiles_per_chunk = job.record.workers * req.tiles_per_worker;
+            cfg.tiles_per_chunk = tiles;
             // Every streamed run's registry merges into the service's under
             // one prefix: concurrent jobs aggregate (counters add, peaks
             // max), and the report's StreamingTotals reads the result.
@@ -828,9 +832,9 @@ void FusionService::execute_host_jobs() {
               tune.memory_budget = job.record.memory_demand;
               cfg.autotune = tune;
             }
-            auto r = stream::fuse_streaming(job.request.cube_path, *exec_pool_,
-                                            cfg);
-            if (!r) {
+            auto streamed = stream::fuse_streaming(job.request.cube_path,
+                                                   *exec_pool_, cfg);
+            if (!streamed) {
               // Validated at submit, so this is a mid-run I/O failure (file
               // vanished, disk error). The virtual run is already over:
               // record the job failed and keep the service report honest.
@@ -843,27 +847,21 @@ void FusionService::execute_host_jobs() {
                   seconds_between(job_start, clock::now());
               return;  // ledger reclassified after the waves (single thread)
             }
-            out.composite = std::move(r->composite);
-            out.eigenvalues = std::move(r->eigenvalues);
-            out.unique_set_size = r->unique_set_size;
-            out.screen_comparisons = r->screen_comparisons;
-            out.merge_comparisons = r->merge_comparisons;
-            job.record.stream = r->stats;
+            job.record.stream = streamed->stats;
             metrics_.counter("stream.jobs").add(1);
+            r = std::move(*streamed);
           } else {
             core::ParallelPctConfig cfg;
-            cfg.pct.screening_threshold = req.screening_threshold;
-            cfg.pct.output_components = req.output_components;
-            cfg.pct.jacobi = req.jacobi;
-            cfg.tiles = job.record.workers * req.tiles_per_worker;
-            core::PctResult r =
-                core::fuse_parallel_fused(*req.cube, *exec_pool_, cfg);
-            out.composite = std::move(r.composite);
-            out.eigenvalues = std::move(r.eigenvalues);
-            out.unique_set_size = r.unique_set_size;
-            out.screen_comparisons = r.screen_comparisons;
-            out.merge_comparisons = r.merge_comparisons;
+            cfg.pct = pct;
+            cfg.tiles = tiles;
+            r = core::fuse_parallel_fused(*req.cube, *exec_pool_, cfg);
           }
+          core::JobOutcome& out = job.record.outcome;
+          out.composite = std::move(r.composite);
+          out.eigenvalues = std::move(r.eigenvalues);
+          out.unique_set_size = r.unique_set_size;
+          out.screen_comparisons = r.screen_comparisons;
+          out.merge_comparisons = r.merge_comparisons;
           job.record.host_seconds = seconds_between(job_start, clock::now());
         });
   }

@@ -8,9 +8,7 @@
 
 #include "core/parallel/parallel_pct.h"
 #include "hsi/chunked_reader.h"
-#include "hsi/partition.h"
 #include "linalg/jacobi_eig.h"
-#include "linalg/stats.h"
 #include "obs/span_tracer.h"
 #include "runtime/chunk_geometry.h"
 #include "stream/bounded_queue.h"
@@ -423,15 +421,10 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
   StreamingResult result;
 
   // --- pass 1: screen + moment sums, folded in chunk order ------------------
-  core::UniqueSet unique(B, config.pct.screening_threshold);
-  std::optional<linalg::MomentAccumulator> total;
-  std::vector<double> origin;  // first pixel of the cube (first chunk)
-  std::uint64_t screen_comparisons = 0;
+  // Each chunk is sub-tiled exactly as the in-memory driver tiles the cube,
+  // so matched tile boundaries give that driver's result bit for bit.
+  core::FusedScreen fused(B, config.pct.screening_threshold);
   {
-    std::vector<core::UniqueSet> tile_sets;
-    std::vector<linalg::MomentAccumulator> tile_moments;
-    std::vector<std::uint8_t> dropped;
-    bool first_tile = true;
     const auto screen_chunk = [&](const ChunkBuffer& buf) {
       // Manual begin/end rather than one RAII span: screening and the
       // in-order fold are distinct trace stages of the same chunk.
@@ -440,65 +433,13 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       if (traced) tracer.begin("chunk_screen", trace_job);
       const auto t0 = clock::now();
       metrics.chunks.add(1);
-      if (origin.empty()) {
-        origin.assign(buf.data.begin(), buf.data.begin() + B);
-      }
-      // Sub-tile the chunk exactly as the in-memory engines tile the cube:
-      // per-tile unique set + moment sums in one fused sweep (the same
-      // 32-row flush cadence as fuse_parallel_fused), then fold tiles in
-      // order into the global pair.
-      const auto tiles =
-          hsi::partition_rows({W, buf.rows, B}, tiles_per_chunk);
-      const int tile_count = static_cast<int>(tiles.size());
-      tile_sets.clear();
-      tile_moments.clear();
-      for (int i = 0; i < tile_count; ++i) {
-        tile_sets.emplace_back(B, config.pct.screening_threshold);
-        tile_moments.emplace_back(B, origin);
-      }
-      std::atomic<std::uint64_t> comparisons{0};
-      pool.parallel_tasks(tile_count, [&](int i) {
-        constexpr std::size_t kMomentBlock = 32;
-        core::UniqueSet& set = tile_sets[static_cast<std::size_t>(i)];
-        linalg::MomentAccumulator& mom =
-            tile_moments[static_cast<std::size_t>(i)];
-        std::uint64_t local = 0;
-        std::size_t flushed = 0;
-        const std::int64_t first = tiles[i].first_flat_index();
-        const std::int64_t last = tiles[i].end_flat_index();
-        for (std::int64_t p = first; p < last; ++p) {
-          set.screen({buf.data.data() + p * B, static_cast<std::size_t>(B)},
-                     &local);
-          if (set.size() - flushed >= kMomentBlock) {
-            mom.add_block(set.flat().data() + flushed * B,
-                          static_cast<int>(set.size() - flushed));
-            flushed = set.size();
-          }
-        }
-        if (set.size() > flushed) {
-          mom.add_block(set.flat().data() + flushed * B,
-                        static_cast<int>(set.size() - flushed));
-        }
-        comparisons += local;
-      });
-      screen_comparisons += comparisons.load();
+      fused.screen(buf.data, W, buf.rows, tiles_per_chunk, pool);
       const double screen_seconds = seconds_since(t0);
       metrics.screen_hist.observe(screen_seconds);
       if (traced) tracer.end("chunk_screen", trace_job);
       if (traced) tracer.begin("chunk_fold", trace_job);
       const auto t1 = clock::now();
-      for (int i = 0; i < tile_count; ++i) {
-        if (first_tile) {
-          unique = std::move(tile_sets[static_cast<std::size_t>(i)]);
-          total = std::move(tile_moments[static_cast<std::size_t>(i)]);
-          first_tile = false;
-          continue;
-        }
-        core::fold_unique_moments(unique, *total,
-                                  tile_sets[static_cast<std::size_t>(i)],
-                                  tile_moments[static_cast<std::size_t>(i)],
-                                  pool, dropped, &result.merge_comparisons);
-      }
+      fused.fold(pool);
       const double fold_seconds = seconds_since(t1);
       metrics.fold_hist.observe(fold_seconds);
       if (traced) tracer.end("chunk_fold", trace_job);
@@ -514,26 +455,26 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       return std::nullopt;
     }
   }
-  result.screen_comparisons = screen_comparisons;
-  result.unique_set_size = unique.size();
+  result.screen_comparisons = fused.screen_comparisons();
+  result.merge_comparisons = fused.merge_comparisons();
+  result.unique_set_size = fused.unique_set_size();
   // A degenerate scene is a property of the INPUT, not a program bug: fail
   // the job (caller sees nullopt and reports it) instead of aborting a
   // service that may have other jobs in flight.
-  if (unique.size() < 3) {
+  if (result.unique_set_size < 3) {
     RIF_LOG_WARN("stream", "degenerate scene in "
                                << cube_path << ": unique set has "
-                               << unique.size() << " pixels (need >= 3)");
+                               << result.unique_set_size
+                               << " pixels (need >= 3)");
     return std::nullopt;
   }
-  RIF_CHECK(total.has_value() && total->count() == unique.size());
 
   // --- barrier: statistics + eigen-solve -------------------------------------
-  result.mean = total->mean();
+  result.mean = fused.mean();
   linalg::EigenResult eig;
   {
     RIF_TRACE_SPAN_JOB("stream_eigen", trace_job);
-    const linalg::Matrix cov = total->covariance();
-    eig = linalg::jacobi_eigen(cov, config.pct.jacobi);
+    eig = linalg::jacobi_eigen(fused.covariance(), config.pct.jacobi);
   }
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;

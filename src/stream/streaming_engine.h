@@ -17,23 +17,21 @@
 // statistics barrier that out-of-core PCA cannot avoid (eigenvectors need
 // the full covariance before any pixel can be transformed):
 //
-//   pass 1  reader -> [BoundedQueue] -> per-chunk screen + moment sums
-//           (SIMD kernels via core::UniqueSet / linalg::MomentAccumulator,
-//           sub-tiled across the pool) folded in chunk order through
-//           core::fold_unique_moments — the same blocked-concurrent fold
-//           as fuse_parallel_fused, so the unique set is identical to an
-//           in-memory run with the same tile boundaries;
+//   pass 1  reader -> [BoundedQueue] -> core::FusedScreen per chunk: the
+//           chunk is sub-tiled across the pool, each sub-tile screened
+//           into its unique set and moment sums in one sweep, then folded
+//           in chunk order — the same class fuse_parallel_fused runs over
+//           the resident cube;
 //   barrier mean + covariance out of the moment sums, Jacobi eigen-solve;
 //   pass 2  reader (re-streams the file) -> blocked SIMD transform +
 //           colour map per chunk, writing output chunks: composite bytes
 //           land in place, component planes go to an optional per-chunk
 //           sink instead of ever materializing whole planes.
 //
-// Contract: with tile boundaries matching an in-memory run
-// (chunk_lines x tiles_per_chunk aligned with ParallelPctConfig::tiles),
-// the streamed composite agrees with fuse_parallel_fused within the
-// existing cross-engine tolerance (composite bytes within one quantisation
-// level; identical unique set) — asserted in tests/stream_test.cc.
+// Contract: the streamed run is byte-identical to fuse_parallel_fused at
+// matched tile boundaries (chunk_lines x tiles_per_chunk aligned with
+// ParallelPctConfig::tiles): composite bytes, unique set, eigenvalues,
+// mean and comparison counts — asserted in tests/stream_test.cc.
 //
 // Deadlock safety with the help-while-waiting ThreadPool: the reader runs
 // on its own std::thread and never touches the pool, so the compute stage
@@ -50,8 +48,6 @@
 
 #include "core/parallel/thread_pool.h"
 #include "core/pct.h"
-#include "hsi/image_io.h"
-#include "linalg/matrix.h"
 #include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 
@@ -137,17 +133,10 @@ struct StreamingStats {
   double transform_seconds = 0.0;  ///< compute stage, pass 2 (excl. stalls)
 };
 
-/// What fuse() returns, minus whole-cube artifacts: component planes are
-/// streamed to StreamingConfig::plane_sink instead of stored.
-struct StreamingResult {
-  hsi::RgbImage composite;
-  std::vector<double> eigenvalues;
-  linalg::Matrix eigenvectors;
-  std::vector<double> mean;
-  std::size_t unique_set_size = 0;
-  std::uint64_t screen_comparisons = 0;
-  std::uint64_t merge_comparisons = 0;
-  int jacobi_sweeps = 0;
+/// What fuse() returns, minus whole-cube artifacts: component_planes
+/// stays empty — the planes are streamed to StreamingConfig::plane_sink
+/// instead of stored.
+struct StreamingResult : core::PctResult {
   StreamingStats stats;
   /// Tuned trajectory of this run (enabled == false when the run used
   /// fixed geometry).

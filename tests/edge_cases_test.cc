@@ -83,31 +83,6 @@ TEST(FusionEdgeTest, ManyComponentsRequested) {
   EXPECT_EQ(result.component_planes.size(), 10u);
 }
 
-TEST(FusionEdgeTest, ParallelMergeProducesValidUniqueSet) {
-  hsi::SceneConfig sc;
-  sc.width = 48;
-  sc.height = 48;
-  sc.bands = 16;
-  sc.seed = 12;
-  const auto scene = hsi::generate_scene(sc);
-  core::ParallelPctConfig pcfg;
-  pcfg.threads = 4;
-  pcfg.tiles = 7;  // odd count exercises the tree's unpaired carry
-  pcfg.parallel_merge = true;
-  const auto result = core::fuse_parallel(scene.cube, pcfg);
-  EXPECT_GE(result.unique_set_size, 3u);
-
-  // Statistics must be close to the sequential-merge run.
-  pcfg.parallel_merge = false;
-  const auto reference = core::fuse_parallel(scene.cube, pcfg);
-  EXPECT_NEAR(result.eigenvalues[0], reference.eigenvalues[0],
-              0.1 * reference.eigenvalues[0]);
-  const double ratio = static_cast<double>(result.unique_set_size) /
-                       static_cast<double>(reference.unique_set_size);
-  EXPECT_GT(ratio, 0.7);
-  EXPECT_LT(ratio, 1.4);
-}
-
 // --- Partition healing ----------------------------------------------------------
 
 constexpr std::uint32_t kAdd = 1;

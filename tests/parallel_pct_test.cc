@@ -246,29 +246,6 @@ TEST(ParallelPctTest, MoreTilesThanRowsClampsToRowCount) {
   EXPECT_EQ(fused.composite.data.size(), r.composite.data.size());
 }
 
-TEST(ParallelPctTest, ParallelMergeMatchesSequentialFoldStatistics) {
-  // The pairwise tree visits members in a different order than the left
-  // fold, so the unique set may differ slightly — but the fused statistics
-  // must stay close and the output valid.
-  const auto scene = test_scene(48, 20, 77);
-  ParallelPctConfig config;
-  config.threads = 4;
-  config.tiles = 8;
-  config.parallel_merge = false;
-  const PctResult fold = fuse_parallel(scene.cube, config);
-  config.parallel_merge = true;
-  const PctResult tree = fuse_parallel(scene.cube, config);
-  ASSERT_EQ(tree.eigenvalues.size(), fold.eigenvalues.size());
-  EXPECT_NEAR(tree.eigenvalues[0], fold.eigenvalues[0],
-              0.15 * fold.eigenvalues[0]);
-  EXPECT_EQ(tree.composite.data.size(), fold.composite.data.size());
-  // Tree-merge membership is a valid unique set of the same scene: sizes
-  // agree to within a few members.
-  EXPECT_NEAR(static_cast<double>(tree.unique_set_size),
-              static_cast<double>(fold.unique_set_size),
-              0.2 * static_cast<double>(fold.unique_set_size) + 3.0);
-}
-
 class ParallelTileSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelTileSweep, AllGranularitiesProduceValidOutput) {
@@ -346,24 +323,6 @@ TEST(FusedPctTest, ThreadCountDoesNotChangeResult) {
   EXPECT_EQ(one.composite.data, eight.composite.data);
   EXPECT_EQ(one.eigenvalues, eight.eigenvalues);
   EXPECT_EQ(one.unique_set_size, eight.unique_set_size);
-}
-
-TEST(FusedPctTest, ParallelMergeFlagIsMootForFusedEngine) {
-  // The blocked fold already parallelizes the merge while preserving the
-  // sequential fold's member order, so the tree-merge flag changes nothing.
-  const auto scene = test_scene(48, 20, 77);
-  ParallelPctConfig config;
-  config.threads = 4;
-  config.tiles = 8;
-  config.parallel_merge = false;
-  const PctResult off = fuse_parallel_fused(scene.cube, config);
-  config.parallel_merge = true;
-  const PctResult on = fuse_parallel_fused(scene.cube, config);
-  EXPECT_EQ(on.composite.data, off.composite.data);
-  EXPECT_EQ(on.unique_set_size, off.unique_set_size);
-  EXPECT_GE(off.unique_set_size, 3u);
-  // Eigenvalues of a covariance matrix are non-negative (to rounding).
-  for (const double ev : off.eigenvalues) EXPECT_GT(ev, -1e-9);
 }
 
 TEST(FusedPctTest, SharedPoolNestedJobsProduceIdenticalResults) {

@@ -372,14 +372,18 @@ TEST(ServiceTest, FullModeJobsExecuteOnSharedHostPool) {
   }
 
   // Host-pool utilisation. (busy is capacity - idle by construction, so
-  // assert the independently measured quantities instead.)
+  // assert the independently measured quantities instead.) Whether a pool
+  // worker or the helping caller runs a job's task depends on scheduling,
+  // so busy time may be all the caller's; the task counter is not: every
+  // task is counted, whichever thread runs it.
   const HostPoolStats& pool = report.host_pool;
   EXPECT_EQ(pool.threads, cfg.execution_threads);
   EXPECT_GT(pool.wall_seconds, 0.0);
-  EXPECT_GT(pool.busy_seconds, 0.0);
+  EXPECT_GE(service.metrics().counter_value("host_pool.tasks_executed"), 3u);
+  EXPECT_GE(pool.busy_seconds, 0.0);
   EXPECT_GE(pool.idle_seconds, 0.0);
   EXPECT_LE(pool.idle_seconds, pool.wall_seconds * pool.threads);
-  EXPECT_GT(pool.utilization, 0.0);
+  EXPECT_GE(pool.utilization, 0.0);
   EXPECT_LE(pool.utilization, 1.0);
   // Every job's fused run happened inside the host-execution phase.
   for (const JobId id : {a, b, c}) {
