@@ -1,25 +1,20 @@
-// Microbench: the byte-transport codec path — frame encode + reassembly
-// and wire-envelope encode/decode — plus a live socketpair round-trip and
-// an ops-endpoint status probe over loopback TCP.
+// Microbench: framed round-trips over a socketpair and an ops-endpoint
+// status probe over loopback TCP.
 //
-// These are the per-hop costs every remote-execution message pays on top
-// of the sim transport's free virtual delivery; the numbers bound how much
-// of a real deployment's wall clock goes to serialization rather than
-// screening arithmetic. `--smoke` shrinks the timing budget for CI.
+// These are the per-hop socket costs every remote-execution message pays
+// on top of the sim transport's free virtual delivery. The envelope codec
+// itself is measured by perfbench's `scp.*` metrics. `--smoke` shrinks the
+// timing budget for CI.
 #include <sys/socket.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/frame.h"
 #include "net/socket_transport.h"
 #include "obs/ops_server.h"
-#include "scp/wire.h"
 #include "support/table.h"
 
 using namespace rif;
@@ -29,39 +24,6 @@ namespace {
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Frame `payload_bytes`-sized envelopes, feed them through a reassembler,
-/// return MB/s of payload processed.
-double codec_throughput(std::size_t payload_bytes, int repeats) {
-  scp::WireEnvelope env;
-  env.kind = scp::FrameKind::kApp;
-  env.src_node = 1;
-  env.msg_type = 2;
-  env.payload.resize(payload_bytes);
-  std::iota(env.payload.begin(), env.payload.end(), std::uint8_t{0});
-
-  net::FrameAssembler assembler;
-  std::uint64_t decoded = 0;
-  const auto start = Clock::now();
-  for (int i = 0; i < repeats; ++i) {
-    const auto frame = net::encode_frame(env.encode());
-    const bool ok = assembler.feed(
-        frame.data(), frame.size(), [&](std::vector<std::uint8_t> p) {
-          const scp::WireEnvelope back = scp::WireEnvelope::decode(p);
-          decoded += back.payload.size();
-        });
-    if (!ok) {
-      std::fprintf(stderr, "assembler poisoned\n");
-      std::abort();
-    }
-  }
-  const double secs = seconds_since(start);
-  if (decoded != static_cast<std::uint64_t>(repeats) * payload_bytes) {
-    std::fprintf(stderr, "decode mismatch\n");
-    std::abort();
-  }
-  return static_cast<double>(decoded) / 1e6 / secs;
 }
 
 /// Round-trip `payload_bytes` frames over a socketpair between two
@@ -137,10 +99,10 @@ double ops_request_rtt(int repeats) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::string(argv[1]) == "--smoke";
-  std::printf("=== Byte-transport codec microbench%s ===\n\n",
+  std::printf("=== Byte-transport round-trip microbench%s ===\n\n",
               smoke ? " (smoke)" : "");
 
-  Table table({"payload", "codec MB/s", "round-trips/s"});
+  Table table({"payload", "round-trips/s"});
   struct Case {
     const char* label;
     std::size_t bytes;
@@ -153,15 +115,11 @@ int main(int argc, char** argv) {
       {"2.6 MB", static_cast<std::size_t>(20) * 320 * 105 * 4},
   };
   for (const Case& c : cases) {
-    const int codec_reps =
-        smoke ? 20 : (c.bytes < 1024 ? 20000 : c.bytes < 1 << 20 ? 2000 : 100);
     const int rtt_reps = smoke ? 20 : (c.bytes < 1 << 20 ? 2000 : 100);
-    table.add_row({c.label, strf("%.1f", codec_throughput(c.bytes, codec_reps)),
-                   strf("%.0f", socketpair_rtt(c.bytes, rtt_reps))});
+    table.add_row({c.label, strf("%.0f", socketpair_rtt(c.bytes, rtt_reps))});
   }
   table.print();
-  std::printf("\ncodec = envelope encode + frame + reassemble + decode; "
-              "round-trip = framed echo over a socketpair.\n");
+  std::printf("\nround-trip = framed echo over a socketpair.\n");
 
   const int ops_reps = smoke ? 50 : 5000;
   std::printf("\nops status probe: %.0f requests/s over loopback TCP "

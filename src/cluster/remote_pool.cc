@@ -76,9 +76,9 @@ void RemoteWorkerPool::start(NodeId first_node_id) {
 }
 
 bool RemoteWorkerPool::route_send(net::SessionId session,
-                                  const std::vector<std::uint8_t>& bytes) {
-  if (faults_ != nullptr) return faults_->send(session, bytes);
-  return server_.send(session, bytes);
+                                  std::vector<std::uint8_t> bytes) {
+  if (faults_ != nullptr) return faults_->send(session, std::move(bytes));
+  return server_.send(session, std::move(bytes));
 }
 
 void RemoteWorkerPool::supervision_loop() {
@@ -200,9 +200,11 @@ void RemoteWorkerPool::kick(int worker) {
 void RemoteWorkerPool::on_frame(net::SessionId session,
                                 std::vector<std::uint8_t> frame) {
   // Trust boundary: anything can connect to the listener, so a malformed
-  // envelope drops the session instead of aborting the poll thread.
-  const std::optional<scp::WireEnvelope> decoded =
-      scp::WireEnvelope::try_decode(frame);
+  // envelope drops the session instead of aborting the poll thread. The
+  // envelope keeps the frame, so its body is never copied on the way to
+  // the coordinator.
+  std::optional<scp::WireEnvelope> decoded =
+      scp::WireEnvelope::try_decode(std::move(frame));
   if (!decoded) {
     RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
                   "malformed envelope on session " << session
@@ -213,7 +215,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     server_.close_session(session);
     return;
   }
-  const scp::WireEnvelope& env = *decoded;
+  scp::WireEnvelope& env = *decoded;
   std::unique_lock lock(mu_);
   auto it = by_session_.find(session);
   if (it == by_session_.end()) {
@@ -258,8 +260,8 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     pongs_.fetch_add(1);
     const auto t0 = slot.pending_pings.find(env.seq);
     if (t0 != slot.pending_pings.end() &&
-        env.payload.size() == sizeof(std::uint64_t)) {
-      rif::Reader r(env.payload);
+        env.body().size() == sizeof(std::uint64_t)) {
+      rif::Reader r(env.body());
       std::uint64_t worker_ns = 0;
       if (r.try_get(worker_ns) && r.exhausted()) {
         const auto t1 = static_cast<std::uint64_t>(
@@ -289,7 +291,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     const NodeId node = slot.node;
     lock.unlock();
     const std::optional<scp::TelemetryBody> body =
-        scp::TelemetryBody::try_decode(env.payload);
+        scp::TelemetryBody::try_decode(env.body());
     if (!body) {
       telemetry_rejected_.fetch_add(1);
       if (metrics_ != nullptr) {
@@ -307,7 +309,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     if (telemetry_sink_) telemetry_sink_(node, *body);
     return;
   }
-  events_.push_back(Event{Event::Kind::kFrame, it->second, env});
+  events_.push_back(Event{Event::Kind::kFrame, it->second, std::move(env)});
   lock.unlock();
   cv_.notify_all();
 }
@@ -390,6 +392,10 @@ int RemoteWorkerPool::worker_of_node(NodeId node) const {
 }
 
 bool RemoteWorkerPool::send(int worker, const scp::WireEnvelope& env) {
+  return send(worker, env.encode());
+}
+
+bool RemoteWorkerPool::send(int worker, std::vector<std::uint8_t> encoded) {
   net::SessionId session = net::kNoSession;
   {
     std::lock_guard lock(mu_);
@@ -397,7 +403,7 @@ bool RemoteWorkerPool::send(int worker, const scp::WireEnvelope& env) {
     if (!slots_[worker].alive->load()) return false;
     session = slots_[worker].session;
   }
-  return route_send(session, env.encode());
+  return route_send(session, std::move(encoded));
 }
 
 std::optional<RemoteWorkerPool::Event> RemoteWorkerPool::poll_event(

@@ -61,7 +61,7 @@ class RemoteWorkerPool {
     enum class Kind { kFrame, kClosed };
     Kind kind = Kind::kFrame;
     int worker = -1;               ///< pool index, dense from 0
-    scp::WireEnvelope env;         ///< kFrame only
+    scp::WireEnvelope env;         ///< kFrame only; owns its frame
   };
 
   RemoteWorkerPool() = default;
@@ -145,6 +145,8 @@ class RemoteWorkerPool {
 
   /// Frame and queue one envelope to a worker. False if it is gone.
   bool send(int worker, const scp::WireEnvelope& env);
+  /// Queue one already-encoded envelope; the buffer moves to the socket.
+  bool send(int worker, std::vector<std::uint8_t> encoded);
 
   /// Wait up to `timeout_seconds` for the next frame or disconnect.
   std::optional<Event> poll_event(double timeout_seconds);
@@ -175,8 +177,7 @@ class RemoteWorkerPool {
   void supervision_loop();
   /// Route one framed envelope to a session — through the fault layer
   /// when one is installed.
-  bool route_send(net::SessionId session,
-                  const std::vector<std::uint8_t>& bytes);
+  bool route_send(net::SessionId session, std::vector<std::uint8_t> bytes);
   /// Send one seq-tagged kPing and record its send stamp for the
   /// ping-echo clock estimator. Takes mu_ briefly; call unlocked.
   void send_timed_ping(net::SessionId session, NodeId node);

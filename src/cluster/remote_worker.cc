@@ -214,10 +214,11 @@ struct WorkerState {
   /// ENVELOPE, where framing itself can no longer be trusted and the serve
   /// loop disconnects.)
   [[nodiscard]] bool on_app(const scp::WireEnvelope& env) {
-    const scp::Message msg = env.to_message();
-    switch (msg.type) {
+    // Bodies decode in place from the frame: a tile's pixels are copied
+    // once, from the frame into the tile buffer the worker keeps.
+    switch (env.msg_type) {
       case core::kTileAssign: {
-        auto decoded = core::TileAssignMsg::try_decode(msg);
+        auto decoded = core::TileAssignMsg::try_decode(env.body());
         if (!decoded) return true;
         core::TileAssignMsg assign = std::move(*decoded);
         // Ask for the next tile before computing this one — same
@@ -242,7 +243,7 @@ struct WorkerState {
       case core::kNoMoreTiles:
         return true;
       case core::kCovShard: {
-        auto shard = core::CovShardMsg::try_decode(msg);
+        auto shard = core::CovShardMsg::try_decode(env.body());
         if (!shard) return true;
         const std::uint64_t t0 = steady_ns();
         core::CovSumMsg sum = core::cov_shard_sum(*shard, job->bands);
@@ -252,7 +253,7 @@ struct WorkerState {
         return send_app(sum.encode(0));
       }
       case core::kTransform: {
-        auto decoded = core::TransformMsg::try_decode(msg);
+        auto decoded = core::TransformMsg::try_decode(env.body());
         if (!decoded) return true;
         transform = std::move(*decoded);
         for (auto& [index, held] : tiles) {
@@ -300,20 +301,20 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
     // The service end of this socket is a peer process: a malformed frame
     // means a broken or hostile peer, so disconnect rather than abort.
     const std::optional<scp::WireEnvelope> decoded =
-        scp::WireEnvelope::try_decode(frame);
+        scp::WireEnvelope::try_decode(std::move(frame));
     if (!decoded) return st.stats;
     const scp::WireEnvelope& env = *decoded;
     switch (env.kind) {
       case scp::FrameKind::kWelcome: {
-        if (env.payload.size() != sizeof(std::int32_t)) return st.stats;
-        rif::Reader r(env.payload);
+        if (env.body().size() != sizeof(std::int32_t)) return st.stats;
+        rif::Reader r(env.body());
         st.node = r.get<std::int32_t>();
         st.stats.node = st.node;
         RIF_LOG_INFO("worker", "leased in as node " << st.node);
         break;
       }
       case scp::FrameKind::kJobStart: {
-        auto job = scp::JobStartBody::try_decode(env.payload);
+        auto job = scp::JobStartBody::try_decode(env.body());
         if (!job) break;  // corrupt body: per-shard deadlines recover
         st.job = *job;
         st.tiles.clear();

@@ -33,19 +33,24 @@ FusionCoordinator::FusionCoordinator(const hsi::CubeShape& shape,
   outcome_.composite = hsi::RgbImage(shape.width, shape.height);
 }
 
-TileAssignMsg FusionCoordinator::assign(int t) const {
+WireTile FusionCoordinator::tile(int t) const {
   RIF_CHECK(t >= 0 && t < tile_count());
+  return WireTile::from(tiles_[static_cast<std::size_t>(t)]);
+}
+
+std::span<const float> FusionCoordinator::pixels(int t) const {
+  RIF_CHECK(t >= 0 && t < tile_count());
+  if (cube_ == nullptr) return {};
+  // Row tiles are contiguous in the band-interleaved cube.
   const hsi::Tile& tl = tiles_[static_cast<std::size_t>(t)];
-  TileAssignMsg msg;
-  msg.tile = WireTile::from(tl);
-  if (cube_ == nullptr) return msg;
-  msg.data.reserve(tl.pixels() * tl.bands);
-  const std::int64_t first = tl.first_flat_index();
-  for (std::int64_t p = first; p < first + tl.pixels(); ++p) {
-    const auto px = cube_->pixel(p);
-    msg.data.insert(msg.data.end(), px.begin(), px.end());
-  }
-  return msg;
+  return std::span<const float>(cube_->raw()).subspan(
+      static_cast<std::size_t>(tl.first_flat_index() * tl.bands),
+      static_cast<std::size_t>(tl.pixels() * tl.bands));
+}
+
+TileAssignMsg FusionCoordinator::assign(int t) const {
+  const std::span<const float> px = pixels(t);
+  return {tile(t), {px.begin(), px.end()}};
 }
 
 FusionCoordinator::Intake FusionCoordinator::accept_screen(

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/distributed/messages.h"
@@ -68,7 +69,11 @@ class FusionCoordinator {
     return static_cast<int>(tiles_.size());
   }
 
-  /// Tile `t`'s assignment: its descriptor plus, with a cube, its pixels.
+  /// Tile `t`'s descriptor.
+  [[nodiscard]] WireTile tile(int t) const;
+  /// Tile `t`'s pixels, a view into the cube (empty without one).
+  [[nodiscard]] std::span<const float> pixels(int t) const;
+  /// Tile `t`'s assignment: its descriptor plus a copy of its pixels.
   [[nodiscard]] TileAssignMsg assign(int t) const;
 
   /// Step 2: take one tile's unique set and merge every tile now contiguous

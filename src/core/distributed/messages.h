@@ -53,17 +53,33 @@ struct TileAssignMsg {
   WireTile tile;
   std::vector<float> data;  ///< empty in CostOnly mode
 
+  /// Body bytes for a tile of `floats` pixel values.
+  static std::size_t body_bytes(std::size_t floats) {
+    return sizeof(WireTile) + sizeof(std::uint64_t) + floats * sizeof(float);
+  }
+  /// Writes the body for `tile` with its pixels straight into `w` — on the
+  /// socket plane, into the envelope buffer, the pixels' one copy.
+  static void write(Writer& w, const WireTile& tile,
+                    std::span<const float> pixels) {
+    w.put(tile);
+    w.put_span(pixels);
+  }
   [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
     Writer w;
-    w.put(tile);
-    w.put_span(std::span<const float>(data));
+    write(w, tile, data);
     return {kTileAssign, std::move(w).take(), declared};
   }
   /// Non-aborting decode for payloads off the socket plane: nullopt on a
-  /// truncated, corrupt, or oversized body. decode() keeps the aborting
-  /// contract for the sim plane, whose payloads never leave the process.
+  /// truncated, corrupt, or oversized body. The span overloads decode in
+  /// place from the frame that carried the body. decode() keeps the
+  /// aborting contract for the sim plane, whose payloads never leave the
+  /// process.
   static std::optional<TileAssignMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<TileAssignMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     TileAssignMsg out;
     if (!r.try_get(out.tile) || !r.try_get_vector(out.data) ||
         !r.exhausted()) {
@@ -93,7 +109,11 @@ struct ScreenResultMsg {
     return {kScreenResult, std::move(w).take(), declared};
   }
   static std::optional<ScreenResultMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<ScreenResultMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     ScreenResultMsg out;
     if (!r.try_get(out.tile) || !r.try_get(out.unique_count) ||
         !r.try_get(out.comparisons) || !r.try_get_vector(out.vectors) ||
@@ -124,7 +144,11 @@ struct CovShardMsg {
     return {kCovShard, std::move(w).take(), declared};
   }
   static std::optional<CovShardMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<CovShardMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     CovShardMsg out;
     if (!r.try_get(out.shard_index) || !r.try_get(out.shard_count) ||
         !r.try_get_vector(out.vectors) || !r.try_get_vector(out.mean) ||
@@ -153,7 +177,11 @@ struct CovSumMsg {
     return {kCovSum, std::move(w).take(), declared};
   }
   static std::optional<CovSumMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<CovSumMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     CovSumMsg out;
     if (!r.try_get(out.shard_index) || !r.try_get_vector(out.accumulator) ||
         !r.exhausted()) {
@@ -187,7 +215,11 @@ struct TransformMsg {
     return {kTransform, std::move(w).take(), declared};
   }
   static std::optional<TransformMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<TransformMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     TransformMsg out;
     if (!r.try_get(out.components) || !r.try_get(out.bands) ||
         !r.try_get_vector(out.matrix) || !r.try_get_vector(out.mean) ||
@@ -215,7 +247,11 @@ struct ColorTileMsg {
     return {kColorTile, std::move(w).take(), declared};
   }
   static std::optional<ColorTileMsg> try_decode(const scp::Message& m) {
-    Reader r(m.payload);
+    return try_decode(m.payload);
+  }
+  static std::optional<ColorTileMsg> try_decode(
+      std::span<const std::uint8_t> body) {
+    Reader r(body);
     ColorTileMsg out;
     if (!r.try_get(out.tile) || !r.try_get_vector(out.rgb) ||
         !r.exhausted()) {

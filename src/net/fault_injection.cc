@@ -201,8 +201,8 @@ std::vector<std::vector<std::uint8_t>> FaultInjectingTransport::run_lane(
     if (hold_until > 0) {
       lane.held.emplace_back(hold_until, std::move(payload));
     } else {
-      forward.push_back(payload);
-      if (duplicate) forward.push_back(std::move(payload));
+      if (duplicate) forward.push_back(payload);
+      forward.push_back(std::move(payload));
     }
   }
   // Later frames are the clock that releases held ones.
@@ -237,7 +237,7 @@ void FaultInjectingTransport::on_frame_in(SessionId session,
 }
 
 bool FaultInjectingTransport::send(SessionId session,
-                                   const std::vector<std::uint8_t>& payload) {
+                                   std::vector<std::uint8_t> payload) {
   bool kill = false;
   std::vector<std::vector<std::uint8_t>> forward;
   {
@@ -247,7 +247,7 @@ bool FaultInjectingTransport::send(SessionId session,
       st.rng = rng_.fork(static_cast<std::uint64_t>(session));
     }
     forward = run_lane(st, st.out, static_cast<int>(session - 1),
-                       WireDirection::kOutbound, payload, kill);
+                       WireDirection::kOutbound, std::move(payload), kill);
   }
   if (kill) {
     RIF_LOG_WARN("faults", "killing session " << session);
@@ -255,8 +255,8 @@ bool FaultInjectingTransport::send(SessionId session,
     return true;  // the frame "was sent" as far as the caller knows
   }
   bool ok = true;
-  for (const auto& f : forward) {
-    ok = server_.send(session, f) && ok;
+  for (auto& f : forward) {
+    ok = server_.send(session, std::move(f)) && ok;
   }
   return ok;
 }

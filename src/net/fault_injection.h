@@ -130,7 +130,8 @@ class FaultInjectingTransport {
   void start(SocketServer::FrameFn on_frame, SocketServer::ClosedFn on_closed);
 
   /// Outbound path: the pool sends through here instead of the server.
-  bool send(SessionId session, const std::vector<std::uint8_t>& payload);
+  /// A frame no fault touches is forwarded by move, never copied.
+  bool send(SessionId session, std::vector<std::uint8_t> payload);
 
   [[nodiscard]] std::uint64_t faults_injected() const {
     return faults_injected_.load();

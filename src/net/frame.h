@@ -13,9 +13,11 @@
 // bounds checks on the first frame rather than desyncing the stream.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 namespace rif::net {
@@ -26,32 +28,61 @@ inline constexpr std::uint32_t kFrameMagic = 0x52494631;  // "RIF1"
 /// state transfer, small enough that a corrupt length dies immediately.
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;  // 1 GiB
 
+/// The `[magic][length]` header in front of every payload.
+inline constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
+
 /// Bytes a payload costs on the wire once framed.
 [[nodiscard]] inline std::uint64_t framed_size(std::uint64_t payload_bytes) {
-  return payload_bytes + 2 * sizeof(std::uint32_t);
+  return payload_bytes + kFrameHeaderBytes;
 }
+
+/// The header for a payload of `length` bytes. Senders write it and the
+/// payload with one gather write, so the payload is never copied.
+[[nodiscard]] std::array<std::uint8_t, kFrameHeaderBytes> frame_header(
+    std::size_t length);
 
 /// Serialize one frame (header + payload) into a contiguous buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     const std::vector<std::uint8_t>& payload);
 
-/// Incremental frame reassembler: feed it whatever the socket produced —
-/// one byte or ten frames — and it invokes the sink once per completed
-/// payload. Returns false (and poisons itself) on bad magic or an
-/// oversized length; the connection should then be dropped.
+/// Incremental frame reassembler. A reader recv()s straight into window()
+/// and commit()s what it got; the sink runs once per completed payload.
+/// Headers and small frames collect in a fixed staging buffer. Once a
+/// header announces a payload too large for it, the assembler reserves
+/// exactly `length` bytes and window() becomes that payload's unfilled
+/// tail, so a large payload is filled in place and handed over without a
+/// copy. The payload's size grows a step ahead of the bytes received, so a
+/// hostile length commits no memory the peer has not sent. commit()
+/// returns false (and poisons the assembler) on bad magic or an oversized
+/// length; the connection should then be dropped.
 class FrameAssembler {
  public:
   using Sink = std::function<void(std::vector<std::uint8_t> payload)>;
 
+  /// Where the next read should land; never empty on a healthy assembler.
+  [[nodiscard]] std::span<std::uint8_t> window();
+  /// Account for `n` bytes just written to the front of window().
+  [[nodiscard]] bool commit(std::size_t n, const Sink& sink);
+  /// Copying entry point: feed whatever a read produced, one byte or ten
+  /// frames.
   [[nodiscard]] bool feed(const std::uint8_t* data, std::size_t n,
                           const Sink& sink);
 
   [[nodiscard]] bool corrupt() const { return corrupt_; }
   /// Bytes buffered toward the next (incomplete) frame.
-  [[nodiscard]] std::size_t pending_bytes() const { return buf_.size(); }
+  [[nodiscard]] std::size_t pending_bytes() const {
+    return staged_ + (large_length_ == 0 ? 0 : kFrameHeaderBytes + filled_);
+  }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  static constexpr std::size_t kStageBytes = 1 << 16;
+  static constexpr std::size_t kGrowBytes = 1 << 20;
+
+  std::vector<std::uint8_t> stage_;  ///< headers and small frames
+  std::size_t staged_ = 0;           ///< valid bytes at the front of stage_
+  std::vector<std::uint8_t> large_;  ///< payload being filled in place
+  std::size_t large_length_ = 0;     ///< its announced length; 0 = none
+  std::size_t filled_ = 0;           ///< valid bytes at the front of large_
   bool corrupt_ = false;
 };
 

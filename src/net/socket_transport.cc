@@ -5,11 +5,13 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "support/check.h"
@@ -22,6 +24,36 @@ namespace {
 bool set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// Gather entries per sendmsg(): up to 32 queued frames, header + payload.
+constexpr std::size_t kMaxIov = 64;
+
+/// Appends the unwritten part of one frame — header, then payload — to
+/// `iov`, skipping its first `skip` bytes. Returns the entries added.
+std::size_t add_frame_iov(iovec* iov, const std::uint8_t* header,
+                          std::span<const std::uint8_t> payload,
+                          std::size_t skip) {
+  std::size_t n = 0;
+  if (skip < kFrameHeaderBytes) {
+    iov[n++] = {const_cast<std::uint8_t*>(header) + skip,
+                kFrameHeaderBytes - skip};
+    skip = 0;
+  } else {
+    skip -= kFrameHeaderBytes;
+  }
+  if (skip < payload.size()) {
+    iov[n++] = {const_cast<std::uint8_t*>(payload.data()) + skip,
+                payload.size() - skip};
+  }
+  return n;
+}
+
+ssize_t send_iov(int fd, iovec* iov, std::size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  return ::sendmsg(fd, &msg, MSG_NOSIGNAL);
 }
 
 }  // namespace
@@ -91,36 +123,34 @@ void SocketServer::wake() {
   }
 }
 
-bool SocketServer::send(SessionId session,
-                        const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
+bool SocketServer::enqueue(SessionId session,
+                           std::vector<std::uint8_t> payload,
+                           std::size_t max_pending_bytes) {
+  OutFrame frame{frame_header(payload.size()), std::move(payload)};
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sessions_.find(session);
     if (it == sessions_.end() || it->second.draining) return false;
-    it->second.outbound.insert(it->second.outbound.end(), framed.begin(),
-                               framed.end());
+    Session& s = it->second;
+    if (s.pending > max_pending_bytes) {
+      return false;  // consumer is behind: drop, never queue further
+    }
+    s.pending += framed_size(frame.payload.size());
+    s.outbound.push_back(std::move(frame));
   }
   wake();
   return true;
 }
 
+bool SocketServer::send(SessionId session, std::vector<std::uint8_t> payload) {
+  return enqueue(session, std::move(payload),
+                 std::numeric_limits<std::size_t>::max());
+}
+
 bool SocketServer::send_limited(SessionId session,
-                                const std::vector<std::uint8_t>& payload,
+                                std::vector<std::uint8_t> payload,
                                 std::size_t max_pending_bytes) {
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = sessions_.find(session);
-    if (it == sessions_.end() || it->second.draining) return false;
-    if (it->second.outbound.size() - it->second.sent > max_pending_bytes) {
-      return false;  // consumer is behind: drop, never queue further
-    }
-    it->second.outbound.insert(it->second.outbound.end(), framed.begin(),
-                               framed.end());
-  }
-  wake();
-  return true;
+  return enqueue(session, std::move(payload), max_pending_bytes);
 }
 
 SessionId SocketServer::adopt(int fd) {
@@ -162,19 +192,32 @@ int SocketServer::session_count() const {
 }
 
 bool SocketServer::flush(Session& s) {
-  while (s.sent < s.outbound.size()) {
-    const auto n = ::send(s.fd, s.outbound.data() + s.sent,
-                          s.outbound.size() - s.sent, MSG_NOSIGNAL);
+  while (!s.outbound.empty()) {
+    iovec iov[kMaxIov];
+    std::size_t count = 0;
+    std::size_t skip = s.sent;
+    for (auto it = s.outbound.begin();
+         it != s.outbound.end() && count + 2 <= kMaxIov; ++it) {
+      count += add_frame_iov(iov + count, it->header.data(), it->payload, skip);
+      skip = 0;
+    }
+    const auto n = send_iov(s.fd, iov, count);
     if (n > 0) {
+      // Retire every frame the write finished; a partial one stays at the
+      // front with `sent` marking how far it got.
+      s.pending -= static_cast<std::size_t>(n);
       s.sent += static_cast<std::size_t>(n);
+      while (!s.outbound.empty() &&
+             s.sent >= framed_size(s.outbound.front().payload.size())) {
+        s.sent -= framed_size(s.outbound.front().payload.size());
+        s.outbound.pop_front();
+      }
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
     return false;  // peer gone
   }
-  s.outbound.clear();
-  s.sent = 0;
   return true;
 }
 
@@ -193,7 +236,6 @@ void SocketServer::destroy_session(SessionId id) {
 }
 
 void SocketServer::loop() {
-  std::vector<std::uint8_t> buf(1 << 16);
   while (running_.load()) {
     // Snapshot the session set and its write-interest under the lock, then
     // poll without it so senders are never blocked behind a poll().
@@ -205,7 +247,7 @@ void SocketServer::loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [id, s] : sessions_) {
-        const bool pending = s.sent < s.outbound.size();
+        const bool pending = !s.outbound.empty();
         if (s.abort || (s.draining && !pending)) {
           dead.push_back(id);
           continue;
@@ -250,26 +292,25 @@ void SocketServer::loop() {
         if (it != sessions_.end() && !flush(it->second)) close_now = true;
       }
       if (p.revents & (POLLIN | POLLHUP | POLLERR)) {
+        const FrameAssembler::Sink deliver =
+            [this, id](std::vector<std::uint8_t> payload) {
+              if (on_frame_) on_frame_(id, std::move(payload));
+            };
         for (;;) {
-          const auto n = ::recv(p.fd, buf.data(), buf.size(), 0);
+          FrameAssembler* assembler = nullptr;
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto it = sessions_.find(id);
+            if (it == sessions_.end()) break;
+            assembler = &it->second.assembler;
+          }
+          // Read straight into the assembler: a large payload lands in its
+          // final buffer. Reassemble and dispatch WITHOUT the lock: the
+          // callback may reentrantly send() on this or another session.
+          const std::span<std::uint8_t> window = assembler->window();
+          const auto n = ::recv(p.fd, window.data(), window.size(), 0);
           if (n > 0) {
-            // Reassemble and dispatch WITHOUT the lock: the callback may
-            // reentrantly send() on this or another session.
-            bool ok = true;
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              ok = sessions_.contains(id);
-            }
-            if (!ok) break;
-            FrameAssembler* assembler = nullptr;
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              assembler = &sessions_[id].assembler;
-            }
-            if (!assembler->feed(buf.data(), static_cast<std::size_t>(n),
-                                 [this, id](std::vector<std::uint8_t> pl) {
-                                   if (on_frame_) on_frame_(id, std::move(pl));
-                                 })) {
+            if (!assembler->commit(static_cast<std::size_t>(n), deliver)) {
               RIF_LOG_WARN("net", "session " << id
                                              << ": corrupt frame, closing");
               close_now = true;
@@ -359,11 +400,13 @@ bool SocketClient::connect_unix(const std::string& path) {
 
 bool SocketClient::send_frame(const std::vector<std::uint8_t>& payload) {
   if (fd_ < 0) return false;
-  const std::vector<std::uint8_t> framed = encode_frame(payload);
+  const auto header = frame_header(payload.size());
+  const std::size_t total = framed_size(payload.size());
   std::size_t sent = 0;
-  while (sent < framed.size()) {
+  while (sent < total) {
+    iovec iov[2];
     const auto n =
-        ::send(fd_, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
+        send_iov(fd_, iov, add_frame_iov(iov, header.data(), payload, sent));
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
       continue;
@@ -375,15 +418,15 @@ bool SocketClient::send_frame(const std::vector<std::uint8_t>& payload) {
 }
 
 bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
-  std::uint8_t buf[1 << 16];
   while (ready_.empty()) {
     if (fd_ < 0) return false;
-    const auto n = ::recv(fd_, buf, sizeof(buf), 0);
+    const std::span<std::uint8_t> window = assembler_.window();
+    const auto n = ::recv(fd_, window.data(), window.size(), 0);
     if (n > 0) {
-      if (!assembler_.feed(buf, static_cast<std::size_t>(n),
-                           [this](std::vector<std::uint8_t> pl) {
-                             ready_.push_back(std::move(pl));
-                           })) {
+      if (!assembler_.commit(static_cast<std::size_t>(n),
+                             [this](std::vector<std::uint8_t> pl) {
+                               ready_.push_back(std::move(pl));
+                             })) {
         return false;  // corrupt stream
       }
       continue;
@@ -392,7 +435,7 @@ bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
     return false;  // EOF or error
   }
   payload = std::move(ready_.front());
-  ready_.erase(ready_.begin());
+  ready_.pop_front();
   return true;
 }
 

@@ -16,9 +16,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,15 +55,16 @@ class SocketServer {
   void start(FrameFn on_frame, ClosedFn on_closed);
 
   /// Queue one frame for a session. Thread-safe. False if unknown session.
-  bool send(SessionId session, const std::vector<std::uint8_t>& payload);
+  /// The payload is queued as its own buffer and written after its frame
+  /// header with one gather write: pass it by move and it is never copied.
+  bool send(SessionId session, std::vector<std::uint8_t> payload);
 
   /// send(), but REFUSE (return false, queue nothing) when the session
   /// already has more than `max_pending_bytes` of unsent outbound bytes.
   /// This is the slow-consumer guard for fan-out paths (the ops plane's
   /// subscribe-metrics push): a subscriber that stops reading loses frames
   /// instead of growing the queue or backpressuring the producer.
-  bool send_limited(SessionId session,
-                    const std::vector<std::uint8_t>& payload,
+  bool send_limited(SessionId session, std::vector<std::uint8_t> payload,
                     std::size_t max_pending_bytes);
 
   /// Adopt an already-connected fd (e.g. one end of a socketpair) as a
@@ -86,18 +89,26 @@ class SocketServer {
   [[nodiscard]] int session_count() const;
 
  private:
+  struct OutFrame {
+    std::array<std::uint8_t, kFrameHeaderBytes> header;
+    std::vector<std::uint8_t> payload;
+  };
   struct Session {
     int fd = -1;
     FrameAssembler assembler;
-    std::vector<std::uint8_t> outbound;  ///< unsent framed bytes
-    std::size_t sent = 0;                ///< prefix of outbound already sent
-    bool draining = false;               ///< close once outbound empties
-    bool abort = false;                  ///< close now, discard outbound
+    std::deque<OutFrame> outbound;  ///< queued frames, oldest first
+    std::size_t sent = 0;           ///< bytes of outbound.front() written
+    std::size_t pending = 0;        ///< unsent bytes across outbound
+    bool draining = false;          ///< close once outbound empties
+    bool abort = false;             ///< close now, discard outbound
   };
 
   void loop();
   void wake();
   void destroy_session(SessionId id);
+  /// Queue under the lock; refuses past `max_pending_bytes`.
+  bool enqueue(SessionId session, std::vector<std::uint8_t> payload,
+               std::size_t max_pending_bytes);
   [[nodiscard]] bool flush(Session& s);
 
   mutable std::mutex mu_;
@@ -127,7 +138,8 @@ class SocketClient {
 
   [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
-  /// Frame and send one payload; handles partial writes. False on error.
+  /// Send one frame: header and payload in one gather write, straight
+  /// from the caller's buffer; handles partial writes. False on error.
   [[nodiscard]] bool send_frame(const std::vector<std::uint8_t>& payload);
 
   /// Block until one full frame arrives. False on EOF/error/corruption.
@@ -138,7 +150,7 @@ class SocketClient {
  private:
   int fd_ = -1;
   FrameAssembler assembler_;
-  std::vector<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
+  std::deque<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
 };
 
 }  // namespace rif::net

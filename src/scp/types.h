@@ -33,7 +33,10 @@ struct Message {
   std::uint64_t declared_bytes = 0;
 
   [[nodiscard]] std::uint64_t wire_bytes() const {
-    // 64-byte envelope header covers addressing, sequence number and CRC.
+    // The cost model charges a flat 64 bytes per message. The real socket
+    // hop costs more: a WireEnvelope adds 76 fixed bytes and an 8-byte
+    // checksum trailer (84), and its frame header 8 more. The model keeps
+    // 64 so CostOnly figures stay comparable across versions.
     constexpr std::uint64_t kHeader = 64;
     return kHeader + (declared_bytes != 0 ? declared_bytes : payload.size());
   }

@@ -1,9 +1,7 @@
 #include "scp/wire.h"
 
+#include <bit>
 #include <cstring>
-#include <span>
-
-#include "support/serialize.h"
 
 namespace rif::scp {
 
@@ -23,23 +21,79 @@ WireAddr get_addr(Reader& r) {
   return a;
 }
 
-/// FNV-1a over everything before the trailer. Not cryptographic — it exists
-/// to catch CORRUPTION (bit rot, a chaos-injected byte flip, a buggy
-/// middlebox), so a frame whose payload was damaged in flight is rejected
-/// as malformed instead of feeding garbage floats into a merge.
+constexpr std::size_t kAddrBytes =
+    sizeof(ThreadId) + sizeof(std::int32_t) + sizeof(std::uint64_t);
+static_assert(WireEnvelope::kHeaderBytes ==
+                  sizeof(std::uint32_t) +        // kind
+                      2 * sizeof(cluster::NodeId) +  // src_node, dst_node
+                      2 * kAddrBytes +               // src, dst
+                      sizeof(std::uint64_t) +        // seq
+                      sizeof(std::uint32_t) +        // msg_type
+                      sizeof(std::uint64_t) +        // declared
+                      sizeof(std::uint32_t) +        // flag
+                      sizeof(std::uint64_t),         // body length prefix
+              "WireEnvelope header layout");
+
+/// One lane step: absorb the 8-byte word at `p` into state `s`.
+std::uint64_t lane_step(std::uint64_t s, const std::uint8_t* p) {
+  constexpr std::uint64_t kQ = 0x9E3779B97F4A7C15ULL;  // odd
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return std::rotl(s ^ w, 31) * kQ;
+}
+
+/// Checksum over everything before the trailer. Not cryptographic — it
+/// exists to catch CORRUPTION (bit rot, a chaos-injected byte flip, a
+/// buggy middlebox), so a frame whose payload was damaged in flight is
+/// rejected as malformed instead of feeding garbage floats into a merge.
+///
+/// Four independent 64-bit lanes each absorb one word of every 32-byte
+/// block; the leftover words run through one lane step and the last
+/// partial word an FNV-style step. Every step — the lane step
+/// `rotl(s ^ w, 31) * Q` (Q odd), the rotate-and-add lane combine, the
+/// length fold and the xorshift-multiply finaliser — is a bijection of the
+/// state for a fixed input, and of the input word for a fixed state. So a
+/// change confined to one aligned 8-byte word always changes the result.
 std::uint64_t envelope_checksum(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+  constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+  std::uint64_t s0 = 0x243F6A8885A308D3ULL;
+  std::uint64_t s1 = 0x13198A2E03707344ULL;
+  std::uint64_t s2 = 0xA4093822299F31D0ULL;
+  std::uint64_t s3 = 0x082EFA98EC4E6C89ULL;
+  std::size_t i = 0;
+  for (; i + 32 <= size; i += 32) {
+    s0 = lane_step(s0, data + i);
+    s1 = lane_step(s1, data + i + 8);
+    s2 = lane_step(s2, data + i + 16);
+    s3 = lane_step(s3, data + i + 24);
   }
+  std::uint64_t h = std::rotl(s0, 1) + std::rotl(s1, 7) +
+                    std::rotl(s2, 12) + std::rotl(s3, 18);
+  for (; i + 8 <= size; i += 8) h = lane_step(h, data + i);
+  if (i < size) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, data + i, size - i);
+    h = (h ^ w) * kFnvPrime;
+  }
+  h ^= static_cast<std::uint64_t>(size);
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
   return h;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> WireEnvelope::encode() const {
-  Writer w;
+std::span<const std::uint8_t> WireEnvelope::body() const {
+  if (frame_.empty()) return payload;
+  return std::span<const std::uint8_t>(frame_).subspan(
+      kHeaderBytes, frame_.size() - kHeaderBytes - kTrailerBytes);
+}
+
+void WireEnvelope::encode_header(Writer& w, std::size_t body_bytes) const {
+  w.reserve(kHeaderBytes + body_bytes + kTrailerBytes);
   w.put(static_cast<std::uint32_t>(kind));
   w.put(src_node);
   w.put(dst_node);
@@ -49,78 +103,82 @@ std::vector<std::uint8_t> WireEnvelope::encode() const {
   w.put(msg_type);
   w.put(declared);
   w.put(flag);
-  w.put_span(std::span<const std::uint8_t>(payload));
-  auto bytes = std::move(w).take();
+  w.put<std::uint64_t>(body_bytes);  // rewritten by seal()
+}
+
+std::vector<std::uint8_t> WireEnvelope::seal(Writer&& w) {
+  std::vector<std::uint8_t> bytes = std::move(w).take();
+  const std::uint64_t body_len = bytes.size() - kHeaderBytes;
+  std::memcpy(bytes.data() + kHeaderBytes - sizeof(body_len), &body_len,
+              sizeof(body_len));
   const std::uint64_t sum = envelope_checksum(bytes.data(), bytes.size());
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&sum);
-  bytes.insert(bytes.end(), p, p + sizeof(sum));
+  bytes.resize(bytes.size() + kTrailerBytes);  // within the reservation
+  std::memcpy(bytes.data() + bytes.size() - kTrailerBytes, &sum, sizeof(sum));
   return bytes;
+}
+
+std::vector<std::uint8_t> WireEnvelope::encode() const {
+  return encode_with(payload.size(), [this](Writer& w) {
+    w.put_bytes(std::span<const std::uint8_t>(payload));
+  });
+}
+
+const char* WireEnvelope::parse(std::span<const std::uint8_t> bytes,
+                                WireEnvelope& out, bool copy_body) {
+  // Everything before the body has a constant size, and the body's length
+  // prefix must account for exactly the bytes that remain before the
+  // checksum trailer.
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) return "truncated envelope";
+  Reader r(bytes);
+  const auto kind = r.get<std::uint32_t>();
+  if (kind < static_cast<std::uint32_t>(FrameKind::kApp) ||
+      kind > static_cast<std::uint32_t>(FrameKind::kTelemetry)) {
+    return "unknown frame kind";
+  }
+  out.kind = static_cast<FrameKind>(kind);
+  out.src_node = r.get<cluster::NodeId>();
+  out.dst_node = r.get<cluster::NodeId>();
+  out.src = get_addr(r);
+  out.dst = get_addr(r);
+  out.seq = r.get<std::uint64_t>();
+  out.msg_type = r.get<std::uint32_t>();
+  out.declared = r.get<std::uint64_t>();
+  out.flag = r.get<std::uint32_t>();
+  const auto body_len = r.get<std::uint64_t>();
+  const std::size_t rest = bytes.size() - kHeaderBytes - kTrailerBytes;
+  if (body_len > rest) return "truncated envelope";
+  if (body_len < rest) return "oversized envelope";
+  std::uint64_t sum = 0;
+  std::memcpy(&sum, bytes.data() + bytes.size() - kTrailerBytes, sizeof(sum));
+  if (sum != envelope_checksum(bytes.data(), bytes.size() - kTrailerBytes)) {
+    return "corrupt envelope";
+  }
+  if (copy_body) {
+    const auto body = bytes.subspan(kHeaderBytes, rest);
+    out.payload.assign(body.begin(), body.end());
+  }
+  return nullptr;
 }
 
 std::optional<WireEnvelope> WireEnvelope::try_decode(
     const std::vector<std::uint8_t>& bytes) {
-  // Mirror of decode()'s fixed layout: everything before the payload has a
-  // constant size, and the payload's length prefix must account for exactly
-  // the bytes that remain before the checksum trailer. Verifying that up
-  // front — plus the checksum itself — makes decode() safe.
-  constexpr std::size_t kAddrBytes =
-      sizeof(ThreadId) + sizeof(std::int32_t) + sizeof(std::uint64_t);
-  constexpr std::size_t kFixedBytes =
-      sizeof(std::uint32_t) +             // kind
-      2 * sizeof(cluster::NodeId) +       // src_node, dst_node
-      2 * kAddrBytes +                    // src, dst
-      sizeof(std::uint64_t) +             // seq
-      sizeof(std::uint32_t) +             // msg_type
-      sizeof(std::uint64_t) +             // declared
-      sizeof(std::uint32_t) +             // flag
-      sizeof(std::uint64_t);              // payload length prefix
-  constexpr std::size_t kTrailerBytes = sizeof(std::uint64_t);  // checksum
-  if (bytes.size() < kFixedBytes + kTrailerBytes) return std::nullopt;
+  WireEnvelope e;
+  if (parse(bytes, e, /*copy_body=*/true) != nullptr) return std::nullopt;
+  return e;
+}
 
-  std::uint32_t kind = 0;
-  std::memcpy(&kind, bytes.data(), sizeof(kind));
-  if (kind < static_cast<std::uint32_t>(FrameKind::kApp) ||
-      kind > static_cast<std::uint32_t>(FrameKind::kTelemetry)) {
-    return std::nullopt;
-  }
-  std::uint64_t payload_len = 0;
-  std::memcpy(&payload_len,
-              bytes.data() + kFixedBytes - sizeof(payload_len),
-              sizeof(payload_len));
-  if (payload_len != bytes.size() - kFixedBytes - kTrailerBytes) {
-    return std::nullopt;
-  }
-  std::uint64_t sum = 0;
-  std::memcpy(&sum, bytes.data() + bytes.size() - kTrailerBytes,
-              sizeof(sum));
-  if (sum != envelope_checksum(bytes.data(), bytes.size() - kTrailerBytes)) {
-    return std::nullopt;
-  }
-  return decode(bytes);
+std::optional<WireEnvelope> WireEnvelope::try_decode(
+    std::vector<std::uint8_t>&& frame) {
+  WireEnvelope e;
+  if (parse(frame, e, /*copy_body=*/false) != nullptr) return std::nullopt;
+  e.frame_ = std::move(frame);
+  return e;
 }
 
 WireEnvelope WireEnvelope::decode(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
   WireEnvelope e;
-  const auto kind = r.get<std::uint32_t>();
-  RIF_CHECK_MSG(kind >= static_cast<std::uint32_t>(FrameKind::kApp) &&
-                    kind <= static_cast<std::uint32_t>(FrameKind::kTelemetry),
-                "unknown frame kind");
-  e.kind = static_cast<FrameKind>(kind);
-  e.src_node = r.get<cluster::NodeId>();
-  e.dst_node = r.get<cluster::NodeId>();
-  e.src = get_addr(r);
-  e.dst = get_addr(r);
-  e.seq = r.get<std::uint64_t>();
-  e.msg_type = r.get<std::uint32_t>();
-  e.declared = r.get<std::uint64_t>();
-  e.flag = r.get<std::uint32_t>();
-  e.payload = r.get_vector<std::uint8_t>();
-  const auto sum = r.get<std::uint64_t>();
-  RIF_CHECK_MSG(r.exhausted(), "oversized envelope");
-  RIF_CHECK_MSG(sum == envelope_checksum(bytes.data(),
-                                         bytes.size() - sizeof(sum)),
-                "corrupt envelope");
+  const char* defect = parse(bytes, e, /*copy_body=*/true);
+  RIF_CHECK_MSG(defect == nullptr, defect);
   return e;
 }
 
@@ -141,14 +199,14 @@ std::vector<std::uint8_t> JobStartBody::encode() const {
   return std::move(w).take();
 }
 
-JobStartBody JobStartBody::decode(const std::vector<std::uint8_t>& bytes) {
+JobStartBody JobStartBody::decode(std::span<const std::uint8_t> bytes) {
   auto b = try_decode(bytes);
   RIF_CHECK_MSG(b.has_value(), "malformed job start");
   return *b;
 }
 
 std::optional<JobStartBody> JobStartBody::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   JobStartBody b;
   if (!r.try_get(b.job_id) || !r.try_get(b.width) || !r.try_get(b.height) ||
@@ -243,7 +301,7 @@ std::vector<std::uint8_t> TelemetryBody::encode() const {
 }
 
 std::optional<TelemetryBody> TelemetryBody::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
   TelemetryBody b;
   if (!r.try_get(b.job_id) || !r.try_get(b.flush_index)) return std::nullopt;

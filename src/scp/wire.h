@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -20,6 +21,7 @@
 
 #include "cluster/node.h"
 #include "scp/types.h"
+#include "support/serialize.h"
 
 namespace rif::scp {
 
@@ -59,10 +61,22 @@ struct WireAddr {
 
 /// The one envelope every transport hop uses. Only the fields a kind needs
 /// are populated; encode() writes them all (fixed layout keeps the decoder
-/// trivial and the header cost constant) and appends an FNV-1a checksum
-/// trailer, so a frame corrupted in flight — any byte, header or payload —
-/// is rejected at decode instead of smuggling garbage into a merge.
+/// trivial and the header cost constant) and appends a checksum trailer: a
+/// word-wise 4-lane 64-bit hash whose every step is a bijection, so any
+/// change confined to one aligned 8-byte word — every single-byte flip
+/// included — is rejected at decode by construction, instead of smuggling
+/// garbage into a merge. Wire layout, host byte order:
+///
+///   [kind u32][src_node][dst_node][src addr][dst addr][seq u64]
+///   [msg_type u32][declared u64][flag u32][body length u64]   76 bytes
+///   [body]
+///   [checksum u64]                                             8 bytes
 struct WireEnvelope {
+  /// Fixed bytes before the body, length prefix included.
+  static constexpr std::size_t kHeaderBytes = 76;
+  /// The checksum trailer after the body.
+  static constexpr std::size_t kTrailerBytes = sizeof(std::uint64_t);
+
   FrameKind kind = FrameKind::kApp;
   cluster::NodeId src_node = cluster::kNoNode;
   cluster::NodeId dst_node = cluster::kNoNode;
@@ -75,27 +89,65 @@ struct WireEnvelope {
   std::uint32_t msg_type = 0;   ///< kApp: application MsgType
   std::uint64_t declared = 0;   ///< kApp: Message::declared_bytes
   std::uint32_t flag = 0;       ///< kStateInstall: 1 = migration semantics
-  std::vector<std::uint8_t> payload;  ///< kApp: message body; kStateInstall:
-                                      ///< serialized state; worker plane:
-                                      ///< kind-specific body
+  /// The body encode() writes (kApp: message body; kStateInstall:
+  /// serialized state; worker plane: kind-specific body). A decode that
+  /// borrows its input copies the body here; one that takes the frame by
+  /// value keeps the frame and leaves this empty. Read a decoded body
+  /// through body(), which covers both.
+  std::vector<std::uint8_t> payload;
 
+  /// The body: a view into the frame a by-value decode kept, else
+  /// `payload`. Valid while this envelope lives and is not modified.
+  [[nodiscard]] std::span<const std::uint8_t> body() const;
+
+  /// Header, payload and checksum trailer in one buffer, allocated once.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
-  /// Trusted-path decode: malformed bytes indicate a bug on our side and
-  /// trip a fatal RIF_CHECK. Use only on frames this process produced
-  /// (the sim transport, loopback to our own worker binary under test).
+  /// encode(), with the body written straight into the envelope buffer by
+  /// `write_body(Writer&)` instead of copied from `payload` (ignored).
+  /// `body_bytes` sizes the single allocation; the length prefix records
+  /// whatever `write_body` actually wrote.
+  template <typename WriteBody>
+  [[nodiscard]] std::vector<std::uint8_t> encode_with(
+      std::size_t body_bytes, WriteBody&& write_body) const {
+    Writer w;
+    encode_header(w, body_bytes);
+    write_body(w);
+    return seal(std::move(w));
+  }
+
+  /// Trusted-path decode: try_decode() plus a fatal RIF_CHECK naming the
+  /// defect. Use only on frames this process produced (the sim transport,
+  /// loopback to our own worker binary under test).
   static WireEnvelope decode(const std::vector<std::uint8_t>& bytes);
 
   /// Trust-boundary decode: returns nullopt on any malformed input
-  /// (truncated, trailing bytes, unknown kind) instead of aborting. Use on
-  /// every frame that arrives over a socket from a peer process.
+  /// (truncated, trailing bytes, unknown kind, checksum mismatch) instead
+  /// of aborting. Use on every frame that arrives over a socket from a
+  /// peer process. This overload copies the body into `payload`.
   static std::optional<WireEnvelope> try_decode(
       const std::vector<std::uint8_t>& bytes);
+  /// As above, but the envelope keeps `frame` and body() views into it:
+  /// the receive path's body is never copied.
+  static std::optional<WireEnvelope> try_decode(
+      std::vector<std::uint8_t>&& frame);
 
-  /// Rebuild the application Message carried by a kApp envelope.
+  /// Rebuild the application Message carried by a kApp envelope (copies
+  /// the body).
   [[nodiscard]] Message to_message() const {
-    return {msg_type, payload, declared};
+    const std::span<const std::uint8_t> b = body();
+    return {msg_type, {b.begin(), b.end()}, declared};
   }
+
+ private:
+  void encode_header(Writer& w, std::size_t body_bytes) const;
+  [[nodiscard]] static std::vector<std::uint8_t> seal(Writer&& w);
+  /// Parses and verifies `bytes` into `out` (its body into `payload` when
+  /// `copy_body`); returns nullptr, or what is wrong with the frame.
+  static const char* parse(std::span<const std::uint8_t> bytes,
+                           WireEnvelope& out, bool copy_body);
+
+  std::vector<std::uint8_t> frame_;  ///< by-value decode: the whole frame
 };
 
 /// kHello payload: what a connecting worker advertises.
@@ -115,10 +167,10 @@ struct JobStartBody {
   std::int32_t output_components = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  static JobStartBody decode(const std::vector<std::uint8_t>& bytes);
+  static JobStartBody decode(std::span<const std::uint8_t> bytes);
   /// Non-aborting decode for bodies off the socket plane.
   static std::optional<JobStartBody> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 };
 
 /// One span event shipped in a kTelemetry batch. Names travel as strings —
@@ -200,7 +252,7 @@ struct TelemetryBody {
   /// and message lengths, phase and level alphabets, bucket counts).
   /// nullopt = drop the batch.
   static std::optional<TelemetryBody> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
 };
 
 }  // namespace rif::scp

@@ -5,6 +5,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "core/distributed/fusion_coordinator.h"
@@ -151,15 +152,22 @@ struct Coordinator {
     return std::find(live.begin(), live.end(), w) != live.end();
   }
 
-  void send_app(int w, const scp::Message& msg) {
+  /// A kApp envelope to worker `w`, tagged with this job (see wire.h).
+  [[nodiscard]] scp::WireEnvelope app_envelope(int w,
+                                               std::uint32_t type) const {
     scp::WireEnvelope env;
     env.kind = scp::FrameKind::kApp;
     env.dst_node = pool.node_of(w);
-    env.seq = static_cast<std::uint64_t>(p.job_id);  // job tag (see wire.h)
-    env.msg_type = msg.type;
+    env.seq = static_cast<std::uint64_t>(p.job_id);
+    env.msg_type = type;
+    return env;
+  }
+
+  void send_app(int w, scp::Message msg) {
+    scp::WireEnvelope env = app_envelope(w, msg.type);
     env.declared = msg.declared_bytes;
-    env.payload = msg.payload;
-    pool.send(w, env);
+    env.payload = std::move(msg.payload);
+    pool.send(w, env.encode());
   }
 
   void send_control(int w, scp::FrameKind kind,
@@ -168,12 +176,20 @@ struct Coordinator {
     env.kind = kind;
     env.dst_node = pool.node_of(w);
     env.payload = std::move(payload);
-    pool.send(w, env);
+    pool.send(w, env.encode());
   }
 
   void assign_tile(int w, int t) {
     holder[t] = w;
-    send_app(w, fusion.assign(t).encode(0));
+    // The pixels go from the cube straight into the envelope buffer: their
+    // one copy on this side of the hop.
+    const std::span<const float> px = fusion.pixels(t);
+    pool.send(w, app_envelope(w, core::kTileAssign)
+                     .encode_with(core::TileAssignMsg::body_bytes(px.size()),
+                                  [&](Writer& body) {
+                                    core::TileAssignMsg::write(
+                                        body, fusion.tile(t), px);
+                                  }));
     arm(tile_track[static_cast<std::size_t>(t)]);
   }
 
@@ -185,11 +201,11 @@ struct Coordinator {
     }
   }
 
-  void on_screen_result(int w, const scp::Message& msg) {
+  void on_screen_result(int w, std::span<const std::uint8_t> body) {
     // Bodies off the wire are untrusted: a corrupt or refused one is
     // dropped (the per-item deadline re-sends the work), never decoded
     // with aborts.
-    auto result = core::ScreenResultMsg::try_decode(msg);
+    auto result = core::ScreenResultMsg::try_decode(body);
     if (!result) return;
     const int t = result->tile.index;
     const auto intake = fusion.accept_screen(std::move(*result));
@@ -216,8 +232,8 @@ struct Coordinator {
     }
   }
 
-  void on_cov_sum(int w, const scp::Message& msg) {
-    auto sum = core::CovSumMsg::try_decode(msg);
+  void on_cov_sum(int w, std::span<const std::uint8_t> body) {
+    auto sum = core::CovSumMsg::try_decode(body);
     if (!sum || sum->shard_index >= shard_msgs.size()) return;
     // Only the worker the shard is outstanding at may answer it: a stale
     // reply from a worker the shard was moved away from is dropped.
@@ -245,8 +261,8 @@ struct Coordinator {
     }
   }
 
-  void on_color_tile(const scp::Message& msg) {
-    auto color = core::ColorTileMsg::try_decode(msg);
+  void on_color_tile(std::span<const std::uint8_t> body) {
+    auto color = core::ColorTileMsg::try_decode(body);
     if (!color || !fusion.accept_color(*color)) return;
     tile_track[static_cast<std::size_t>(color->tile.index)].active = false;
   }
@@ -352,19 +368,20 @@ RemoteExecResult execute_remote_job(cluster::RemoteWorkerPool& pool,
     // earlier job (requeue or deadline fallback) carries that job's tag and
     // must not be consumed by this coordinator.
     if (ev->env.seq != static_cast<std::uint64_t>(p.job_id)) continue;
-    const scp::Message msg = ev->env.to_message();
-    switch (msg.type) {
+    // Bodies decode in place from the frame the event owns.
+    const std::span<const std::uint8_t> body = ev->env.body();
+    switch (ev->env.msg_type) {
       case core::kRequestWork:
         c.on_request_work(ev->worker);
         break;
       case core::kScreenResult:
-        c.on_screen_result(ev->worker, msg);
+        c.on_screen_result(ev->worker, body);
         break;
       case core::kCovSum:
-        c.on_cov_sum(ev->worker, msg);
+        c.on_cov_sum(ev->worker, body);
         break;
       case core::kColorTile:
-        c.on_color_tile(msg);
+        c.on_color_tile(body);
         break;
       default:
         break;

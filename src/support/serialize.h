@@ -29,6 +29,11 @@ class Writer {
     buf_.insert(buf_.end(), p, p + sizeof(T));
   }
 
+  /// Raw bytes, no length prefix.
+  void put_bytes(std::span<const std::uint8_t> bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+
   void put_string(const std::string& s) {
     put<std::uint64_t>(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
@@ -52,6 +57,10 @@ class Writer {
     put_span(std::span<const T>(v));
   }
 
+  /// Reserve room for `n` more bytes, so a caller that knows the encoded
+  /// size allocates once.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
@@ -59,10 +68,11 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Sequential decoder over a byte buffer produced by Writer.
+/// Sequential decoder over a byte buffer produced by Writer. It reads a
+/// view, so a body can be decoded in place from the frame that carried it.
 class Reader {
  public:
-  explicit Reader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -129,7 +139,7 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
 
  private:
-  const std::vector<std::uint8_t>& buf_;
+  std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;
 };
 

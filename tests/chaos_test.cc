@@ -281,7 +281,7 @@ TEST(WireFaultTest, TruncatedFrameIsMalformedAndClosesSession) {
 }
 
 TEST(WireFaultTest, CorruptedFrameFailsTheChecksumAndClosesSession) {
-  // A single flipped byte anywhere in the envelope breaks the FNV-1a
+  // A single flipped byte anywhere in the envelope breaks the checksum
   // trailer, so corruption surfaces as a malformed frame — never as
   // garbage floats inside a merge.
   FaultRig rig({{{1, 0, WireDirection::kInbound, WireFault::kCorrupt,

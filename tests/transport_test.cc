@@ -1,8 +1,9 @@
 // The real byte transport, bottom-up: frame codec round-trips, incremental
 // reassembly from arbitrary read() fragments, corruption poisoning, the
 // wire envelope and worker-plane body codecs (including truncated/oversized
-// death checks), and a live SocketServer/SocketClient exchange over
-// loopback TCP and a socketpair.
+// death checks and exhaustive checksum detection), and a live
+// SocketServer/SocketClient exchange over loopback TCP and a socketpair,
+// including gather writes cut short by a tiny send buffer.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -11,7 +12,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -246,6 +249,64 @@ TEST(WireEnvelopeTest, WorkerPlaneBodiesRoundTripAndBoundsCheck) {
   EXPECT_DEATH((void)scp::JobStartBody::decode(long_job), "malformed");
 }
 
+TEST(WireEnvelopeTest, ChecksumRejectsEveryBitFlipAndTruncation) {
+  // Payload sizes on both sides of the checksum's 32-byte word loop, so the
+  // block lanes, the leftover words and the partial tail word are all hit.
+  for (const std::size_t size : {0u, 1u, 31u, 32u, 33u, 100u}) {
+    SCOPED_TRACE(size);
+    scp::WireEnvelope env;
+    env.kind = scp::FrameKind::kApp;
+    env.src_node = 2;
+    env.dst_node = 5;
+    env.src = {3, 1, 9};
+    env.dst = {4, 0, 2};
+    env.seq = 77;
+    env.msg_type = 6;
+    env.declared = 4096;
+    env.flag = 1;
+    for (std::size_t i = 0; i < size; ++i) {
+      env.payload.push_back(static_cast<std::uint8_t>(i * 37 + 11));
+    }
+    const std::vector<std::uint8_t> wire = env.encode();
+    ASSERT_EQ(wire.size(), scp::WireEnvelope::kHeaderBytes + size +
+                               scp::WireEnvelope::kTrailerBytes);
+
+    // Exact round trip, through both the borrowing and the owning decode.
+    const auto copied = scp::WireEnvelope::try_decode(wire);
+    ASSERT_TRUE(copied.has_value());
+    EXPECT_EQ(copied->payload, env.payload);
+    EXPECT_EQ(copied->encode(), wire);
+    auto owned = scp::WireEnvelope::try_decode(std::vector<std::uint8_t>(wire));
+    ASSERT_TRUE(owned.has_value());
+    EXPECT_TRUE(owned->payload.empty());
+    EXPECT_EQ(std::vector<std::uint8_t>(owned->body().begin(),
+                                        owned->body().end()),
+              env.payload);
+    owned->payload.assign(owned->body().begin(), owned->body().end());
+    EXPECT_EQ(owned->encode(), wire);
+
+    // Every single-bit flip of every byte — header, payload and trailer.
+    int accepted_flips = 0;
+    for (std::size_t i = 0; i < wire.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = wire;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        if (scp::WireEnvelope::try_decode(flipped)) ++accepted_flips;
+      }
+    }
+    EXPECT_EQ(accepted_flips, 0);
+
+    // Every truncation length.
+    int accepted_cuts = 0;
+    for (std::size_t keep = 0; keep < wire.size(); ++keep) {
+      const std::vector<std::uint8_t> cut(wire.begin(),
+                                          wire.begin() + keep);
+      if (scp::WireEnvelope::try_decode(cut)) ++accepted_cuts;
+    }
+    EXPECT_EQ(accepted_cuts, 0);
+  }
+}
+
 // --- Live sockets -----------------------------------------------------------
 
 /// Collects server-side frames/closes under a lock so the poll thread and
@@ -352,6 +413,110 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
   EXPECT_FALSE(client.read_frame(got));  // EOF after the drain
 
   ASSERT_TRUE(log.wait_closed(1));
+  client.close();
+  server.stop();
+}
+
+/// Frame `i` of the mixed-size stream below: sizes from empty through
+/// control-frame, staged and multi-megabyte, with content unique per frame.
+std::vector<std::uint8_t> mixed_frame(int i) {
+  static constexpr std::size_t kSizes[] = {0,     1,         7,     64,
+                                           4093,  65536 - 8, 65536, 300000,
+                                           2 << 20};
+  std::vector<std::uint8_t> f(kSizes[static_cast<std::size_t>(i) %
+                                     std::size(kSizes)]);
+  for (std::size_t j = 0; j < f.size(); ++j) {
+    f[j] = static_cast<std::uint8_t>(j * 131 + static_cast<std::size_t>(i));
+  }
+  return f;
+}
+
+void shrink_send_buffer(int fd) {
+  const int bytes = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)),
+            0);
+}
+
+TEST(SocketTest, GatherWritesDeliverMixedFramesInOrderAcrossPartialWrites) {
+  // A tiny send buffer forces nearly every gather write to stop part way
+  // through a header or a payload, in both directions.
+  SocketServer server;
+  ServerLog log;
+  server.start(
+      [&](SessionId s, std::vector<std::uint8_t> f) {
+        log.on_frame(s, std::move(f));
+      },
+      [&](SessionId s) { log.on_closed(s); });
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  shrink_send_buffer(sv[0]);
+  shrink_send_buffer(sv[1]);
+  const SessionId session = server.adopt(sv[0]);
+  SocketClient client;
+  client.adopt(sv[1]);
+
+  constexpr int kFrames = 40;
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(server.send(session, mixed_frame(i)));
+  }
+  for (int i = 0; i < kFrames; ++i) {
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(client.read_frame(got)) << "frame " << i;
+    ASSERT_EQ(got, mixed_frame(i)) << "frame " << i;
+  }
+
+  // Client -> server: the blocking gather write's partial-write loop.
+  std::thread sender([&] {
+    for (int i = 0; i < kFrames; ++i) {
+      if (!client.send_frame(mixed_frame(kFrames + i))) return;
+    }
+  });
+  ASSERT_TRUE(log.wait_frames(kFrames, 30.0));
+  sender.join();
+  {
+    std::lock_guard lock(log.mu);
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_EQ(log.frames[static_cast<std::size_t>(i)].second,
+                mixed_frame(kFrames + i))
+          << "frame " << i;
+    }
+  }
+  client.close();
+  ASSERT_TRUE(log.wait_closed(1));
+  server.stop();
+}
+
+TEST(SocketTest, SendLimitedRefusesPastThePendingCapAndKeepsOrder) {
+  SocketServer server;
+  server.start([](SessionId, std::vector<std::uint8_t>) {},
+               [](SessionId) {});
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  shrink_send_buffer(sv[0]);
+  const SessionId session = server.adopt(sv[0]);
+  SocketClient client;
+  client.adopt(sv[1]);
+
+  // The client reads nothing yet, so queued bytes pile up until the cap
+  // refuses a frame; every later attempt is refused too.
+  constexpr std::size_t kCap = 256 * 1024;
+  int accepted = 0;
+  while (server.send_limited(session, mixed_frame(4), kCap)) {
+    ++accepted;
+    ASSERT_LT(accepted, 1000) << "the pending cap never refused a frame";
+  }
+  EXPECT_GE(accepted, 1);
+  EXPECT_FALSE(server.send_limited(session, mixed_frame(0), kCap));
+
+  // What was accepted arrives intact and in order, then nothing else.
+  server.close_session(session);
+  for (int i = 0; i < accepted; ++i) {
+    std::vector<std::uint8_t> got;
+    ASSERT_TRUE(client.read_frame(got)) << "frame " << i;
+    EXPECT_EQ(got, mixed_frame(4));
+  }
+  std::vector<std::uint8_t> extra;
+  EXPECT_FALSE(client.read_frame(extra));
   client.close();
   server.stop();
 }
