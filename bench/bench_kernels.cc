@@ -4,9 +4,11 @@
 // moment updates, spectral-angle dot+norms, truncated projection) in both
 // forms the kernel layer ships — `kernels::scalar::*` (the seed's scalar
 // arithmetic) and the dispatched `kernels::*` (AVX2/SSE2/NEON when the
-// build targets them) — plus end-to-end wall time of the two shared-memory
-// engines. The acceptance bar for the SIMD layer is >=2x single-thread on
-// the screening and moment kernels at >=32 bands.
+// build targets them) — plus the screening scan with its float pre-filter
+// against the same scan on the double `dot8` alone, and end-to-end wall
+// time of the two shared-memory engines at 1 and 4 threads. The
+// acceptance bar for the SIMD layer is >=2x single-thread on the
+// screening and moment kernels at >=32 bands.
 //
 // Machine-readable results go to BENCH_kernels.json so later PRs can track
 // the perf trajectory. `--smoke` shrinks the timing budget for CI.
@@ -21,6 +23,7 @@
 
 #include "core/parallel/parallel_pct.h"
 #include "core/pct.h"
+#include "core/spectral_angle.h"
 #include "hsi/scene.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
@@ -133,6 +136,70 @@ KernelRow bench_screen(int bands, double budget_s) {
   return row;
 }
 
+/// The screening scan as UniqueSet::any_within runs it — float dot8f
+/// pre-filter, double dot8 only for borderline lanes — against the same
+/// scan deciding every lane with the double dot8, over a 512-member set at
+/// the paper's 0.05 rad threshold, for a candidate that misses every
+/// member (so both scan the whole set).
+struct FilterRow {
+  int bands = 0;
+  double double_ns = 0.0;
+  double filtered_ns = 0.0;
+  [[nodiscard]] double speedup() const {
+    return filtered_ns > 0.0 ? double_ns / filtered_ns : 0.0;
+  }
+};
+
+FilterRow bench_screen_filter(int bands, double budget_s) {
+  constexpr int kMembers = 512;
+  constexpr double kThreshold = 0.05;
+  constexpr int kLanes = kernels::kScreenLanes;
+  core::UniqueSet set(bands, kThreshold);
+  for (std::uint64_t seed = 100; set.size() < kMembers; ++seed) {
+    set.screen(random_floats(static_cast<std::size_t>(bands), seed));
+  }
+  std::vector<float> pixel;
+  double pixel_inv = 0.0;
+  for (std::uint64_t seed = 50;; ++seed) {
+    pixel = random_floats(static_cast<std::size_t>(bands), seed);
+    pixel_inv = 1.0 / std::sqrt(kernels::dot(pixel.data(), pixel.data(),
+                                             bands));
+    if (!set.any_within(pixel, pixel_inv, 0, set.size())) break;
+  }
+  std::vector<float> pack(static_cast<std::size_t>(kMembers) * bands);
+  for (int m = 0; m < kMembers; ++m) {
+    const auto member = set.member(static_cast<std::size_t>(m));
+    for (int b = 0; b < bands; ++b) {
+      pack[(static_cast<std::size_t>(m / kLanes) * bands + b) * kLanes +
+           m % kLanes] = member[b];
+    }
+  }
+  const double cos_threshold = std::cos(kThreshold);
+
+  FilterRow row{bands, 0.0, 0.0};
+  row.double_ns = time_ns(budget_s, [&] {
+    bool hit = false;
+    double dots[kLanes] = {};
+    for (int m = 0; m < kMembers && !hit; m += kLanes) {
+      kernels::dot8(pack.data() +
+                        static_cast<std::size_t>(m / kLanes) * bands * kLanes,
+                    pixel.data(), bands, dots);
+      for (int k = 0; k < kLanes && !hit; ++k) {
+        hit = dots[k] * set.inv_norm(static_cast<std::size_t>(m + k)) *
+                  pixel_inv >=
+              cos_threshold;
+      }
+    }
+    g_sink = g_sink + (hit ? 1.0 : 0.0);
+  });
+  row.filtered_ns = time_ns(budget_s, [&] {
+    g_sink = g_sink + (set.any_within(pixel, pixel_inv, 0, set.size())
+                           ? 1.0
+                           : 0.0);
+  });
+  return row;
+}
+
 /// One packed-triangle moment sweep over a centered 32-pixel block (the
 /// MomentAccumulator::add_block / CovarianceAccumulator::add_block core).
 KernelRow bench_moment(int bands, double budget_s) {
@@ -210,32 +277,26 @@ KernelRow bench_project(int bands, double budget_s) {
   return row;
 }
 
-/// End-to-end single-thread wall time of the two shared-memory engines on
-/// a spectrally rich scene — the carried-through effect of the kernels.
+/// End-to-end wall time of the two shared-memory engines — the carried-
+/// through effect of the kernels — at `threads`, with the paper's 0.05 rad
+/// screening threshold (PctConfig's default).
 struct EngineTimes {
-  int width = 0, height = 0, bands = 0, tiles = 0;
+  int width = 0, height = 0, bands = 0, tiles = 0, threads = 0;
   double two_pass_ms = 0.0;
   double fused_ms = 0.0;
 };
 
-EngineTimes bench_engines(bool smoke) {
-  hsi::SceneConfig scene_cfg;
-  scene_cfg.width = smoke ? 32 : 48;
-  scene_cfg.height = smoke ? 32 : 48;
-  scene_cfg.bands = smoke ? 32 : 105;
-  scene_cfg.noise_sigma = 0.02;
-  const auto scene = hsi::generate_scene(scene_cfg);
-
+EngineTimes bench_engines(const hsi::Scene& scene, int threads, bool smoke) {
   core::ParallelPctConfig config;
-  config.threads = 1;  // single-thread: isolates kernel speed
+  config.threads = threads;
   config.tiles = 8;
-  config.pct.screening_threshold = 0.012;
 
   EngineTimes times;
-  times.width = scene_cfg.width;
-  times.height = scene_cfg.height;
-  times.bands = scene_cfg.bands;
+  times.width = scene.cube.width();
+  times.height = scene.cube.height();
+  times.bands = scene.cube.bands();
   times.tiles = config.tiles;
+  times.threads = threads;
   core::ThreadPool pool(config.threads);
   const int reps = smoke ? 1 : 3;
   double best_two = 1e300, best_fused = 1e300;
@@ -268,11 +329,13 @@ int main(int argc, char** argv) {
                   : "  [RIF_DISABLE_SIMD or no vector ISA: expect ~1x]");
 
   std::vector<KernelRow> rows;
+  std::vector<FilterRow> filter_rows;
   for (const int bands : {32, 105, 210}) {
     rows.push_back(bench_screen(bands, budget_s));
     rows.push_back(bench_moment(bands, budget_s));
     rows.push_back(bench_dot_norm(bands, budget_s));
     rows.push_back(bench_project(bands, budget_s));
+    filter_rows.push_back(bench_screen_filter(bands, budget_s));
   }
 
   Table table({"kernel", "bands", "scalar(ns)", "simd(ns)", "speedup"});
@@ -282,11 +345,31 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  const EngineTimes engines = bench_engines(smoke);
-  std::printf("\nend-to-end (1 thread, %dx%dx%d, %d tiles): "
-              "two-pass %.1f ms, fused %.1f ms\n",
-              engines.width, engines.height, engines.bands, engines.tiles,
-              engines.two_pass_ms, engines.fused_ms);
+  std::printf("\nscreening scan, 512 members, 0.05 rad, full-set miss:\n");
+  Table filter_table({"bands", "double dot8(ns)", "filtered(ns)", "speedup"});
+  for (const auto& r : filter_rows) {
+    filter_table.add_row({strf("%d", r.bands), strf("%.1f", r.double_ns),
+                          strf("%.1f", r.filtered_ns),
+                          strf("%.2fx", r.speedup())});
+  }
+  filter_table.print();
+
+  // The resident benchmark's scene size (hsi::SceneConfig's defaults
+  // otherwise); --smoke shrinks it.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = smoke ? 32 : 320;
+  scene_cfg.height = smoke ? 32 : 320;
+  scene_cfg.bands = smoke ? 32 : 105;
+  const auto scene = hsi::generate_scene(scene_cfg);
+  std::vector<EngineTimes> engines;
+  for (const int threads : {1, 4}) {
+    engines.push_back(bench_engines(scene, threads, smoke));
+    const EngineTimes& e = engines.back();
+    std::printf("end-to-end (%d thread%s, %dx%dx%d, %d tiles): "
+                "two-pass %.1f ms, fused %.1f ms\n",
+                e.threads, e.threads == 1 ? "" : "s", e.width, e.height,
+                e.bands, e.tiles, e.two_pass_ms, e.fused_ms);
+  }
 
   // The acceptance bar: screening and moment kernels >=2x at >=32 bands.
   if (kernels::simd_enabled() && !smoke) {
@@ -322,11 +405,28 @@ int main(int argc, char** argv) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"engines\": {\"scene\": \"%dx%dx%d\", \"threads\": 1, "
-               "\"tiles\": %d, \"two_pass_ms\": %.3f, \"fused_ms\": %.3f}\n",
-               engines.width, engines.height, engines.bands, engines.tiles,
-               engines.two_pass_ms, engines.fused_ms);
+  std::fprintf(out, "  \"screen_filter\": [\n");
+  for (std::size_t i = 0; i < filter_rows.size(); ++i) {
+    const auto& r = filter_rows[i];
+    std::fprintf(out,
+                 "    {\"bands\": %d, \"double_ns\": %.2f, "
+                 "\"filtered_ns\": %.2f, \"speedup\": %.3f}%s\n",
+                 r.bands, r.double_ns, r.filtered_ns, r.speedup(),
+                 i + 1 < filter_rows.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n");
+  std::fprintf(out, "  \"engines\": [\n");
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const auto& e = engines[i];
+    std::fprintf(out,
+                 "    {\"scene\": \"%dx%dx%d\", \"threads\": %d, "
+                 "\"tiles\": %d, \"two_pass_ms\": %.3f, "
+                 "\"fused_ms\": %.3f}%s\n",
+                 e.width, e.height, e.bands, e.threads, e.tiles,
+                 e.two_pass_ms, e.fused_ms,
+                 i + 1 < engines.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_kernels.json\n");

@@ -18,6 +18,11 @@ ComponentScale make_scale(const ComponentStats& stats, double sigmas) {
 std::array<std::uint8_t, 3> map_pixel(
     const std::array<double, 3>& components,
     const std::array<ComponentScale, 3>& scales) {
+  // A NaN or infinite component (from a non-finite band) has no defined
+  // colour; such a pixel maps to black.
+  for (const double v : components) {
+    if (!std::isfinite(v)) return {0, 0, 0};
+  }
   // Scale each opponent channel into byte range around mid-grey.
   std::array<double, 3> c{};
   for (int i = 0; i < 3; ++i) c[i] = scales[i].to_byte(components[i]);

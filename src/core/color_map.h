@@ -50,7 +50,8 @@ struct ComponentScale {
 ComponentScale make_scale(const ComponentStats& stats, double sigmas = 2.5);
 
 /// Map one pixel's first three principal components (already scaled to byte
-/// range by `scales`) to RGB.
+/// range by `scales`) to RGB. A pixel with a non-finite component maps to
+/// black.
 std::array<std::uint8_t, 3> map_pixel(const std::array<double, 3>& components,
                                       const std::array<ComponentScale, 3>& scales);
 

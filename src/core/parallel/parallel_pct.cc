@@ -1,6 +1,8 @@
 #include "core/parallel/parallel_pct.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "hsi/partition.h"
 #include "linalg/stats.h"
@@ -78,8 +80,21 @@ void FusedScreen::screen(std::span<const float> pixels, int width, int rows,
   // capture the ambient job once and attribute explicitly.
   const std::int64_t trace_job = obs::current_job();
   // Any shared origin works for the moment sums; a representative pixel
-  // keeps them small so the final mean correction is well-conditioned.
-  if (origin_.empty()) origin_.assign(pixels.begin(), pixels.begin() + bands);
+  // keeps them small so the final mean correction is well-conditioned. It
+  // is the first finite pixel (a non-finite one never joins a set), or
+  // zero if the block has none.
+  if (origin_.empty()) {
+    const auto n = static_cast<std::size_t>(bands);
+    origin_.assign(n, 0.0);
+    for (std::size_t p = 0; p < static_cast<std::size_t>(width) * rows; ++p) {
+      const auto px = pixels.subspan(p * n, n);
+      if (std::all_of(px.begin(), px.end(),
+                      [](float v) { return std::isfinite(v); })) {
+        origin_.assign(px.begin(), px.end());
+        break;
+      }
+    }
+  }
   const auto tile_list = hsi::partition_rows({width, rows, bands}, tiles);
   const int tile_count = static_cast<int>(tile_list.size());
   for (int i = 0; i < tile_count; ++i) {

@@ -47,8 +47,9 @@ PctResult fuse_parallel(const hsi::ImageCube& cube,
 /// screen() cuts a block of BIP rows into row tiles exactly as
 /// hsi::partition_rows does and, per tile and in ONE sweep, builds the
 /// tile's unique set and its moment sums (about a common origin: the first
-/// pixel ever screened), flushing admitted members into the sums every 32
-/// admissions — so the unique set is never re-read after screening.
+/// finite pixel of the first block), flushing admitted members into the
+/// sums every 32 admissions — so the unique set is never re-read after
+/// screening.
 /// fold() then merges those tiles in order into the running global pair.
 /// The very first tile is admitted wholesale (its members are mutually
 /// distinct under the same threshold). Every later tile goes through the

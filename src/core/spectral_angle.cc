@@ -67,27 +67,74 @@ bool UniqueSet::any_within(std::span<const float> pixel,
   // lanes outside [begin_member, end_member) are computed (they are free)
   // but never examined, so results and comparison counts match the
   // member-at-a-time scan exactly.
+  //
+  // The float-width dot8f screens first. While both norms lie in
+  // [2^-50, 2^50] no float product overflows and underflow is negligible,
+  // so in any summation order, FMA or not, the float dot is within
+  // gamma_n * sum|x_i m_i| <= gamma_n |x||m| of the exact dot (Higham,
+  // Accuracy and Stability of Numerical Algorithms, 3.1; gamma_n =
+  // nu/(1-nu), u = 2^-24). Its cosine is then within gamma_n of the exact
+  // cosine, and the double path's within ~1e-14 of it; `margin` covers
+  // both. A lane whose float cosine clears cos(threshold) by the margin is
+  // decided by it. Any other lane (borderline, NaN, or a norm out of
+  // range) is decided by the double dot8 exactly as without the filter,
+  // so every lane decision, early exit and count is the double path's.
+  const double margin = 2.0 * bands_ * 0x1p-24;
+  const double sure_hit = cos_threshold_ + margin;
+  const double sure_miss = cos_threshold_ - margin;
+  const auto in_range = [](double inv) {
+    return inv >= 0x1p-50 && inv <= 0x1p50;
+  };
+  const bool filter = in_range(pixel_inv_norm);
   std::uint64_t scanned = 0;
   std::size_t m = begin_member;
   while (m < end_member) {
     const std::size_t block = m / kLanes;
     const std::size_t block_begin = block * kLanes;
+    const std::size_t first = m - block_begin;
     const std::size_t lane_end =
         std::min(block_begin + kLanes, end_member) - block_begin;
-    double dots[kLanes];
-    kernels::dot8(pack_.data() +
-                      block * static_cast<std::size_t>(bands_) * kLanes,
-                  pixel.data(), bands_, dots);
-    for (std::size_t lane = m - block_begin; lane < lane_end; ++lane) {
-      ++scanned;
-      const double cosine =
-          dots[lane] * inv_norms_[block_begin + lane] * pixel_inv_norm;
-      if (cosine >= cos_threshold_) {  // close to a member
-        if (comparisons != nullptr) *comparisons += scanned;
-        return true;
+    m = block_begin + lane_end;
+    const float* pack =
+        pack_.data() + block * static_cast<std::size_t>(bands_) * kLanes;
+    const double* member_inv = inv_norms_.data() + block_begin;
+    float approx[kLanes] = {};
+    // NaN unless the filter covers the lane; NaN decides nothing.
+    const auto approx_cosine = [&](std::size_t lane) {
+      return filter && in_range(member_inv[lane])
+                 ? approx[lane] * member_inv[lane] * pixel_inv_norm
+                 : std::numeric_limits<double>::quiet_NaN();
+    };
+    if (filter) {
+      kernels::dot8f(pack, pixel.data(), bands_, approx);
+      // The common case, every lane a sure miss, without a branch per lane.
+      bool all_miss = true;
+      for (std::size_t lane = first; lane < lane_end; ++lane) {
+        all_miss &= approx_cosine(lane) <= sure_miss;
+      }
+      if (all_miss) {
+        scanned += lane_end - first;
+        continue;
       }
     }
-    m = block_begin + lane_end;
+    double dots[kLanes] = {};
+    bool exact = false;
+    for (std::size_t lane = first; lane < lane_end; ++lane) {
+      ++scanned;
+      const double cosine = approx_cosine(lane);
+      if (cosine <= sure_miss) continue;
+      if (!(cosine >= sure_hit)) {
+        if (!exact) {
+          kernels::dot8(pack, pixel.data(), bands_, dots);
+          exact = true;
+        }
+        const double exact_cosine =
+            dots[lane] * member_inv[lane] * pixel_inv_norm;
+        if (!(exact_cosine >= cos_threshold_)) continue;
+      }
+      if (comparisons != nullptr) *comparisons += scanned;  // close to one
+      return true;
+    }
   }
   if (comparisons != nullptr) *comparisons += scanned;
   return false;
@@ -106,9 +153,10 @@ bool UniqueSet::screen(std::span<const float> pixel,
   RIF_DCHECK(static_cast<int>(pixel.size()) == bands_);
   const double norm2 =
       kernels::dot(pixel.data(), pixel.data(), bands_);
-  const double norm = std::sqrt(norm2);
-  if (norm <= 0.0) return false;  // degenerate pixel never joins
-  const double inv = 1.0 / norm;
+  // Degenerate pixels never join: a zero pixel has no direction, and a NaN
+  // or infinite band (the only way norm2 is not finite) has no angle.
+  if (!(norm2 > 0.0 && std::isfinite(norm2))) return false;
+  const double inv = 1.0 / std::sqrt(norm2);
   if (any_within(pixel, inv, 0, count_, comparisons)) return false;
   admit(pixel, inv);
   return true;
@@ -131,7 +179,8 @@ UniqueSet UniqueSet::from_flat(int bands, double threshold_radians,
   for (std::size_t m = 0; m < count; ++m) {
     const float* mem = set.data_.data() + m * bands;
     const double n2 = linalg::kernels::dot(mem, mem, bands);
-    RIF_CHECK_MSG(n2 > 0.0, "zero vector in flat unique set");
+    RIF_CHECK_MSG(n2 > 0.0 && std::isfinite(n2),
+                  "zero or non-finite vector in flat unique set");
     set.inv_norms_[m] = 1.0 / std::sqrt(n2);
     set.pack_member({mem, static_cast<std::size_t>(bands)});
     ++set.count_;

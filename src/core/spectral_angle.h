@@ -29,9 +29,11 @@ class UniqueSet {
   UniqueSet(int bands, double threshold_radians);
 
   /// Add `pixel` if no current member is within the angle threshold.
-  /// Returns true if the pixel was added. `comparisons` (if non-null) is
-  /// incremented by the number of angle evaluations performed, which feeds
-  /// both the Full-mode cost charging and the cost-model calibration.
+  /// Returns true if the pixel was added. A zero pixel, or one with a NaN
+  /// or infinite band, has no spectral angle and never joins.
+  /// `comparisons` (if non-null) is incremented by the number of angle
+  /// evaluations performed, which feeds both the Full-mode cost charging
+  /// and the cost-model calibration.
   bool screen(std::span<const float> pixel, std::uint64_t* comparisons = nullptr);
 
   /// Merge another set member-by-member under this set's threshold
@@ -39,10 +41,13 @@ class UniqueSet {
   void merge(const UniqueSet& other, std::uint64_t* comparisons = nullptr);
 
   /// True if any member in [begin_member, end_member) lies within the
-  /// threshold angle of `pixel` (`pixel_inv_norm` = 1/|pixel|). The
+  /// threshold angle of `pixel` (`pixel_inv_norm` = 1/|pixel|, to double
+  /// precision: the float pre-filter's error bound assumes it). The
   /// screening primitive, exposed so callers can split one candidate's
   /// membership test across member ranges (e.g. a frozen prefix scanned
-  /// concurrently and a small tail scanned in fold order).
+  /// concurrently and a small tail scanned in fold order). Decisions and
+  /// counts are those of the double-precision dot8 scan; a float-width
+  /// pre-filter only skips the double kernel where it cannot disagree.
   [[nodiscard]] bool any_within(std::span<const float> pixel,
                                 double pixel_inv_norm,
                                 std::size_t begin_member,
@@ -81,11 +86,12 @@ class UniqueSet {
   std::size_t count_ = 0;
   std::vector<float> data_;         // members, row-major (AoS: flat()/member())
   std::vector<double> inv_norms_;   // 1/|member| cache
-  /// SoA member-block pack for the SIMD screening kernel: members grouped
+  /// SoA member-block pack for the SIMD screening kernels: members grouped
   /// in blocks of 8, each block band-major — pack_[(blk * bands + b) * 8 +
   /// lane] is band b of member blk*8+lane. Unused lanes of the last block
-  /// are zero, so `any_within` runs the same 8-wide fused-dot kernel on
-  /// every block and just ignores out-of-range lanes.
+  /// are zero, so `any_within` runs the same 8-wide fused-dot kernels
+  /// (float dot8f, then double dot8 where needed) on every block and just
+  /// ignores out-of-range lanes.
   std::vector<float> pack_;
 };
 

@@ -1,6 +1,7 @@
 #include "linalg/kernels.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 
@@ -90,6 +91,16 @@ void dot8(const float* pack, const float* pixel, int bands, double out[8]) {
   }
 }
 
+void dot8f(const float* pack, const float* pixel, int bands, float out[8]) {
+  for (int k = 0; k < kScreenLanes; ++k) {
+    float acc = 0.0f;
+    for (int b = 0; b < bands; ++b) {
+      acc += pack[b * kScreenLanes + k] * pixel[b];
+    }
+    out[k] = acc;
+  }
+}
+
 void rank1_update(double* upper, const double* c, int dims, double sign) {
   std::size_t idx = 0;
   for (int i = 0; i < dims; ++i) {
@@ -140,8 +151,8 @@ namespace {
 const KernelTable& scalar_tbl() {
   static const KernelTable table = {
       "scalar",          &scalar::dot,           &scalar::dot_df,
-      &scalar::dot_norm, &scalar::dot8,          &scalar::rank1_update,
-      &scalar::rank_k_update,                    &scalar::project};
+      &scalar::dot_norm, &scalar::dot8,          &scalar::dot8f,
+      &scalar::rank1_update, &scalar::rank_k_update, &scalar::project};
   return table;
 }
 
@@ -295,6 +306,10 @@ void dot_norm(const float* x, const float* y, int n, double* dot, double* nx2,
 
 void dot8(const float* pack, const float* pixel, int bands, double out[8]) {
   active()->dot8(pack, pixel, bands, out);
+}
+
+void dot8f(const float* pack, const float* pixel, int bands, float out[8]) {
+  active()->dot8f(pack, pixel, bands, out);
 }
 
 void rank1_update(double* upper, const double* c, int dims, double sign) {

@@ -22,11 +22,15 @@
 //     tier TU). `RIF_DISABLE_SIMD` builds compile no tier TUs at all and
 //     always run scalar.
 //
-// Numerical contract: all kernels accumulate in double, like the seed
-// scalar code, but SIMD variants reassociate the summation (lane-parallel
-// partial sums, possibly FMA-contracted). Within ONE process every engine —
-// sequential, two-pass parallel, fused, distributed, streamed — calls the
-// same active table, so cross-engine bit-exactness guarantees (the
+// Numerical contract: every kernel except `dot8f` accumulates in double,
+// like the seed scalar code, but SIMD variants reassociate the summation
+// (lane-parallel partial sums, possibly FMA-contracted). `dot8f` is the
+// float-width twin of `dot8`: a screening pre-filter whose result only
+// ever decides a lane when it clears the decision threshold by more than
+// its worst-case rounding error (see UniqueSet::any_within); `dot8` stays
+// the one kernel that decides borderline lanes. Within ONE process every
+// engine — sequential, two-pass parallel, fused, distributed, streamed —
+// calls the same active table, so cross-engine bit-exactness guarantees (the
 // `fuse_parallel` oracle contract) are preserved; ACROSS tiers (runtime or
 // compile-time), results agree within the documented tolerance contract
 // (composite bytes within one quantisation level — see
@@ -92,6 +96,12 @@ void dot_norm(const float* x, const float* y, int n, double* dot, double* nx2,
 /// out[k] = sum_b pack[b * 8 + k] * pixel[b] for k in [0, 8).
 void dot8(const float* pack, const float* pixel, int bands, double out[8]);
 
+/// dot8 accumulated in float: out[k] = sum_b pack[b * 8 + k] * pixel[b]
+/// with every product and partial sum rounded to float. Whatever the
+/// summation order, |out[k] - exact| <= gamma_bands * sum_b |pack * pixel|
+/// when no product overflows or underflows.
+void dot8f(const float* pack, const float* pixel, int bands, float out[8]);
+
 /// Rank-1 update of a packed upper triangle (row-major, dims rows):
 /// upper[i, j] += sign * c[i] * c[j] for j >= i.
 void rank1_update(double* upper, const double* c, int dims, double sign);
@@ -115,6 +125,7 @@ double dot_df(const double* x, const float* y, int n);
 void dot_norm(const float* x, const float* y, int n, double* dot, double* nx2,
               double* ny2);
 void dot8(const float* pack, const float* pixel, int bands, double out[8]);
+void dot8f(const float* pack, const float* pixel, int bands, float out[8]);
 void rank1_update(double* upper, const double* c, int dims, double sign);
 void rank_k_update(double* upper, const double* cols, int dims, int rows);
 void project(const double* t, int comps, int bands, const double* bias,

@@ -13,6 +13,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels.h"
 

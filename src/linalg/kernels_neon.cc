@@ -13,6 +13,7 @@
 #include <arm_neon.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels.h"
 

@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "linalg/kernels.h"
 

@@ -22,6 +22,7 @@ struct KernelTable {
   void (*dot_norm)(const float*, const float*, int, double*, double*,
                    double*);
   void (*dot8)(const float*, const float*, int, double*);
+  void (*dot8f)(const float*, const float*, int, float*);
   void (*rank1_update)(double*, const double*, int, double);
   void (*rank_k_update)(double*, const double*, int, int);
   void (*project)(const double*, int, int, const double*, const float*,

@@ -1,16 +1,24 @@
 // Edge-case and robustness tests across modules: degenerate fusion-job
-// configurations, network partition healing, trace invariants.
+// configurations, non-finite pixels, network partition healing, trace
+// invariants.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <memory>
 
 #include "cluster/failure_injector.h"
+#include "cluster/remote_pool.h"
 #include "core/distributed/fusion_job.h"
 #include "core/parallel/parallel_pct.h"
+#include "core/pct.h"
+#include "hsi/cube_io.h"
 #include "hsi/scene.h"
 #include "net/network.h"
 #include "scp/runtime.h"
+#include "service/remote_exec.h"
 #include "sim/simulation.h"
+#include "stream/streaming_engine.h"
 #include "support/serialize.h"
 
 namespace rif {
@@ -81,6 +89,117 @@ TEST(FusionEdgeTest, ManyComponentsRequested) {
   pcfg.pct.output_components = 10;  // == bands
   const auto result = core::fuse_parallel(scene.cube, pcfg);
   EXPECT_EQ(result.component_planes.size(), 10u);
+}
+
+// --- Non-finite pixels -------------------------------------------------------
+
+/// Results of one scene through every host engine and a remote job.
+struct EngineRuns {
+  std::vector<core::PctResult> host;  ///< fuse, parallel, fused, streamed
+  service::RemoteExecResult remote;
+};
+
+EngineRuns run_every_engine(const hsi::Scene& scene) {
+  constexpr int kTiles = 6;
+  constexpr int kWorkers = 2;
+  EngineRuns runs;
+  runs.host.push_back(core::fuse(scene.cube, core::PctConfig{}));
+  core::ParallelPctConfig pcfg;
+  pcfg.threads = kWorkers;  // fixes the covariance shard count
+  pcfg.tiles = kTiles;
+  core::ThreadPool pool(kWorkers);
+  runs.host.push_back(core::fuse_parallel(scene.cube, pool, pcfg));
+  runs.host.push_back(core::fuse_parallel_fused(scene.cube, pool, pcfg));
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rif_nonfinite.dat").string();
+  EXPECT_TRUE(hsi::save_cube(path, scene.cube, hsi::Interleave::kBip,
+                             scene.wavelengths));
+  stream::StreamingConfig scfg;
+  scfg.chunk_lines = 16;
+  auto streamed = stream::fuse_streaming(path, pool, scfg);
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".hdr");
+  EXPECT_TRUE(streamed.has_value());
+  if (streamed) runs.host.push_back(std::move(*streamed));
+
+  cluster::RemoteWorkerPool workers;
+  workers.start(/*first_node_id=*/100);
+  for (int i = 0; i < kWorkers; ++i) workers.spawn_local_worker();
+  EXPECT_EQ(workers.wait_for_workers(kWorkers, 10.0), kWorkers);
+  service::RemoteExecParams params;
+  params.cube = &scene.cube;
+  params.total_tiles = kTiles;
+  params.job_id = 1;
+  runs.remote = service::execute_remote_job(workers, {0, 1}, params);
+  workers.stop();
+  return runs;
+}
+
+TEST(NonFinitePixelTest, NaNAndInfPixelsChangeOnlyTheirOwnBytes) {
+  hsi::SceneConfig sc;
+  sc.width = 48;
+  sc.height = 48;
+  sc.bands = 32;
+  sc.seed = 5;
+  hsi::Scene clean = hsi::generate_scene(sc);
+  // Two pixels that copy their left neighbour: a copy is at angle 0 to it,
+  // so it never joins a unique set and the clean scene's statistics do not
+  // depend on it. The dirty scene spoils one band of each.
+  const int xs[] = {10, 30};
+  const int ys[] = {5, 40};
+  for (int k = 0; k < 2; ++k) {
+    const auto left = clean.cube.pixel(xs[k] - 1, ys[k]);
+    const auto px = clean.cube.pixel(xs[k], ys[k]);
+    std::copy(left.begin(), left.end(), px.begin());
+  }
+  hsi::Scene dirty = clean;
+  dirty.cube.pixel(xs[0], ys[0])[3] = std::numeric_limits<float>::quiet_NaN();
+  dirty.cube.pixel(xs[1], ys[1])[7] = std::numeric_limits<float>::infinity();
+
+  const EngineRuns want = run_every_engine(clean);
+  const EngineRuns got = run_every_engine(dirty);
+  ASSERT_EQ(got.host.size(), 4u);
+  ASSERT_EQ(want.host.size(), 4u);
+  ASSERT_TRUE(want.remote.completed);
+  ASSERT_TRUE(got.remote.completed);
+  // The remote job merged every tile: no tile was refused into a resend.
+  EXPECT_EQ(got.remote.tiles_resent, 0);
+
+  const auto expect_same_but_two = [&](const hsi::RgbImage& a,
+                                       const hsi::RgbImage& b,
+                                       const char* engine) {
+    ASSERT_EQ(a.data.size(), b.data.size()) << engine;
+    for (std::size_t p = 0; p < a.data.size() / 3; ++p) {
+      const int x = static_cast<int>(p) % sc.width;
+      const int y = static_cast<int>(p) / sc.width;
+      const bool spoilt =
+          (x == xs[0] && y == ys[0]) || (x == xs[1] && y == ys[1]);
+      for (int c = 0; c < 3; ++c) {
+        if (spoilt) {
+          EXPECT_EQ(b.data[p * 3 + c], 0) << engine << " pixel " << p;
+        } else {
+          EXPECT_EQ(a.data[p * 3 + c], b.data[p * 3 + c])
+              << engine << " pixel " << p;
+        }
+      }
+    }
+  };
+  const char* names[] = {"fuse", "fuse_parallel", "fuse_parallel_fused",
+                         "fuse_streaming"};
+  for (std::size_t e = 0; e < got.host.size(); ++e) {
+    EXPECT_EQ(got.host[e].unique_set_size, want.host[e].unique_set_size)
+        << names[e];
+    EXPECT_EQ(got.host[e].eigenvalues, want.host[e].eigenvalues) << names[e];
+    expect_same_but_two(want.host[e].composite, got.host[e].composite,
+                        names[e]);
+  }
+  EXPECT_EQ(got.remote.unique_set_size, want.remote.unique_set_size);
+  EXPECT_EQ(got.remote.eigenvalues, want.remote.eigenvalues);
+  expect_same_but_two(want.remote.composite, got.remote.composite, "remote");
+  // Host and remote agree byte for byte on the dirty scene.
+  EXPECT_EQ(got.remote.composite.data, got.host[1].composite.data);
+  EXPECT_EQ(got.remote.eigenvalues, got.host[1].eigenvalues);
 }
 
 // --- Partition healing ----------------------------------------------------------

@@ -1,19 +1,24 @@
 // Seeded mutation fuzzing of the socket plane's receive path. Frames of the
-// two bulk messages, encoded the way the coordinator and the worker encode
+// six fusion messages, encoded the way the coordinator and the worker encode
 // them, are flipped, truncated and spliced, and every mutant runs the whole
-// trust-boundary chain: FrameAssembler -> WireEnvelope::try_decode -> the
+// trust-boundary chain: FrameAssembler -> WireEnvelope::try_decode -> every
 // message's try_decode, all decoding in place from the frame. The invariant
 // is that nothing aborts and nothing reads out of bounds (the ASan leg
 // checks the second half). A fixed seed and budget keep the run
-// deterministic and short.
+// deterministic and short. A last case feeds the coordinator's merge
+// members of extreme magnitude.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "core/distributed/fusion_coordinator.h"
 #include "core/distributed/messages.h"
 #include "core/distributed/shard_ops.h"
+#include "core/spectral_angle.h"
+#include "linalg/stats.h"
 #include "net/frame.h"
 #include "scp/wire.h"
 #include "support/rng.h"
@@ -57,6 +62,71 @@ std::vector<std::uint8_t> screen_result_body() {
   return core::screen_shard(kTile, px.data(), 0.05).encode(0).payload;
 }
 
+/// A covariance shard of the tile's first four pixels about their mean.
+core::CovShardMsg cov_shard() {
+  const std::vector<float> px = tile_pixels();
+  core::CovShardMsg shard;
+  shard.shard_index = 1;
+  shard.shard_count = 4;
+  shard.vectors.assign(px.begin(), px.begin() + 4 * kTile.bands);
+  linalg::MeanAccumulator mean(kTile.bands);
+  for (int i = 0; i < 4; ++i) {
+    mean.add({shard.vectors.data() + i * kTile.bands,
+              static_cast<std::size_t>(kTile.bands)});
+  }
+  shard.mean = mean.mean();
+  return shard;
+}
+
+std::vector<std::uint8_t> cov_shard_body() {
+  return cov_shard().encode(0).payload;
+}
+
+/// The worker's sum for that shard.
+std::vector<std::uint8_t> cov_sum_body() {
+  return core::cov_shard_sum(cov_shard(), kTile.bands).encode(0).payload;
+}
+
+core::TransformMsg transform_msg() {
+  Rng rng(13);
+  core::TransformMsg tm;
+  tm.components = 3;
+  tm.bands = kTile.bands;
+  tm.matrix.resize(static_cast<std::size_t>(3 * kTile.bands));
+  for (double& v : tm.matrix) v = rng.uniform(-1.0, 1.0);
+  tm.mean.assign(static_cast<std::size_t>(kTile.bands), 0.5);
+  tm.scale_mean = {0.0, 0.0, 0.0};
+  tm.scale_gain = {40.0, 60.0, 80.0};
+  return tm;
+}
+
+std::vector<std::uint8_t> transform_body() {
+  return transform_msg().encode(0).payload;
+}
+
+/// The worker's colour tile under that transform.
+std::vector<std::uint8_t> color_tile_body() {
+  const std::vector<float> px = tile_pixels();
+  return core::color_shard(kTile, px.data(), transform_msg())
+      .encode(0)
+      .payload;
+}
+
+/// Every fusion message that carries a body, with its encoder.
+struct Kind {
+  std::uint32_t type;
+  std::vector<std::uint8_t> (*body)();
+};
+constexpr std::array<Kind, 6> kKinds = {{
+    {core::kTileAssign, &tile_assign_body},
+    {core::kScreenResult, &screen_result_body},
+    {core::kCovShard, &cov_shard_body},
+    {core::kCovSum, &cov_sum_body},
+    {core::kTransform, &transform_body},
+    {core::kColorTile, &color_tile_body},
+}};
+constexpr std::size_t kKindCount = kKinds.size();
+
 std::vector<std::uint8_t> seal(std::uint32_t type,
                                std::vector<std::uint8_t> body) {
   scp::WireEnvelope env = app_envelope(type);
@@ -92,9 +162,22 @@ std::vector<std::uint8_t> mutate(Rng& rng, std::vector<std::uint8_t> bytes,
 
 struct ChainStats {
   int envelopes = 0;  ///< payloads that decoded as an envelope
-  int tiles = 0;      ///< bodies that decoded as a TileAssignMsg
-  int results = 0;    ///< bodies that decoded as a ScreenResultMsg
+  /// Bodies that decoded as each kKinds message.
+  std::array<int, kKindCount> decoded{};
 };
+
+/// Runs every message decoder over `body`, whatever its declared type.
+void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
+  const bool ok[kKindCount] = {
+      core::TileAssignMsg::try_decode(body).has_value(),
+      core::ScreenResultMsg::try_decode(body).has_value(),
+      core::CovShardMsg::try_decode(body).has_value(),
+      core::CovSumMsg::try_decode(body).has_value(),
+      core::TransformMsg::try_decode(body).has_value(),
+      core::ColorTileMsg::try_decode(body).has_value(),
+  };
+  for (std::size_t k = 0; k < kKindCount; ++k) stats.decoded[k] += ok[k];
+}
 
 /// Feeds `stream` through a fresh assembler in seeded fragments and decodes
 /// every payload it yields; returns the envelopes that decoded.
@@ -108,9 +191,7 @@ std::vector<std::vector<std::uint8_t>> run_chain(
     if (!env) return;
     ++stats.envelopes;
     accepted.push_back(copy);
-    // Both decoders see every body, whatever its declared type.
-    if (core::TileAssignMsg::try_decode(env->body())) ++stats.tiles;
-    if (core::ScreenResultMsg::try_decode(env->body())) ++stats.results;
+    decode_all(env->body(), stats);
   };
   std::size_t pos = 0;
   while (pos < stream.size()) {
@@ -123,50 +204,109 @@ std::vector<std::vector<std::uint8_t>> run_chain(
 }
 
 TEST(FuzzTest, FrameMutantsNeverAbortAndOnlyIntactEnvelopesDecode) {
-  const std::vector<std::uint8_t> tile_env =
-      seal(core::kTileAssign, tile_assign_body());
-  const std::vector<std::uint8_t> result_env =
-      seal(core::kScreenResult, screen_result_body());
-  const std::vector<std::uint8_t> frames[] = {net::encode_frame(tile_env),
-                                              net::encode_frame(result_env)};
+  std::vector<std::vector<std::uint8_t>> envelopes;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const Kind& kind : kKinds) {
+    envelopes.push_back(seal(kind.type, kind.body()));
+    frames.push_back(net::encode_frame(envelopes.back()));
+  }
   Rng rng(20261017);
   ChainStats stats;
   for (int i = 0; i < kBudget; ++i) {
-    for (int f = 0; f < 2; ++f) {
-      const auto mutant = mutate(rng, frames[f], frames[1 - f]);
+    for (std::size_t f = 0; f < kKindCount; ++f) {
+      const auto mutant =
+          mutate(rng, frames[f], frames[(f + 1) % kKindCount]);
       for (const auto& env : run_chain(rng, mutant, stats)) {
         // Damage anywhere in an envelope fails its checksum; what decodes
         // is a frame that survived the mutation whole.
-        EXPECT_TRUE(env == tile_env || env == result_env);
+        EXPECT_NE(std::find(envelopes.begin(), envelopes.end(), env),
+                  envelopes.end());
       }
     }
   }
-  // The budget reached every stage of the chain.
+  // The budget reached every stage of the chain, and every decoder.
   EXPECT_GT(stats.envelopes, 0);
-  EXPECT_GT(stats.tiles, 0);
-  EXPECT_GT(stats.results, 0);
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    EXPECT_GT(stats.decoded[k], 0) << "message type " << kKinds[k].type;
+  }
 }
 
 TEST(FuzzTest, BodyMutantsUnderValidChecksumsNeverAbort) {
   // A peer that checksums garbage correctly: mutate the message body, then
   // seal it, so the mutants get past the envelope into the body decoders.
-  const std::vector<std::uint8_t> bodies[] = {tile_assign_body(),
-                                              screen_result_body()};
-  const std::uint32_t types[] = {core::kTileAssign, core::kScreenResult};
+  std::vector<std::vector<std::uint8_t>> bodies;
+  for (const Kind& kind : kKinds) bodies.push_back(kind.body());
   Rng rng(7);
   ChainStats stats;
   for (int i = 0; i < kBudget; ++i) {
-    for (int b = 0; b < 2; ++b) {
-      const auto body = mutate(rng, bodies[b], bodies[1 - b]);
-      const auto frame = net::encode_frame(seal(types[b], body));
+    for (std::size_t b = 0; b < kKindCount; ++b) {
+      const auto body = mutate(rng, bodies[b], bodies[(b + 1) % kKindCount]);
+      const auto frame = net::encode_frame(seal(kKinds[b].type, body));
       EXPECT_EQ(run_chain(rng, frame, stats).size(), 1u);
     }
   }
-  EXPECT_EQ(stats.envelopes, 2 * kBudget);
+  EXPECT_EQ(stats.envelopes, static_cast<int>(kKindCount) * kBudget);
   // Some mutants stay well formed (a flipped pixel is still a tile); most
   // do not, and those must be refused, not aborted on.
-  EXPECT_GT(stats.tiles + stats.results, 0);
-  EXPECT_LT(stats.tiles + stats.results, 2 * kBudget);
+  int decoded = 0;
+  for (std::size_t k = 0; k < kKindCount; ++k) {
+    EXPECT_GT(stats.decoded[k], 0) << "message type " << kKinds[k].type;
+    decoded += stats.decoded[k];
+  }
+  EXPECT_LT(decoded, static_cast<int>(kKindCount) * kBudget);
+}
+
+TEST(FuzzTest, ExtremeMagnitudeMembersMergeExactly) {
+  // Finite members whose float products overflow (1e30) or underflow
+  // (1e-30): the screening pre-filter must step aside for them, so the
+  // merge neither aborts nor misjudges a pair. Per tile, a copy of a
+  // member is a hit at angle 0 and a fresh direction a miss.
+  constexpr int kBands = 16;
+  const auto direction = [](int k, double scale) {
+    std::vector<float> v(kBands);
+    for (int b = 0; b < kBands; ++b) {
+      v[b] = static_cast<float>(scale * (1.0 + 3.0 * ((b + k) % 4 == 0)));
+    }
+    return v;
+  };
+  for (int j = 0; j < 4; ++j) {
+    for (int k = j + 1; k < 4; ++k) {
+      ASSERT_GT(core::spectral_angle(direction(j, 1.0), direction(k, 1.0)),
+                0.5);
+    }
+  }
+  const auto concat = [](std::initializer_list<std::vector<float>> parts) {
+    std::vector<float> out;
+    for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+    return out;
+  };
+  const hsi::ImageCube cube(kBands, 2, kBands);
+  core::JobOutcome outcome;
+  core::FusionCoordinator coord({kBands, 2, kBands}, &cube, 2, 0.05, 3, {},
+                                outcome);
+  ASSERT_EQ(coord.tile_count(), 2);
+  // Tile 0 keeps A (1e30) and D (1e-30); tile 1 offers a copy of A, a new
+  // direction C (1e30), a copy of D and a new direction F (1e-30).
+  core::ScreenResultMsg first;
+  first.tile = coord.tile(0);
+  first.vectors = concat({direction(0, 1e30), direction(1, 1e-30)});
+  core::ScreenResultMsg second;
+  second.tile = coord.tile(1);
+  second.vectors = concat({direction(0, 3e30), direction(2, 1e30),
+                           direction(1, 5e-30), direction(3, 1e-30)});
+  EXPECT_EQ(coord.accept_screen(first),
+            core::FusionCoordinator::Intake::kAccepted);
+  EXPECT_EQ(coord.accept_screen(second),
+            core::FusionCoordinator::Intake::kAccepted);
+  ASSERT_TRUE(coord.screening_done());
+  const auto shards = coord.covariance_shards(1);
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].shard_count, 4u);  // A, D, C, F
+  // D vs A; copy of A vs A; C vs A, D; copy of D vs A, D; F vs A, D, C.
+  EXPECT_EQ(outcome.merge_comparisons, 9u);
+  EXPECT_EQ(shards[0].vectors,
+            concat({direction(0, 1e30), direction(1, 1e-30),
+                    direction(2, 1e30), direction(3, 1e-30)}));
 }
 
 }  // namespace
