@@ -11,7 +11,7 @@
 //     merges into a shared unique set, so the manager's merge charge is
 //     omitted from the critical path by giving the merge a zero-cost
 //     network and fast hand-offs.
-//  2. A real wall-clock measurement of the fused shared-memory engine,
+//  2. A real wall-clock measurement of the shared-memory engine,
 //     whose blocked fold parallelizes the merge, on this machine
 //     (informative, not calibrated).
 #include <chrono>
@@ -65,7 +65,7 @@ int main() {
     pcfg.threads = threads;
     pcfg.tiles = 32;
     const auto start = std::chrono::steady_clock::now();
-    const auto result = core::fuse_parallel_fused(scene.cube, pcfg);
+    const auto result = core::fuse_parallel(scene.cube, pcfg);
     const auto end = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();

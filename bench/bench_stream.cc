@@ -2,7 +2,7 @@
 // sequential load-then-fuse.
 //
 // Writes a scene cube to disk, then times
-//   * load-then-fuse — load_cube() followed by fuse_parallel_fused(), the
+//   * load-then-fuse — load_cube() followed by fuse_parallel(), the
 //     whole-cube baseline every non-streaming engine implies, and
 //   * streamed      — stream::fuse_streaming() at several chunk sizes,
 //     where the reader thread overlaps disk I/O with screening/transform
@@ -388,7 +388,7 @@ int main(int argc, char** argv) {
         "wrote METRICS_stream.ndjson\nwrote FLAME_stream.json\n");
   }
 
-  // Baseline: sequential load, then the in-memory fused engine.
+  // Baseline: sequential load, then the in-memory engine.
   const auto t0 = std::chrono::steady_clock::now();
   const auto cube = hsi::load_cube(path);
   const double load_s = seconds_since(t0);
@@ -398,8 +398,7 @@ int main(int argc, char** argv) {
   }
   core::ParallelPctConfig fused_cfg;
   fused_cfg.tiles = threads * 2;
-  const core::PctResult fused =
-      core::fuse_parallel_fused(*cube, pool, fused_cfg);
+  const core::PctResult fused = core::fuse_parallel(*cube, pool, fused_cfg);
   const double total_s = seconds_since(t0);
   const std::uint64_t rss_loaded = peak_rss_bytes();
   std::printf(

@@ -7,8 +7,8 @@
 // them in over the wire — tiles, covariance shards and colour tiles all
 // travel as length-prefixed frames between processes.
 //
-// Either way the composite must be byte-identical to the two-pass
-// shared-memory engine run with the same shard/tile counts — the socket
+// Either way the composite must be byte-identical to the shared-memory
+// engine run with the same shard/tile counts — the socket
 // transport may change WHERE the arithmetic runs, never a single bit of it.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -270,17 +270,19 @@ int main(int argc, char** argv) {
   std::printf("METRICS_remote.ndjson: %zu samples, remote.worker.* present\n",
               stream_lines);
 
-  // Byte-identity oracle: the two-pass shared-memory engine with the same
-  // shard count (live remote workers) and tile count (workers admitted *
+  // Byte-identity oracle: the shared-memory engine with the same shard
+  // count (live remote workers) and tile count (workers admitted *
   // tiles_per_worker).
   core::ParallelPctConfig expect_cfg;
-  expect_cfg.threads = rec.remote_workers;
   expect_cfg.tiles = rec.workers * 2;
+  expect_cfg.cov_shards = rec.remote_workers;
   const core::PctResult expected = core::fuse_parallel(scene.cube, expect_cfg);
   const bool bit_exact =
       rec.outcome.composite.data == expected.composite.data &&
       rec.outcome.unique_set_size == expected.unique_set_size &&
-      rec.outcome.eigenvalues == expected.eigenvalues;
+      rec.outcome.eigenvalues == expected.eigenvalues &&
+      rec.outcome.screen_comparisons == expected.screen_comparisons &&
+      rec.outcome.merge_comparisons == expected.merge_comparisons;
   std::printf("composite vs shared-memory engine: %s\n",
               bit_exact ? "byte-identical" : "MISMATCH");
 

@@ -219,7 +219,9 @@ struct WorkerState {
     switch (env.msg_type) {
       case core::kTileAssign: {
         auto decoded = core::TileAssignMsg::try_decode(env.body());
-        if (!decoded) return true;
+        // A tile of another band count, or whose pixels do not fill its
+        // geometry, is dropped like an undecodable body.
+        if (!decoded || !decoded->fills(job->bands)) return true;
         core::TileAssignMsg assign = std::move(*decoded);
         // Ask for the next tile before computing this one — same
         // overlap idiom as the sim WorkerActor.
@@ -244,7 +246,10 @@ struct WorkerState {
         return true;
       case core::kCovShard: {
         auto shard = core::CovShardMsg::try_decode(env.body());
-        if (!shard) return true;
+        if (!shard ||
+            shard->mean.size() != static_cast<std::size_t>(job->bands)) {
+          return true;
+        }
         const std::uint64_t t0 = steady_ns();
         core::CovSumMsg sum = core::cov_shard_sum(*shard, job->bands);
         ++stats.shards_summed;
@@ -254,7 +259,7 @@ struct WorkerState {
       }
       case core::kTransform: {
         auto decoded = core::TransformMsg::try_decode(env.body());
-        if (!decoded) return true;
+        if (!decoded || decoded->bands != job->bands) return true;
         transform = std::move(*decoded);
         for (auto& [index, held] : tiles) {
           if (!held.colored && !color_and_send(held)) return false;

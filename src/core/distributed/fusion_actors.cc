@@ -111,9 +111,6 @@ void ManagerActor::start_covariance_phase(scp::ActorContext& ctx) {
       const auto modelled = static_cast<std::int64_t>(model_unique_count_);
       outcome_.unique_set_size = static_cast<std::size_t>(modelled);
       shards = FusionCoordinator::size_shards(modelled, params_.workers);
-      for (CovShardMsg& shard : shards) {
-        shard.mean.assign(params_.shape.bands, 0.0);
-      }
     }
     RIF_LOG_DEBUG("fusion", "screening done, unique set K="
                                 << outcome_.unique_set_size);
@@ -146,8 +143,10 @@ void ManagerActor::broadcast_transform(scp::ActorContext& ctx) {
   if (full()) {
     tm = coord_.transform();
   } else {
+    // A well-formed null transform: CostOnly colours nothing.
     tm.components = params_.output_components;
     tm.bands = params_.shape.bands;
+    tm.matrix.assign(static_cast<std::size_t>(tm.components) * tm.bands, 0.0);
     tm.mean.assign(params_.shape.bands, 0.0);
     tm.scale_mean.assign(3, 0.0);
     tm.scale_gain.assign(3, 1.0);

@@ -53,6 +53,17 @@ struct TileAssignMsg {
   WireTile tile;
   std::vector<float> data;  ///< empty in CostOnly mode
 
+  /// Whether `data` holds exactly the tile's pixels at `bands` bands, the
+  /// tile's own band count: what a worker checks before screening a tile
+  /// off the wire. Divided, not multiplied, so a hostile geometry cannot
+  /// wrap around.
+  [[nodiscard]] bool fills(int bands) const {
+    const std::int64_t pixels = tile.pixels();
+    return bands > 0 && tile.bands == bands && pixels >= 0 &&
+           data.size() % static_cast<std::size_t>(bands) == 0 &&
+           data.size() / static_cast<std::size_t>(bands) ==
+               static_cast<std::uint64_t>(pixels);
+  }
   /// Body bytes for a tile of `floats` pixel values.
   static std::size_t body_bytes(std::size_t floats) {
     return sizeof(WireTile) + sizeof(std::uint64_t) + floats * sizeof(float);
@@ -133,7 +144,8 @@ struct CovShardMsg {
   std::uint64_t shard_index = 0;  ///< which shard this is; echoed in CovSum
   std::uint64_t shard_count = 0;  ///< unique vectors in this shard
   std::vector<float> vectors;     ///< empty in CostOnly
-  std::vector<double> mean;       ///< unique-set mean (step 3 output)
+  std::vector<double> mean;       ///< unique-set mean (step 3 output);
+                                  ///< empty in CostOnly
 
   [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
     Writer w;
@@ -153,6 +165,14 @@ struct CovShardMsg {
     if (!r.try_get(out.shard_index) || !r.try_get(out.shard_count) ||
         !r.try_get_vector(out.vectors) || !r.try_get_vector(out.mean) ||
         !r.exhausted()) {
+      return std::nullopt;
+    }
+    // shard_count vectors of mean.size() bands each (none in CostOnly).
+    // Divided, not multiplied: a hostile count must not wrap around.
+    const std::size_t dims = out.mean.size();
+    if (dims == 0 ? !out.vectors.empty()
+                  : out.vectors.size() % dims != 0 ||
+                        out.vectors.size() / dims != out.shard_count) {
       return std::nullopt;
     }
     return out;
@@ -225,6 +245,15 @@ struct TransformMsg {
         !r.try_get_vector(out.matrix) || !r.try_get_vector(out.mean) ||
         !r.try_get_vector(out.scale_mean) ||
         !r.try_get_vector(out.scale_gain) || !r.exhausted()) {
+      return std::nullopt;
+    }
+    // The shape color_shard relies on: a components x bands matrix with at
+    // least the three colour components, their scales, and a bands mean.
+    if (out.components < 3 || out.bands <= 0 ||
+        out.matrix.size() != static_cast<std::uint64_t>(out.components) *
+                                 static_cast<std::uint64_t>(out.bands) ||
+        out.mean.size() != static_cast<std::size_t>(out.bands) ||
+        out.scale_mean.size() < 3 || out.scale_gain.size() < 3) {
       return std::nullopt;
     }
     return out;

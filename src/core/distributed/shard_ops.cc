@@ -34,11 +34,7 @@ CovSumMsg cov_shard_sum(const CovShardMsg& shard, int bands) {
   RIF_CHECK(shard.vectors.size() ==
             shard.shard_count * static_cast<std::uint64_t>(bands));
   linalg::CovarianceAccumulator acc(bands, shard.mean);
-  constexpr std::uint64_t kRows = linalg::CovarianceAccumulator::kBlockRows;
-  for (std::uint64_t i = 0; i < shard.shard_count; i += kRows) {
-    acc.add_block(shard.vectors.data() + i * bands,
-                  static_cast<int>(std::min(kRows, shard.shard_count - i)));
-  }
+  acc.add_rows(shard.vectors.data(), shard.shard_count);
   CovSumMsg sum;
   sum.shard_index = shard.shard_index;
   sum.accumulator = acc.encode();
@@ -47,6 +43,9 @@ CovSumMsg cov_shard_sum(const CovShardMsg& shard, int bands) {
 
 ColorTileMsg color_shard(const WireTile& tile, const float* data,
                          const TransformMsg& tm) {
+  // The held tile must have the transform's band count; the transform's
+  // own shape is vetted by TransformMsg::try_decode.
+  RIF_CHECK(tile.bands == tm.bands);
   const std::int64_t px_count = tile.pixels();
   const int bands = tm.bands;
   const int comps = tm.components;

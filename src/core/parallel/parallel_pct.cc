@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "hsi/partition.h"
 #include "linalg/stats.h"
@@ -19,14 +18,12 @@ namespace {
 /// concurrently; only the comparisons against members admitted after the
 /// freeze — at most a block's worth — run in fold order. The dominant cost
 /// (candidate x full-set comparisons) thus parallelizes while the
-/// data-dependent tail stays tiny, lifting the two-pass engine's main
-/// Amdahl bottleneck. Results are independent of the pool's thread count.
-/// `dropped[i]` is set for each rejected member.
+/// data-dependent tail stays tiny, lifting the sequential merge's Amdahl
+/// bottleneck. Results, comparison count included, equal
+/// UniqueSet::merge's whatever the pool's thread count.
 void merge_blocked(UniqueSet& unique, const UniqueSet& other,
-                   ThreadPool& pool, std::vector<std::uint8_t>& dropped,
-                   std::uint64_t* comparisons) {
+                   ThreadPool& pool, std::uint64_t* comparisons) {
   const std::size_t n = other.size();
-  dropped.assign(n, 0);
   constexpr std::size_t kBlock = 64;
   std::vector<std::uint8_t> hit(std::min(kBlock, n));
   std::uint64_t comps = 0;
@@ -53,13 +50,11 @@ void merge_blocked(UniqueSet& unique, const UniqueSet& other,
     }
     for (std::size_t c = 0; c < count; ++c) {
       const std::size_t i = b0 + c;
-      if (hit[c] != 0 ||
-          unique.any_within(other.member(i), other.inv_norm(i), frozen,
-                            unique.size(), &comps)) {
-        dropped[i] = 1;
-        continue;
+      if (hit[c] == 0 &&
+          !unique.any_within(other.member(i), other.inv_norm(i), frozen,
+                             unique.size(), &comps)) {
+        unique.admit(other.member(i), other.inv_norm(i));
       }
-      unique.admit(other.member(i), other.inv_norm(i));
     }
   }
   if (comparisons != nullptr) *comparisons += comps + scan_comps.load();
@@ -79,53 +74,18 @@ void FusedScreen::screen(std::span<const float> pixels, int width, int rows,
   // Per-tile spans execute on pool workers, outside the caller's JobScope;
   // capture the ambient job once and attribute explicitly.
   const std::int64_t trace_job = obs::current_job();
-  // Any shared origin works for the moment sums; a representative pixel
-  // keeps them small so the final mean correction is well-conditioned. It
-  // is the first finite pixel (a non-finite one never joins a set), or
-  // zero if the block has none.
-  if (origin_.empty()) {
-    const auto n = static_cast<std::size_t>(bands);
-    origin_.assign(n, 0.0);
-    for (std::size_t p = 0; p < static_cast<std::size_t>(width) * rows; ++p) {
-      const auto px = pixels.subspan(p * n, n);
-      if (std::all_of(px.begin(), px.end(),
-                      [](float v) { return std::isfinite(v); })) {
-        origin_.assign(px.begin(), px.end());
-        break;
-      }
-    }
-  }
   const auto tile_list = hsi::partition_rows({width, rows, bands}, tiles);
-  const int tile_count = static_cast<int>(tile_list.size());
-  for (int i = 0; i < tile_count; ++i) {
-    tile_sets_.emplace_back(bands, unique_.threshold());
-    tile_moments_.emplace_back(bands, origin_);
-  }
-  // As members are admitted into a tile's unique set, fold them into the
-  // tile's moment sums straight from the set's flat storage — cache-hot,
-  // in blocks sized for the packed-triangle kernel.
-  constexpr std::size_t kMomentBlock = 32;
+  tile_sets_.assign(tile_list.size(), UniqueSet(bands, unique_.threshold()));
   std::atomic<std::uint64_t> comparisons{0};
-  pool.parallel_tasks(tile_count, [&](int i) {
+  pool.parallel_tasks(static_cast<int>(tile_list.size()), [&](int i) {
     RIF_TRACE_SPAN_JOB("tile_screen", trace_job);
     UniqueSet& set = tile_sets_[static_cast<std::size_t>(i)];
-    linalg::MomentAccumulator& mom = tile_moments_[static_cast<std::size_t>(i)];
     std::uint64_t local = 0;
-    std::size_t flushed = 0;
     const auto& t = tile_list[static_cast<std::size_t>(i)];
     for (std::int64_t p = t.first_flat_index(); p < t.end_flat_index(); ++p) {
       set.screen(pixels.subspan(static_cast<std::size_t>(p) * bands,
                                 static_cast<std::size_t>(bands)),
                  &local);
-      if (set.size() - flushed >= kMomentBlock) {
-        mom.add_block(set.flat().data() + flushed * bands,
-                      static_cast<int>(set.size() - flushed));
-        flushed = set.size();
-      }
-    }
-    if (set.size() > flushed) {
-      mom.add_block(set.flat().data() + flushed * bands,
-                    static_cast<int>(set.size() - flushed));
     }
     comparisons += local;
   });
@@ -133,138 +93,37 @@ void FusedScreen::screen(std::span<const float> pixels, int width, int rows,
 }
 
 void FusedScreen::fold(ThreadPool& pool) {
-  for (std::size_t i = 0; i < tile_sets_.size(); ++i) {
-    const UniqueSet& tile_set = tile_sets_[i];
-    linalg::MomentAccumulator& tile_moments = tile_moments_[i];
-    if (!total_) {
-      unique_ = std::move(tile_sets_[i]);
-      total_ = std::move(tile_moments);
-      continue;
-    }
-    // The surviving moment sums follow the cheaper of two exact paths:
-    // retract the dropped members from the tile's sums, or rebuild the
-    // tile's contribution from the admitted members (contiguous in the
-    // merged set's flat storage, so the blocked kernel applies).
-    const std::size_t admit_start = unique_.size();
-    merge_blocked(unique_, tile_set, pool, dropped_, &merge_comparisons_);
-    const std::size_t admits = unique_.size() - admit_start;
-    const std::size_t drops = tile_set.size() - admits;
-    if (drops <= admits) {
-      total_->merge(tile_moments);
-      for (std::size_t j = 0; j < tile_set.size(); ++j) {
-        if (dropped_[j] != 0) total_->remove(tile_set.member(j));
-      }
-    } else if (admits > 0) {
-      total_->add_block(unique_.flat().data() + admit_start * unique_.bands(),
-                        static_cast<int>(admits));
-    }
+  for (const UniqueSet& tile_set : tile_sets_) {
+    merge_blocked(unique_, tile_set, pool, &merge_comparisons_);
   }
   tile_sets_.clear();
-  tile_moments_.clear();
-  RIF_CHECK(!total_ || total_->count() == unique_.size());
 }
 
 std::vector<double> FusedScreen::mean() const {
-  RIF_CHECK(total_.has_value());
-  return total_->mean();
+  linalg::MeanAccumulator acc(unique_.bands());
+  for (std::size_t i = 0; i < unique_.size(); ++i) acc.add(unique_.member(i));
+  return acc.mean();
 }
 
-linalg::Matrix FusedScreen::covariance() const {
-  RIF_CHECK(total_.has_value());
-  return total_->covariance();
+linalg::Matrix FusedScreen::covariance(const std::vector<double>& mean,
+                                       int shards, ThreadPool& pool) const {
+  const int bands = unique_.bands();
+  const auto chunks =
+      hsi::partition_range(static_cast<std::int64_t>(unique_.size()), shards);
+  std::vector<linalg::CovarianceAccumulator> accs(
+      static_cast<std::size_t>(shards),
+      linalg::CovarianceAccumulator(bands, mean));
+  pool.parallel_tasks(shards, [&](int s) {
+    accs[s].add_rows(unique_.flat().data() + chunks[s].begin * bands,
+                     static_cast<std::uint64_t>(chunks[s].size()));
+  });
+  linalg::CovarianceAccumulator total = std::move(accs.front());
+  for (int s = 1; s < shards; ++s) total.merge(accs[s]);
+  return total.covariance();
 }
 
 PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
                         const ParallelPctConfig& config) {
-  RIF_CHECK(config.pct.output_components >= 3);
-  const int bands = cube.bands();
-  const int tiles = config.tiles > 0 ? config.tiles : pool.size();
-  PctResult result;
-
-  // Step 1 (concurrent): per-tile unique sets.
-  const hsi::CubeShape shape{cube.width(), cube.height(), bands};
-  const auto tile_list = hsi::partition_rows(shape, tiles);
-  std::vector<UniqueSet> tile_sets;
-  tile_sets.reserve(tile_list.size());
-  for (const auto& t : tile_list) {
-    (void)t;
-    tile_sets.emplace_back(bands, config.pct.screening_threshold);
-  }
-  std::atomic<std::uint64_t> comparisons{0};
-  pool.parallel_tasks(static_cast<int>(tile_list.size()), [&](int i) {
-    const auto& t = tile_list[i];
-    std::uint64_t local = 0;
-    const std::int64_t first = t.first_flat_index();
-    for (std::int64_t p = first; p < first + t.pixels(); ++p) {
-      tile_sets[i].screen(cube.pixel(p), &local);
-    }
-    comparisons += local;
-  });
-  result.screen_comparisons = comparisons.load();
-
-  // Step 2: merge the per-tile sets in tile order, as the distributed
-  // manager does.
-  UniqueSet unique(bands, config.pct.screening_threshold);
-  for (const auto& set : tile_sets) {
-    unique.merge(set, &result.merge_comparisons);
-  }
-  result.unique_set_size = unique.size();
-  RIF_CHECK_MSG(unique.size() >= 3, "degenerate scene: unique set too small");
-
-  // Step 3: mean over the unique set.
-  linalg::MeanAccumulator mean_acc(bands);
-  for (std::size_t i = 0; i < unique.size(); ++i) mean_acc.add(unique.member(i));
-  result.mean = mean_acc.mean();
-
-  // Step 4 (concurrent): sharded covariance sums.
-  const int shards = config.cov_shards > 0 ? config.cov_shards : pool.size();
-  const auto chunks =
-      hsi::partition_range(static_cast<std::int64_t>(unique.size()), shards);
-  std::vector<linalg::CovarianceAccumulator> accs;
-  accs.reserve(shards);
-  for (int s = 0; s < shards; ++s) accs.emplace_back(bands, result.mean);
-  pool.parallel_tasks(shards, [&](int s) {
-    constexpr std::int64_t kRows = linalg::CovarianceAccumulator::kBlockRows;
-    for (std::int64_t i = chunks[s].begin; i < chunks[s].end; i += kRows) {
-      accs[s].add_block(unique.flat().data() + i * bands,
-                        static_cast<int>(std::min(kRows, chunks[s].end - i)));
-    }
-  });
-
-  // Step 5 (sequential): average.
-  linalg::CovarianceAccumulator total = std::move(accs.front());
-  for (int s = 1; s < shards; ++s) total.merge(accs[s]);
-  const linalg::Matrix cov = total.covariance();
-
-  // Step 6 (sequential): eigen-decomposition.
-  linalg::EigenResult eig = linalg::jacobi_eigen(cov, config.pct.jacobi);
-  result.eigenvalues = eig.values;
-  result.eigenvectors = eig.vectors;
-  result.jacobi_sweeps = eig.sweeps;
-
-  // Steps 7-8 (concurrent): transform + colour map.
-  const linalg::Matrix t =
-      transform_matrix(eig.vectors, config.pct.output_components);
-  const auto scales = scales_from_eigenvalues(eig.values);
-  const auto n = static_cast<std::size_t>(cube.pixel_count());
-  result.component_planes.assign(config.pct.output_components,
-                                 std::vector<float>(n));
-  result.composite = hsi::RgbImage(cube.width(), cube.height());
-  pool.parallel_for(cube.pixel_count(), [&](std::int64_t lo, std::int64_t hi) {
-    transform_and_map_range(cube, t, result.mean, scales,
-                            result.component_planes, result.composite, lo, hi);
-  });
-  return result;
-}
-
-PctResult fuse_parallel(const hsi::ImageCube& cube,
-                        const ParallelPctConfig& config) {
-  ThreadPool pool(config.threads);
-  return fuse_parallel(cube, pool, config);
-}
-
-PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
-                              const ParallelPctConfig& config) {
   RIF_CHECK(config.pct.output_components >= 3);
   // Per-tile spans execute on pool workers, outside the caller's JobScope;
   // capture the ambient job once and attribute explicitly.
@@ -288,12 +147,13 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   result.unique_set_size = fused.unique_set_size();
   RIF_CHECK_MSG(result.unique_set_size >= 3,
                 "degenerate scene: unique set too small");
-  result.mean = fused.mean();
-  const linalg::Matrix cov = fused.covariance();
 
-  // Eigen-decomposition (sequential, as in every engine).
+  // Statistics barrier: mean, sharded covariance, eigen-decomposition.
   if (traced) tracer.begin("fused_eigen", trace_job);
-  linalg::EigenResult eig = linalg::jacobi_eigen(cov, config.pct.jacobi);
+  result.mean = fused.mean();
+  linalg::EigenResult eig = linalg::jacobi_eigen(
+      fused.covariance(result.mean, config.cov_shards, pool),
+      config.pct.jacobi);
   if (traced) tracer.end("fused_eigen", trace_job);
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;
@@ -321,10 +181,10 @@ PctResult fuse_parallel_fused(const hsi::ImageCube& cube, ThreadPool& pool,
   return result;
 }
 
-PctResult fuse_parallel_fused(const hsi::ImageCube& cube,
-                              const ParallelPctConfig& config) {
+PctResult fuse_parallel(const hsi::ImageCube& cube,
+                        const ParallelPctConfig& config) {
   ThreadPool pool(config.threads);
-  return fuse_parallel_fused(cube, pool, config);
+  return fuse_parallel(cube, pool, config);
 }
 
 }  // namespace rif::core

@@ -161,11 +161,7 @@ PctResult fuse(const hsi::ImageCube& cube, const PctConfig& config) {
   // Steps 4-5: covariance of the unique set, fed from the set's flat
   // storage in blocks so the rank-k triangle kernel does the work.
   linalg::CovarianceAccumulator cov_acc(cube.bands(), result.mean);
-  constexpr std::size_t kRows = linalg::CovarianceAccumulator::kBlockRows;
-  for (std::size_t i = 0; i < unique.size(); i += kRows) {
-    cov_acc.add_block(unique.flat().data() + i * cube.bands(),
-                      static_cast<int>(std::min(kRows, unique.size() - i)));
-  }
+  cov_acc.add_rows(unique.flat().data(), unique.size());
   const linalg::Matrix cov = cov_acc.covariance();
 
   // Step 6: eigen-decomposition, sorted descending.

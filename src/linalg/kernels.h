@@ -29,12 +29,12 @@
 // ever decides a lane when it clears the decision threshold by more than
 // its worst-case rounding error (see UniqueSet::any_within); `dot8` stays
 // the one kernel that decides borderline lanes. Within ONE process every
-// engine — sequential, two-pass parallel, fused, distributed, streamed —
-// calls the same active table, so cross-engine bit-exactness guarantees (the
-// `fuse_parallel` oracle contract) are preserved; ACROSS tiers (runtime or
-// compile-time), results agree within the documented tolerance contract
-// (composite bytes within one quantisation level — see
-// tests/kernels_test.cc). Because tier TUs carry pinned ISA flags, the
+// engine — sequential, shared-memory, distributed, streamed — calls the
+// same active table, so the oracle chain's bit-exactness (fuse_parallel ==
+// fuse_streaming == sim == remote at equal tile and shard counts) is
+// preserved; ACROSS tiers (runtime or compile-time), results agree within
+// the documented tolerance contract (composite bytes within one
+// quantisation level — see tests/kernels_test.cc). Because tier TUs carry pinned ISA flags, the
 // same tier produces byte-identical results whether the build was
 // -march=native or portable.
 #pragma once

@@ -1,5 +1,7 @@
 #include "linalg/stats.h"
 
+#include <algorithm>
+
 #include "linalg/kernels.h"
 #include "support/serialize.h"
 
@@ -59,28 +61,6 @@ void MomentAccumulator::add_block(const float* pixels, int rows) {
                s1_.data());
   triangle_update(upper_.data(), scratch.data(), dims_, rows);
   count_ += static_cast<std::uint64_t>(rows);
-}
-
-void MomentAccumulator::remove(std::span<const float> pixel) {
-  RIF_CHECK(static_cast<int>(pixel.size()) == dims_);
-  RIF_CHECK_MSG(count_ > 0, "remove from empty moment accumulator");
-  static thread_local std::vector<double> centered;
-  centered.resize(dims_);
-  for (int b = 0; b < dims_; ++b) {
-    centered[b] = static_cast<double>(pixel[b]) - origin_[b];
-    s1_[b] -= centered[b];
-  }
-  kernels::rank1_update(upper_.data(), centered.data(), dims_, -1.0);
-  --count_;
-}
-
-void MomentAccumulator::merge(const MomentAccumulator& other) {
-  RIF_CHECK(other.dims_ == dims_);
-  RIF_CHECK_MSG(other.origin_ == origin_,
-                "moment sums accumulated about different origins");
-  for (std::size_t i = 0; i < s1_.size(); ++i) s1_[i] += other.s1_[i];
-  for (std::size_t i = 0; i < upper_.size(); ++i) upper_[i] += other.upper_[i];
-  count_ += other.count_;
 }
 
 std::vector<double> MomentAccumulator::mean() const {
@@ -160,6 +140,13 @@ void CovarianceAccumulator::add_block(const float* pixels, int rows) {
   center_block(pixels, rows, dims_, mean_.data(), scratch.data(), nullptr);
   triangle_update(upper_.data(), scratch.data(), dims_, rows);
   count_ += static_cast<std::uint64_t>(rows);
+}
+
+void CovarianceAccumulator::add_rows(const float* pixels, std::uint64_t rows) {
+  constexpr std::uint64_t kRows = kBlockRows;
+  for (std::uint64_t i = 0; i < rows; i += kRows) {
+    add_block(pixels + i * dims_, static_cast<int>(std::min(kRows, rows - i)));
+  }
 }
 
 void CovarianceAccumulator::merge(const CovarianceAccumulator& other) {

@@ -40,16 +40,14 @@ class MeanAccumulator {
 ///
 ///     S1 = Σ (x − m₀)          S2 = Σ (x − m₀)(x − m₀)ᵀ
 ///
-/// Unlike CovarianceAccumulator (which needs the final mean up front and
-/// therefore forces a second pass over the pixel set), this accumulates both
-/// moments in ONE sweep and corrects against the true mean afterwards:
+/// It accumulates both moments in ONE sweep and corrects against the true
+/// mean afterwards:
 ///
 ///     μ = m₀ + S1/K,   Σ (x−μ)(x−μ)ᵀ = S2 − S1·S1ᵀ/K.
 ///
-/// All accumulators that will be merged must share the same origin; any
-/// representative pixel (e.g. the cube's first) keeps the shift small, so the
-/// correction stays well-conditioned in doubles. This is the engine behind
-/// the fused screen+moments pass of `core::FusedScreen`.
+/// No engine uses it: every engine computes the mean first and then the
+/// sharded CovarianceAccumulator sums. It is kept only for perfbench's
+/// `core.moment_ms` probe.
 class MomentAccumulator {
  public:
   MomentAccumulator(int dims, std::vector<double> origin);
@@ -59,18 +57,12 @@ class MomentAccumulator {
   /// packed triangle is walked once per *block* instead of once per pixel
   /// (see the kernel in stats.cc).
   void add_block(const float* pixels, int rows);
-  /// Retract one previously added vector (used when a tile member is dropped
-  /// during the unique-set merge).
-  void remove(std::span<const float> pixel);
-  /// Sum another accumulator in; both must share the same origin.
-  void merge(const MomentAccumulator& other);
 
   [[nodiscard]] std::vector<double> mean() const;
   /// The mean-corrected, averaged covariance matrix (see class comment).
   [[nodiscard]] Matrix covariance() const;
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] int dims() const { return dims_; }
-  [[nodiscard]] const std::vector<double>& origin() const { return origin_; }
 
  private:
   int dims_;
@@ -94,8 +86,12 @@ class CovarianceAccumulator {
   void add(std::span<const float> pixel) { add_block(pixel.data(), 1); }
   /// Bulk add of `rows` contiguous dims-length vectors through the
   /// register-blocked rank-k kernel (one packed-triangle sweep per block,
-  /// 4 pixels per vector step) — the hot path of the two-pass engines.
+  /// 4 pixels per vector step) — the hot path of every engine's covariance.
   void add_block(const float* pixels, int rows);
+  /// Add `rows` contiguous vectors in kBlockRows blocks: the one blocking
+  /// every engine and shard uses, so equal member ranges give bit-identical
+  /// sums.
+  void add_rows(const float* pixels, std::uint64_t rows);
   void merge(const CovarianceAccumulator& other);
 
   /// The averaged covariance matrix (paper step 5): sum / count.

@@ -854,7 +854,7 @@ void FusionService::execute_host_jobs() {
             core::ParallelPctConfig cfg;
             cfg.pct = pct;
             cfg.tiles = tiles;
-            r = core::fuse_parallel_fused(*req.cube, *exec_pool_, cfg);
+            r = core::fuse_parallel(*req.cube, *exec_pool_, cfg);
           }
           core::JobOutcome& out = job.record.outcome;
           out.composite = std::move(r.composite);

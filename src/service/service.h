@@ -129,8 +129,8 @@ struct ServiceConfig {
   /// Host threads for REAL execution of admitted Full-mode jobs on one
   /// shared ThreadPool (0 = off: Full-mode pixels flow through the
   /// simulated actors instead). When on, each admitted Full-mode job's
-  /// cube is fused with the single-pass shared-memory engine
-  /// (core::fuse_parallel_fused); its parallelism budget — the number of
+  /// cube is fused with the shared-memory engine (core::fuse_parallel, one
+  /// covariance shard); its parallelism budget — the number of
   /// tiles it may occupy the pool with — is workers * tiles_per_worker,
   /// where `workers` is what the Scheduler actually admitted. Jobs execute
   /// concurrently as nested parallel work on the one pool, which the

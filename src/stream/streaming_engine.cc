@@ -420,7 +420,7 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
 
   StreamingResult result;
 
-  // --- pass 1: screen + moment sums, folded in chunk order ------------------
+  // --- pass 1: screen, folded in chunk order ---------------------------------
   // Each chunk is sub-tiled exactly as the in-memory driver tiles the cube,
   // so matched tile boundaries give that driver's result bit for bit.
   core::FusedScreen fused(B, config.pct.screening_threshold);
@@ -474,7 +474,10 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
   linalg::EigenResult eig;
   {
     RIF_TRACE_SPAN_JOB("stream_eigen", trace_job);
-    eig = linalg::jacobi_eigen(fused.covariance(), config.pct.jacobi);
+    // One covariance shard: StreamingConfig has no shard count, and the
+    // in-memory driver defaults to one.
+    eig = linalg::jacobi_eigen(fused.covariance(result.mean, 1, pool),
+                               config.pct.jacobi);
   }
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;

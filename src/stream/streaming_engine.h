@@ -1,8 +1,8 @@
 // Out-of-core streaming fusion: fuse a cube straight from disk in bounded
 // memory, overlapping I/O with compute.
 //
-// Every other engine in the repo (sequential fuse, the two shared-memory
-// engines, the distributed actors) needs the whole hyper-spectral cube
+// Every other engine in the repo (sequential fuse, the shared-memory
+// engine, the distributed actors) needs the whole hyper-spectral cube
 // resident before the first pixel is screened — scene size is capped at
 // RAM and load time serializes in front of compute. This engine is the
 // pipelined data-flow answer: a dedicated reader thread pulls chunks of
@@ -13,25 +13,26 @@
 // ahead (double-buffered prefetch at queue_depth >= 3) hides disk latency
 // behind screening.
 //
-// The algorithm is the fused single-pass engine's, restructured around the
+// The algorithm is the shared-memory engine's, restructured around the
 // statistics barrier that out-of-core PCA cannot avoid (eigenvectors need
 // the full covariance before any pixel can be transformed):
 //
 //   pass 1  reader -> [BoundedQueue] -> core::FusedScreen per chunk: the
 //           chunk is sub-tiled across the pool, each sub-tile screened
-//           into its unique set and moment sums in one sweep, then folded
-//           in chunk order — the same class fuse_parallel_fused runs over
-//           the resident cube;
-//   barrier mean + covariance out of the moment sums, Jacobi eigen-solve;
+//           into its unique set, then folded in chunk order — the same
+//           class core::fuse_parallel runs over the resident cube;
+//   barrier mean and one-shard covariance of the merged unique set (held
+//           in memory, so no extra disk pass), Jacobi eigen-solve;
 //   pass 2  reader (re-streams the file) -> blocked SIMD transform +
 //           colour map per chunk, writing output chunks: composite bytes
 //           land in place, component planes go to an optional per-chunk
 //           sink instead of ever materializing whole planes.
 //
-// Contract: the streamed run is byte-identical to fuse_parallel_fused at
+// Contract: the streamed run is byte-identical to core::fuse_parallel at
 // matched tile boundaries (chunk_lines x tiles_per_chunk aligned with
-// ParallelPctConfig::tiles): composite bytes, unique set, eigenvalues,
-// mean and comparison counts — asserted in tests/stream_test.cc.
+// ParallelPctConfig::tiles) and one covariance shard: composite bytes,
+// unique set, eigenvalues, mean and comparison counts — asserted in
+// tests/stream_test.cc.
 //
 // Deadlock safety with the help-while-waiting ThreadPool: the reader runs
 // on its own std::thread and never touches the pool, so the compute stage

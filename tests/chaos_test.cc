@@ -433,11 +433,14 @@ TEST(DeadlineTest, HungWorkersItemsAreResentAndJobStaysBitExact) {
   // A re-sent item computed by a different worker lands in the same
   // index-keyed slot: the composite is still the oracle's exact bytes.
   core::ParallelPctConfig pcfg;
-  pcfg.threads = 3;
   pcfg.tiles = total_tiles;
+  pcfg.cov_shards = 3;
   const core::PctResult ref = core::fuse_parallel(scene.cube, pcfg);
   EXPECT_EQ(real.composite.data, ref.composite.data);
+  EXPECT_EQ(real.eigenvalues, ref.eigenvalues);
   EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
+  EXPECT_EQ(real.screen_comparisons, ref.screen_comparisons);
+  EXPECT_EQ(real.merge_comparisons, ref.merge_comparisons);
 }
 
 TEST(DeadlineTest, ExhaustedResendBudgetFailsOverInsteadOfWedging) {
@@ -571,15 +574,18 @@ TEST(ChaosSoakTest, EveryJobCompletesBitExactOrFallsBackUnderFaults) {
     auto it = oracle.find(rec.remote_workers);
     if (it == oracle.end()) {
       core::ParallelPctConfig pcfg;
-      pcfg.threads = rec.remote_workers;  // fixes the shard count
-      pcfg.tiles = rec.workers * 2;       // tiles_per_worker = 2
+      pcfg.tiles = rec.workers * 2;  // tiles_per_worker = 2
+      pcfg.cov_shards = rec.remote_workers;
       it = oracle.emplace(rec.remote_workers,
                           core::fuse_parallel(scene.cube, pcfg))
                .first;
     }
     EXPECT_EQ(rec.outcome.composite.data, it->second.composite.data)
         << "job " << id << " with " << rec.remote_workers << " shards";
+    EXPECT_EQ(rec.outcome.eigenvalues, it->second.eigenvalues);
     EXPECT_EQ(rec.outcome.unique_set_size, it->second.unique_set_size);
+    EXPECT_EQ(rec.outcome.screen_comparisons, it->second.screen_comparisons);
+    EXPECT_EQ(rec.outcome.merge_comparisons, it->second.merge_comparisons);
     ++verified;
   }
   EXPECT_GE(verified, 5);

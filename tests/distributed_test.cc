@@ -212,12 +212,14 @@ TEST(FusionCoordinatorTest,
   EXPECT_EQ(out.tiles_colored, tiles);
 
   ParallelPctConfig pcfg;
-  pcfg.threads = shards;
   pcfg.tiles = tiles;
+  pcfg.cov_shards = shards;
   const PctResult reference = fuse_parallel(scene.cube, pcfg);
   EXPECT_EQ(out.composite.data, reference.composite.data);
   EXPECT_EQ(out.unique_set_size, reference.unique_set_size);
   EXPECT_EQ(out.eigenvalues, reference.eigenvalues);
+  EXPECT_EQ(out.screen_comparisons, reference.screen_comparisons);
+  EXPECT_EQ(out.merge_comparisons, reference.merge_comparisons);
 }
 
 // --- Full mode correctness ------------------------------------------------------
@@ -231,16 +233,15 @@ TEST(DistributedFullTest, MatchesSharedMemoryBitExact) {
   ASSERT_TRUE(r.completed);
 
   ParallelPctConfig pcfg;
-  pcfg.threads = workers;  // same covariance shard count
   pcfg.tiles = workers * tiles;
+  pcfg.cov_shards = workers;  // the manager's shard count
   const PctResult reference = fuse_parallel(scene.cube, pcfg);
 
   EXPECT_EQ(r.outcome.composite.data, reference.composite.data);
   EXPECT_EQ(r.outcome.unique_set_size, reference.unique_set_size);
-  ASSERT_EQ(r.outcome.eigenvalues.size(), reference.eigenvalues.size());
-  for (std::size_t i = 0; i < reference.eigenvalues.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r.outcome.eigenvalues[i], reference.eigenvalues[i]);
-  }
+  EXPECT_EQ(r.outcome.eigenvalues, reference.eigenvalues);
+  EXPECT_EQ(r.outcome.screen_comparisons, reference.screen_comparisons);
+  EXPECT_EQ(r.outcome.merge_comparisons, reference.merge_comparisons);
 }
 
 TEST(DistributedFullTest, SingleWorkerSingleTileMatchesSequential) {

@@ -95,7 +95,7 @@ TEST(FusionEdgeTest, ManyComponentsRequested) {
 
 /// Results of one scene through every host engine and a remote job.
 struct EngineRuns {
-  std::vector<core::PctResult> host;  ///< fuse, parallel, fused, streamed
+  std::vector<core::PctResult> host;  ///< fuse, parallel, streamed
   service::RemoteExecResult remote;
 };
 
@@ -105,11 +105,10 @@ EngineRuns run_every_engine(const hsi::Scene& scene) {
   EngineRuns runs;
   runs.host.push_back(core::fuse(scene.cube, core::PctConfig{}));
   core::ParallelPctConfig pcfg;
-  pcfg.threads = kWorkers;  // fixes the covariance shard count
   pcfg.tiles = kTiles;
+  pcfg.cov_shards = kWorkers;  // the remote job's shard count
   core::ThreadPool pool(kWorkers);
   runs.host.push_back(core::fuse_parallel(scene.cube, pool, pcfg));
-  runs.host.push_back(core::fuse_parallel_fused(scene.cube, pool, pcfg));
 
   const std::string path =
       (std::filesystem::temp_directory_path() / "rif_nonfinite.dat").string();
@@ -159,8 +158,8 @@ TEST(NonFinitePixelTest, NaNAndInfPixelsChangeOnlyTheirOwnBytes) {
 
   const EngineRuns want = run_every_engine(clean);
   const EngineRuns got = run_every_engine(dirty);
-  ASSERT_EQ(got.host.size(), 4u);
-  ASSERT_EQ(want.host.size(), 4u);
+  ASSERT_EQ(got.host.size(), 3u);
+  ASSERT_EQ(want.host.size(), 3u);
   ASSERT_TRUE(want.remote.completed);
   ASSERT_TRUE(got.remote.completed);
   // The remote job merged every tile: no tile was refused into a resend.
@@ -185,8 +184,7 @@ TEST(NonFinitePixelTest, NaNAndInfPixelsChangeOnlyTheirOwnBytes) {
       }
     }
   };
-  const char* names[] = {"fuse", "fuse_parallel", "fuse_parallel_fused",
-                         "fuse_streaming"};
+  const char* names[] = {"fuse", "fuse_parallel", "fuse_streaming"};
   for (std::size_t e = 0; e < got.host.size(); ++e) {
     EXPECT_EQ(got.host[e].unique_set_size, want.host[e].unique_set_size)
         << names[e];
@@ -200,6 +198,9 @@ TEST(NonFinitePixelTest, NaNAndInfPixelsChangeOnlyTheirOwnBytes) {
   // Host and remote agree byte for byte on the dirty scene.
   EXPECT_EQ(got.remote.composite.data, got.host[1].composite.data);
   EXPECT_EQ(got.remote.eigenvalues, got.host[1].eigenvalues);
+  EXPECT_EQ(got.remote.unique_set_size, got.host[1].unique_set_size);
+  EXPECT_EQ(got.remote.screen_comparisons, got.host[1].screen_comparisons);
+  EXPECT_EQ(got.remote.merge_comparisons, got.host[1].merge_comparisons);
 }
 
 // --- Partition healing ----------------------------------------------------------

@@ -2,11 +2,13 @@
 // six fusion messages, encoded the way the coordinator and the worker encode
 // them, are flipped, truncated and spliced, and every mutant runs the whole
 // trust-boundary chain: FrameAssembler -> WireEnvelope::try_decode -> every
-// message's try_decode, all decoding in place from the frame. The invariant
-// is that nothing aborts and nothing reads out of bounds (the ASan leg
-// checks the second half). A fixed seed and budget keep the run
-// deterministic and short. A last case feeds the coordinator's merge
-// members of extreme magnitude.
+// message's try_decode, all decoding in place from the frame. A decoded
+// tile, shard or transform that a worker would accept then runs through
+// the worker's shard op. The invariant is that nothing aborts and nothing
+// reads out of bounds (the ASan leg checks the second half). A fixed seed
+// and budget keep the run deterministic and short. The last cases pin the
+// shard-message shape checks and feed the coordinator's merge members of
+// extreme magnitude.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,19 +166,42 @@ struct ChainStats {
   int envelopes = 0;  ///< payloads that decoded as an envelope
   /// Bodies that decoded as each kKinds message.
   std::array<int, kKindCount> decoded{};
+  int screened = 0;  ///< decoded tiles run through screen_shard
+  int summed = 0;    ///< decoded shards run through cov_shard_sum
+  int colored = 0;   ///< decoded transforms run through color_shard
 };
 
-/// Runs every message decoder over `body`, whatever its declared type.
+/// Runs every message decoder over `body`, whatever its declared type, then
+/// runs each decoded tile, shard and transform that the worker would accept
+/// for a job of kTile's band count (remote_worker.cc drops the rest)
+/// through the worker's op for it; transforms colour kTile.
 void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
+  const auto assign = core::TileAssignMsg::try_decode(body);
+  const auto shard = core::CovShardMsg::try_decode(body);
+  const auto transform = core::TransformMsg::try_decode(body);
   const bool ok[kKindCount] = {
-      core::TileAssignMsg::try_decode(body).has_value(),
+      assign.has_value(),
       core::ScreenResultMsg::try_decode(body).has_value(),
-      core::CovShardMsg::try_decode(body).has_value(),
+      shard.has_value(),
       core::CovSumMsg::try_decode(body).has_value(),
-      core::TransformMsg::try_decode(body).has_value(),
+      transform.has_value(),
       core::ColorTileMsg::try_decode(body).has_value(),
   };
   for (std::size_t k = 0; k < kKindCount; ++k) stats.decoded[k] += ok[k];
+
+  if (assign && assign->fills(kTile.bands)) {
+    (void)core::screen_shard(assign->tile, assign->data.data(), 0.05);
+    ++stats.screened;
+  }
+  if (shard && shard->mean.size() == static_cast<std::size_t>(kTile.bands)) {
+    (void)core::cov_shard_sum(*shard, kTile.bands);
+    ++stats.summed;
+  }
+  if (transform && transform->bands == kTile.bands) {
+    static const std::vector<float> px = tile_pixels();
+    (void)core::color_shard(kTile, px.data(), *transform);
+    ++stats.colored;
+  }
 }
 
 /// Feeds `stream` through a fresh assembler in seeded fragments and decodes
@@ -254,6 +279,56 @@ TEST(FuzzTest, BodyMutantsUnderValidChecksumsNeverAbort) {
     decoded += stats.decoded[k];
   }
   EXPECT_LT(decoded, static_cast<int>(kKindCount) * kBudget);
+  // Mutants the worker accepts reached its shard ops.
+  EXPECT_GT(stats.screened, 0);
+  EXPECT_GT(stats.summed, 0);
+  EXPECT_GT(stats.colored, 0);
+}
+
+TEST(FuzzTest, ShardMessagesOfTheWrongShapeAreRefused) {
+  // Each shard message below decoded before, and then aborted
+  // cov_shard_sum or sent color_shard past the end of its matrix, scales or
+  // mean.
+  core::CovShardMsg shard = cov_shard();
+  shard.shard_count = 5;  // four vectors on the wire
+  EXPECT_FALSE(core::CovShardMsg::try_decode(shard.encode(0)).has_value());
+  shard.shard_count = 4;
+  shard.mean.pop_back();  // bands no longer divide the vectors
+  EXPECT_FALSE(core::CovShardMsg::try_decode(shard.encode(0)).has_value());
+  shard = cov_shard();
+  shard.shard_count = std::uint64_t{1} << 62;  // wraps when multiplied
+  EXPECT_FALSE(core::CovShardMsg::try_decode(shard.encode(0)).has_value());
+  EXPECT_TRUE(core::CovShardMsg::try_decode(cov_shard().encode(0)));
+
+  const auto refused = [](void (*spoil)(core::TransformMsg&)) {
+    core::TransformMsg tm = transform_msg();
+    spoil(tm);
+    return !core::TransformMsg::try_decode(tm.encode(0)).has_value();
+  };
+  EXPECT_TRUE(refused([](core::TransformMsg& tm) { tm.matrix.pop_back(); }));
+  EXPECT_TRUE(refused([](core::TransformMsg& tm) { tm.bands += 1; }));
+  EXPECT_TRUE(refused([](core::TransformMsg& tm) {
+    tm.components = 2;
+    tm.matrix.resize(static_cast<std::size_t>(2 * tm.bands));
+  }));
+  EXPECT_TRUE(
+      refused([](core::TransformMsg& tm) { tm.scale_mean.pop_back(); }));
+  EXPECT_TRUE(refused([](core::TransformMsg& tm) { tm.scale_gain.clear(); }));
+  EXPECT_TRUE(refused([](core::TransformMsg& tm) { tm.mean.pop_back(); }));
+  EXPECT_TRUE(core::TransformMsg::try_decode(transform_msg().encode(0)));
+
+  // A tile the worker would screen must carry exactly its pixels.
+  core::TileAssignMsg assign{kTile, tile_pixels()};
+  EXPECT_TRUE(assign.fills(kTile.bands));
+  EXPECT_FALSE(assign.fills(kTile.bands + 1));  // another job's band count
+  assign.tile.rows += 1;  // one row short
+  EXPECT_FALSE(assign.fills(kTile.bands));
+  // rows x width x bands = 2^64 wraps to 0 when multiplied.
+  assign = {{0, 0, 1 << 30, 1 << 30, kTile.bands}, {}};
+  EXPECT_FALSE(assign.fills(kTile.bands));
+  assign.tile.rows = -kTile.rows;  // negative geometry
+  assign.tile.width = kTile.width;
+  EXPECT_FALSE(assign.fills(kTile.bands));
 }
 
 TEST(FuzzTest, ExtremeMagnitudeMembersMergeExactly) {

@@ -313,7 +313,7 @@ TEST(MomentAccumulatorTest, MatchesTwoPassReference) {
   std::vector<double> ref_mean;
   const Matrix ref_cov = two_pass_covariance(pixels, &ref_mean);
 
-  // Origin = first pixel, as the fused engine uses.
+  // Origin = the first pixel.
   std::vector<double> origin(pixels[0].begin(), pixels[0].end());
   MomentAccumulator mom(7, origin);
   for (const auto& px : pixels) mom.add(px);
@@ -380,52 +380,10 @@ TEST(CovarianceAccumulatorTest, BlockedAddMatchesScalarAdd) {
             1e-12);
 }
 
-TEST(MomentAccumulatorTest, RemoveRetractsExactly) {
-  const int dims = 6;
-  const auto pixels = random_pixels(50, dims, 9);
-  std::vector<double> origin(dims, 0.4);
-
-  MomentAccumulator with_all(dims, origin);
-  for (const auto& px : pixels) with_all.add(px);
-  for (int i = 40; i < 50; ++i) with_all.remove(pixels[i]);
-
-  MomentAccumulator without(dims, origin);
-  for (int i = 0; i < 40; ++i) without.add(pixels[i]);
-
-  EXPECT_EQ(with_all.count(), without.count());
-  const auto m1 = with_all.mean();
-  const auto m2 = without.mean();
-  for (int i = 0; i < dims; ++i) EXPECT_NEAR(m1[i], m2[i], 1e-12);
-  EXPECT_LT(relative_difference(with_all.covariance(), without.covariance()),
-            1e-9);
-}
-
-TEST(MomentAccumulatorTest, MergeEqualsSequential) {
-  const int dims = 5;
-  const auto pixels = random_pixels(120, dims, 31);
-  std::vector<double> origin(dims, 0.5);
-  MomentAccumulator whole(dims, origin);
-  MomentAccumulator a(dims, origin), b(dims, origin);
-  for (int i = 0; i < 120; ++i) {
-    whole.add(pixels[i]);
-    (i < 50 ? a : b).add(pixels[i]);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_LT(relative_difference(whole.covariance(), a.covariance()), 1e-12);
-}
-
-TEST(MomentAccumulatorTest, MismatchedOriginsAbortOnMerge) {
-  MomentAccumulator a(2, {0.0, 0.0});
-  MomentAccumulator b(2, {1.0, 0.0});
-  EXPECT_DEATH(a.merge(b), "different origins");
-}
-
 TEST(MomentAccumulatorTest, EmptyStatisticsAbort) {
   MomentAccumulator acc(2, {0.0, 0.0});
   EXPECT_DEATH((void)acc.mean(), "empty");
   EXPECT_DEATH((void)acc.covariance(), "empty");
-  EXPECT_DEATH(acc.remove(std::vector<float>{1.0f, 2.0f}), "empty");
 }
 
 }  // namespace

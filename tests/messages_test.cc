@@ -39,12 +39,13 @@ TEST(MessagesTest, ScreenResultRoundTrip) {
 TEST(MessagesTest, CovShardRoundTrip) {
   CovShardMsg msg;
   msg.shard_index = 5;
-  msg.shard_count = 17;
-  msg.vectors = {1.0f};
+  msg.shard_count = 3;  // three 2-band vectors
+  msg.vectors = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
   msg.mean = {0.25, 0.75};
   const CovShardMsg back = CovShardMsg::decode(msg.encode(64));
   EXPECT_EQ(back.shard_index, 5u);
-  EXPECT_EQ(back.shard_count, 17u);
+  EXPECT_EQ(back.shard_count, 3u);
+  EXPECT_EQ(back.vectors, msg.vectors);
   EXPECT_EQ(back.mean, msg.mean);
 }
 

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <latch>
 #include <thread>
+#include <utility>
 
+#include "core/distributed/fusion_job.h"
 #include "core/parallel/parallel_pct.h"
 #include "core/parallel/thread_pool.h"
 #include "hsi/scene.h"
@@ -169,6 +171,7 @@ TEST(ParallelPctTest, SingleTileMatchesSequentialExactly) {
   EXPECT_EQ(par.composite.data, seq.composite.data);
   EXPECT_EQ(par.unique_set_size, seq.unique_set_size);
   EXPECT_EQ(par.eigenvalues, seq.eigenvalues);
+  EXPECT_EQ(par.screen_comparisons, seq.screen_comparisons);
 }
 
 TEST(ParallelPctTest, ThreadCountDoesNotChangeResult) {
@@ -242,8 +245,6 @@ TEST(ParallelPctTest, MoreTilesThanRowsClampsToRowCount) {
   EXPECT_GE(r.unique_set_size, 3u);
   EXPECT_EQ(r.composite.data.size(),
             static_cast<std::size_t>(scene.cube.pixel_count()) * 3);
-  const PctResult fused = fuse_parallel_fused(scene.cube, config);
-  EXPECT_EQ(fused.composite.data.size(), r.composite.data.size());
 }
 
 class ParallelTileSweep : public ::testing::TestWithParam<int> {};
@@ -262,81 +263,66 @@ TEST_P(ParallelTileSweep, AllGranularitiesProduceValidOutput) {
 INSTANTIATE_TEST_SUITE_P(Tiles, ParallelTileSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 40));
 
-// --- fuse_parallel_fused ------------------------------------------------------
+// --- the oracle chain -------------------------------------------------------
 
-TEST(FusedPctTest, SingleTileMatchesSequentialWithinTolerance) {
-  // One tile: identical unique set and screening order, so the only
-  // difference from fuse() is rounding in the moment correction. Composite
-  // bytes may shift by at most one quantisation level.
-  const auto scene = test_scene();
-  const PctResult seq = fuse(scene.cube);
-  ParallelPctConfig config;
-  config.threads = 4;
-  config.tiles = 1;
-  const PctResult fused = fuse_parallel_fused(scene.cube, config);
-  EXPECT_EQ(fused.unique_set_size, seq.unique_set_size);
-  ASSERT_EQ(fused.eigenvalues.size(), seq.eigenvalues.size());
-  for (std::size_t i = 0; i < seq.eigenvalues.size(); ++i) {
-    EXPECT_NEAR(fused.eigenvalues[i], seq.eigenvalues[i],
-                1e-9 * std::max(1.0, std::abs(seq.eigenvalues[i])));
-  }
-  ASSERT_EQ(fused.composite.data.size(), seq.composite.data.size());
-  for (std::size_t i = 0; i < seq.composite.data.size(); ++i) {
-    ASSERT_LE(std::abs(int(fused.composite.data[i]) -
-                       int(seq.composite.data[i])),
-              1)
-        << "pixel byte " << i;
-  }
-}
-
-TEST(FusedPctTest, MatchesTwoPassEngineTileForTile) {
-  // Same tile count => same screening order and same merged unique set as
-  // the two-pass engine; statistics agree to rounding.
+TEST(FusedPctTest, MatchesSimCoordinatorTileForTile) {
+  // At the same tile and covariance-shard counts the engine and the sim
+  // manager (FusionCoordinator) compute the same function, bit for bit.
   const auto scene = test_scene(64, 24, 33);
-  for (const int tiles : {3, 8}) {
+  for (const auto& [workers, tiles_per_worker] :
+       {std::pair{3, 1}, std::pair{4, 2}}) {
+    FusionJobConfig job;
+    job.mode = ExecutionMode::kFull;
+    job.cube = &scene.cube;
+    job.shape = {scene.cube.width(), scene.cube.height(), scene.cube.bands()};
+    job.workers = workers;
+    job.tiles_per_worker = tiles_per_worker;
+    const FusionReport sim = run_fusion_job(job);
+    ASSERT_TRUE(sim.completed);
+
     ParallelPctConfig config;
     config.threads = 4;
-    config.tiles = tiles;
-    const PctResult two_pass = fuse_parallel(scene.cube, config);
-    const PctResult fused = fuse_parallel_fused(scene.cube, config);
-    EXPECT_EQ(fused.unique_set_size, two_pass.unique_set_size) << tiles;
-    EXPECT_GT(two_pass.merge_comparisons, 0u);
-    EXPECT_GT(fused.merge_comparisons, 0u);
-    ASSERT_EQ(fused.composite.data.size(), two_pass.composite.data.size());
-    for (std::size_t i = 0; i < two_pass.composite.data.size(); ++i) {
-      ASSERT_LE(std::abs(int(fused.composite.data[i]) -
-                         int(two_pass.composite.data[i])),
-                1)
-          << "tiles=" << tiles << " byte " << i;
-    }
+    config.tiles = workers * tiles_per_worker;
+    config.cov_shards = workers;  // the manager's shard count
+    const PctResult engine = fuse_parallel(scene.cube, config);
+    EXPECT_EQ(engine.composite.data, sim.outcome.composite.data)
+        << config.tiles;
+    EXPECT_EQ(engine.eigenvalues, sim.outcome.eigenvalues);
+    EXPECT_EQ(engine.unique_set_size, sim.outcome.unique_set_size);
+    EXPECT_EQ(engine.screen_comparisons, sim.outcome.screen_comparisons);
+    EXPECT_EQ(engine.merge_comparisons, sim.outcome.merge_comparisons);
+    EXPECT_GT(engine.merge_comparisons, 0u);
   }
 }
 
 TEST(FusedPctTest, ThreadCountDoesNotChangeResult) {
+  // The default shard count is fixed, not the pool size.
   const auto scene = test_scene();
   ParallelPctConfig config;
   config.tiles = 6;
   config.threads = 1;
-  const PctResult one = fuse_parallel_fused(scene.cube, config);
+  const PctResult one = fuse_parallel(scene.cube, config);
   config.threads = 8;
-  const PctResult eight = fuse_parallel_fused(scene.cube, config);
+  const PctResult eight = fuse_parallel(scene.cube, config);
   EXPECT_EQ(one.composite.data, eight.composite.data);
   EXPECT_EQ(one.eigenvalues, eight.eigenvalues);
   EXPECT_EQ(one.unique_set_size, eight.unique_set_size);
+  EXPECT_EQ(one.screen_comparisons, eight.screen_comparisons);
+  EXPECT_EQ(one.merge_comparisons, eight.merge_comparisons);
 }
 
 TEST(FusedPctTest, SharedPoolNestedJobsProduceIdenticalResults) {
-  // Two fused jobs running CONCURRENTLY as tasks of the same pool they fuse
+  // Two jobs running CONCURRENTLY as tasks of the same pool they fuse
   // on — the FusionService execution pattern. Requires the deadlock-free
   // help-while-waiting pool.
   const auto scene = test_scene(32);
   ParallelPctConfig config;
   config.tiles = 4;
-  const PctResult reference = fuse_parallel_fused(scene.cube, config);
+  const PctResult reference = fuse_parallel(scene.cube, config);
   ThreadPool pool(2);
   std::vector<PctResult> results(2);
   pool.parallel_tasks(2, [&](int i) {
-    results[i] = fuse_parallel_fused(scene.cube, pool, config);
+    results[i] = fuse_parallel(scene.cube, pool, config);
   });
   for (const auto& r : results) {
     EXPECT_EQ(r.composite.data, reference.composite.data);

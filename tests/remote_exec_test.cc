@@ -35,9 +35,22 @@ hsi::Scene test_scene(int size = 32, int bands = 16, std::uint64_t seed = 77) {
 core::PctResult reference_result(const hsi::Scene& scene, int shards,
                                  int tiles) {
   core::ParallelPctConfig pcfg;
-  pcfg.threads = shards;  // fixes the covariance shard count
   pcfg.tiles = tiles;
+  pcfg.cov_shards = shards;
   return core::fuse_parallel(scene.cube, pcfg);
+}
+
+/// Every result field a remote job shares with the shared-memory engine,
+/// compared exactly.
+void expect_same_result(const RemoteExecResult& real,
+                        const core::PctResult& ref) {
+  EXPECT_EQ(real.composite.width, ref.composite.width);
+  EXPECT_EQ(real.composite.height, ref.composite.height);
+  EXPECT_EQ(real.composite.data, ref.composite.data);
+  EXPECT_EQ(real.eigenvalues, ref.eigenvalues);
+  EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
+  EXPECT_EQ(real.screen_comparisons, ref.screen_comparisons);
+  EXPECT_EQ(real.merge_comparisons, ref.merge_comparisons);
 }
 
 TEST(RemoteExecTest, MatchesSimOracleAndSharedMemoryBitExact) {
@@ -60,13 +73,8 @@ TEST(RemoteExecTest, MatchesSimOracleAndSharedMemoryBitExact) {
   EXPECT_EQ(real.worker_disconnects, 0);
 
   // Oracle 1: the shared-memory engine with the same tile/shard counts.
-  const core::PctResult ref = reference_result(scene, workers, total_tiles);
-  EXPECT_EQ(real.composite.data, ref.composite.data);
-  EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
-  ASSERT_EQ(real.eigenvalues.size(), ref.eigenvalues.size());
-  for (std::size_t i = 0; i < ref.eigenvalues.size(); ++i) {
-    EXPECT_DOUBLE_EQ(real.eigenvalues[i], ref.eigenvalues[i]);
-  }
+  EXPECT_EQ(real.shards, workers);
+  expect_same_result(real, reference_result(scene, workers, total_tiles));
 
   // Oracle 2: the virtual-time transport running the same actor protocol.
   core::FusionJobConfig sim;
@@ -79,7 +87,33 @@ TEST(RemoteExecTest, MatchesSimOracleAndSharedMemoryBitExact) {
   const core::FusionReport simr = core::run_fusion_job(sim);
   ASSERT_TRUE(simr.completed);
   EXPECT_EQ(real.composite.data, simr.outcome.composite.data);
+  EXPECT_EQ(real.eigenvalues, simr.outcome.eigenvalues);
   EXPECT_EQ(real.unique_set_size, simr.outcome.unique_set_size);
+  EXPECT_EQ(real.screen_comparisons, simr.outcome.screen_comparisons);
+  EXPECT_EQ(real.merge_comparisons, simr.outcome.merge_comparisons);
+
+  pool.stop();
+}
+
+TEST(RemoteExecTest, TwoWorkersMatchTwoShardEngineFieldForField) {
+  const auto scene = test_scene(40, 20, 5);
+  const int total_tiles = 4;
+
+  cluster::RemoteWorkerPool pool;
+  pool.start(/*first_node_id=*/100);
+  pool.spawn_local_worker();
+  pool.spawn_local_worker();
+  ASSERT_EQ(pool.wait_for_workers(2, 10.0), 2);
+
+  RemoteExecParams params;
+  params.cube = &scene.cube;
+  params.total_tiles = total_tiles;
+  params.job_id = 1;
+  const RemoteExecResult real = execute_remote_job(pool, {0, 1}, params);
+  ASSERT_TRUE(real.completed);
+  EXPECT_EQ(real.shards, 2);
+  EXPECT_EQ(real.tiles_colored, total_tiles);
+  expect_same_result(real, reference_result(scene, 2, total_tiles));
 
   pool.stop();
 }
@@ -222,9 +256,7 @@ TEST(RemoteExecTest, WorkerCrashMidJobRequeuesAndStillMatches) {
 
   // The kill must not change a single byte: merge orders are keyed by
   // tile/shard index, not by which worker answered.
-  const core::PctResult ref = reference_result(scene, 3, total_tiles);
-  EXPECT_EQ(real.composite.data, ref.composite.data);
-  EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
+  expect_same_result(real, reference_result(scene, 3, total_tiles));
 
   pool.stop();  // closes every session, so a blocked worker always unblocks
   crashy.join();
@@ -257,9 +289,7 @@ TEST(RemoteExecTest, HostileAndStaleFramesAreDroppedNotTrusted) {
 
   // None of the injected frames may leave a trace: the composite must be
   // the exact bytes of the clean reference run.
-  const core::PctResult ref = reference_result(scene, 3, total_tiles);
-  EXPECT_EQ(real.composite.data, ref.composite.data);
-  EXPECT_EQ(real.unique_set_size, ref.unique_set_size);
+  expect_same_result(real, reference_result(scene, 3, total_tiles));
 
   pool.stop();
   hostile.join();

@@ -353,20 +353,24 @@ TEST(ServiceTest, FullModeJobsExecuteOnSharedHostPool) {
   const ServiceReport report = service.run();
   ASSERT_TRUE(report.all_completed);
 
-  // Every job's composite matches the fused shared-memory engine run with
-  // the same per-job tiling budget (workers * tiles_per_worker).
+  // Every job's outcome matches the shared-memory engine run with the
+  // service's pool size, the same per-job tiling budget (workers *
+  // tiles_per_worker) and the service's one covariance shard.
   for (const JobId id : {a, b, c}) {
     const JobRecord& rec = record_of(report, id);
     ASSERT_TRUE(rec.completed);
     core::ParallelPctConfig expect_cfg;
-    expect_cfg.threads = 2;
+    expect_cfg.threads = cfg.execution_threads;
     expect_cfg.tiles = rec.workers * 2;  // tiles_per_worker = 2
+    expect_cfg.cov_shards = 1;
     const core::PctResult expected =
-        core::fuse_parallel_fused(scene.cube, expect_cfg);
+        core::fuse_parallel(scene.cube, expect_cfg);
     EXPECT_EQ(rec.outcome.composite.data, expected.composite.data)
         << "job " << id;
     EXPECT_EQ(rec.outcome.unique_set_size, expected.unique_set_size);
     EXPECT_EQ(rec.outcome.eigenvalues, expected.eigenvalues);
+    EXPECT_EQ(rec.outcome.screen_comparisons, expected.screen_comparisons);
+    EXPECT_EQ(rec.outcome.merge_comparisons, expected.merge_comparisons);
     // Each host-executed job reports its wall time on the shared pool.
     EXPECT_GT(rec.host_seconds, 0.0) << "job " << id;
   }
@@ -1173,15 +1177,69 @@ TEST(ServiceTest, RemoteWorkersExecuteFullJobsBitExact) {
   EXPECT_EQ(rec.remote_workers, 2);  // covariance shards = live remote workers
   EXPECT_GT(rec.host_seconds, 0.0);
 
-  // Byte-identical to the two-pass shared-memory engine with the same
-  // shard/tile counts — the same oracle chain remote_exec_test pins.
+  // Byte-identical to the shared-memory engine with the same shard/tile
+  // counts — the same oracle chain remote_exec_test pins.
   core::ParallelPctConfig expect_cfg;
-  expect_cfg.threads = rec.remote_workers;
   expect_cfg.tiles = rec.workers * 2;  // tiles_per_worker = 2
+  expect_cfg.cov_shards = rec.remote_workers;
   const core::PctResult expected = core::fuse_parallel(scene.cube, expect_cfg);
   EXPECT_EQ(rec.outcome.composite.data, expected.composite.data);
   EXPECT_EQ(rec.outcome.unique_set_size, expected.unique_set_size);
   EXPECT_EQ(rec.outcome.eigenvalues, expected.eigenvalues);
+  EXPECT_EQ(rec.outcome.screen_comparisons, expected.screen_comparisons);
+  EXPECT_EQ(rec.outcome.merge_comparisons, expected.merge_comparisons);
+}
+
+TEST(ServiceTest, HostAndRemoteJobsReturnTheSameOutcome) {
+  // One job, run once with its pixels leased onto one in-process remote
+  // worker (one covariance shard) and once on a host-only service (whose
+  // engine uses one shard by default): every JobOutcome field agrees, so
+  // where a job ran does not change its answer.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 32;
+  scene_cfg.height = 32;
+  scene_cfg.bands = 12;
+  scene_cfg.seed = 35;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+  const auto run_one = [&](int host_nodes, int remote_workers) {
+    ServiceConfig cfg;
+    cfg.worker_nodes = host_nodes;
+    cfg.execution_threads = 2;
+    cfg.remote_workers = remote_workers;
+    cfg.remote_spawn_local = remote_workers > 0;
+    FusionService service(cfg);
+    JobRequest r;
+    r.tenant = "either";
+    r.config = cost_only_job(/*workers=*/2);
+    r.config.mode = core::ExecutionMode::kFull;
+    r.config.shape = {scene_cfg.width, scene_cfg.height, scene_cfg.bands};
+    r.config.cube = &scene.cube;
+    const JobId id = service.submit(std::move(r)).id;
+    const ServiceReport report = service.run();
+    EXPECT_TRUE(report.all_completed);
+    return record_of(report, id);
+  };
+  // One host node + one remote worker: the 2-worker job must lease the
+  // remote node, and only it computes shards.
+  const JobRecord remote = run_one(1, 1);
+  const JobRecord host = run_one(2, 0);
+  ASSERT_TRUE(remote.remote_executed);
+  ASSERT_EQ(remote.remote_workers, 1);
+  ASSERT_FALSE(host.remote_executed);
+
+  const core::JobOutcome& a = remote.outcome;
+  const core::JobOutcome& b = host.outcome;
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.completion_time, b.completion_time);
+  EXPECT_EQ(a.unique_set_size, b.unique_set_size);
+  EXPECT_EQ(a.screen_comparisons, b.screen_comparisons);
+  EXPECT_EQ(a.merge_comparisons, b.merge_comparisons);
+  EXPECT_EQ(a.eigenvalues, b.eigenvalues);
+  EXPECT_EQ(a.composite.width, b.composite.width);
+  EXPECT_EQ(a.composite.height, b.composite.height);
+  EXPECT_EQ(a.composite.data, b.composite.data);
+  EXPECT_EQ(a.tiles_distributed, b.tiles_distributed);
+  EXPECT_EQ(a.tiles_colored, b.tiles_colored);
 }
 
 TEST(ServiceTest, NoRemoteWorkersArriveDegradesToHostPool) {
@@ -1220,9 +1278,11 @@ TEST(ServiceTest, NoRemoteWorkersArriveDegradesToHostPool) {
   core::ParallelPctConfig expect_cfg;
   expect_cfg.threads = cfg.execution_threads;
   expect_cfg.tiles = rec.workers * 2;
-  const core::PctResult expected =
-      core::fuse_parallel_fused(scene.cube, expect_cfg);
+  expect_cfg.cov_shards = 1;
+  const core::PctResult expected = core::fuse_parallel(scene.cube, expect_cfg);
   EXPECT_EQ(rec.outcome.composite.data, expected.composite.data);
+  EXPECT_EQ(rec.outcome.eigenvalues, expected.eigenvalues);
+  EXPECT_EQ(rec.outcome.merge_comparisons, expected.merge_comparisons);
 }
 
 }  // namespace

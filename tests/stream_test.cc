@@ -1,7 +1,7 @@
 // Tests of the streaming fusion subsystem: BoundedQueue semantics
 // (backpressure, shutdown, pool-interaction regression), ChunkedCubeReader
 // windowed reads for all three interleaves, and the StreamingFusionEngine
-// contract — equivalence with fuse_parallel_fused at matching tile
+// contract — equivalence with fuse_parallel at matching tile
 // boundaries, bounded buffer footprint, and deadlock-freedom on a 1-thread
 // help-while-waiting pool.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/distributed/fusion_job.h"
 #include "core/parallel/parallel_pct.h"
 #include "core/parallel/thread_pool.h"
 #include "hsi/chunked_reader.h"
@@ -232,7 +233,7 @@ TEST(ChunkedReaderTest, TruncationMidStreamFailsTheReadNotTheProcess) {
 // --- StreamingFusionEngine ---------------------------------------------------
 
 /// Chunk/tile geometry chosen so streamed tile boundaries equal
-/// fuse_parallel_fused's row partition: 60 rows, chunks of 15, 3 sub-tiles
+/// fuse_parallel's row partition: 60 rows, chunks of 15, 3 sub-tiles
 /// per chunk  <=>  12 even tiles of 5 rows.
 struct MatchedGeometry {
   static constexpr int kHeight = 60;
@@ -248,7 +249,8 @@ TEST(StreamingEngineTest, MatchesFusedEngineAtMatchedTileBoundaries) {
   core::ParallelPctConfig fused_cfg;
   fused_cfg.threads = 4;
   fused_cfg.tiles = MatchedGeometry::kTiles;
-  const core::PctResult fused = fuse_parallel_fused(scene.cube, fused_cfg);
+  fused_cfg.cov_shards = 1;  // the streaming driver's one shard
+  const core::PctResult fused = fuse_parallel(scene.cube, fused_cfg);
 
   stream::StreamingConfig cfg;
   cfg.chunk_lines = MatchedGeometry::kChunkLines;
@@ -264,6 +266,21 @@ TEST(StreamingEngineTest, MatchesFusedEngineAtMatchedTileBoundaries) {
   EXPECT_EQ(streamed->eigenvalues, fused.eigenvalues);
   EXPECT_EQ(streamed->mean, fused.mean);
   EXPECT_EQ(streamed->composite.data, fused.composite.data);
+
+  // And the sim manager with one worker (one shard) over the same tiles.
+  core::FusionJobConfig job;
+  job.mode = core::ExecutionMode::kFull;
+  job.cube = &scene.cube;
+  job.shape = {scene.cube.width(), scene.cube.height(), scene.cube.bands()};
+  job.workers = 1;
+  job.tiles_per_worker = MatchedGeometry::kTiles;
+  const core::FusionReport sim = core::run_fusion_job(job);
+  ASSERT_TRUE(sim.completed);
+  EXPECT_EQ(streamed->unique_set_size, sim.outcome.unique_set_size);
+  EXPECT_EQ(streamed->screen_comparisons, sim.outcome.screen_comparisons);
+  EXPECT_EQ(streamed->merge_comparisons, sim.outcome.merge_comparisons);
+  EXPECT_EQ(streamed->eigenvalues, sim.outcome.eigenvalues);
+  EXPECT_EQ(streamed->composite.data, sim.outcome.composite.data);
   remove_cube(path);
 }
 
@@ -344,12 +361,12 @@ TEST(StreamingEngineTest, PlaneSinkStreamsEveryPixelInOrder) {
   const auto scene = small_scene(16, 20, 6);
   const std::string path = save_scene(scene, "rif_stream_sink.dat");
 
-  // Reference planes from the in-memory fused engine at the same tile
+  // Reference planes from the in-memory engine at the same tile
   // boundaries (5 chunks x 1 sub-tile == 5 even row tiles).
   core::ParallelPctConfig fused_cfg;
   fused_cfg.threads = 2;
   fused_cfg.tiles = 5;
-  const core::PctResult fused = fuse_parallel_fused(scene.cube, fused_cfg);
+  const core::PctResult fused = fuse_parallel(scene.cube, fused_cfg);
 
   stream::StreamingConfig cfg;
   cfg.chunk_lines = 4;
