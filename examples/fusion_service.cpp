@@ -18,6 +18,7 @@
 //                                           the live metrics stream
 // Without flags the demo behaves exactly as before — deterministic stdout,
 // no sockets.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -190,12 +191,14 @@ int main(int argc, char** argv) {
   Table tenants({"tenant", "submitted", "completed", "rejected", "Gflops",
                  "mean wait(s)", "mean service(s)"});
   for (const auto& acc : report.tenants) {
+    const double done =
+        std::max(1.0, static_cast<double>(acc.jobs_completed));
     tenants.add_row({acc.tenant, strf("%llu", (unsigned long long)acc.jobs_submitted),
                      strf("%llu", (unsigned long long)acc.jobs_completed),
                      strf("%llu", (unsigned long long)acc.jobs_rejected),
                      strf("%.2f", acc.flops_charged * 1e-9),
-                     strf("%.1f", acc.queue_wait.mean()),
-                     strf("%.1f", acc.service_time.mean())});
+                     strf("%.1f", acc.wait_seconds / done),
+                     strf("%.1f", acc.service_seconds / done)});
   }
   tenants.print();
 

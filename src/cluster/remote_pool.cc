@@ -30,12 +30,7 @@ void RemoteWorkerPool::configure_supervision(const SupervisionConfig& config) {
 
 void RemoteWorkerPool::install_faults(net::WireFaultPlan plan) {
   RIF_CHECK_MSG(!started_, "install_faults after start");
-  faults_ =
-      std::make_unique<net::FaultInjectingTransport>(server_, std::move(plan));
-  // install_faults and bind_metrics may arrive in either order.
-  if (metrics_ != nullptr) {
-    faults_->bind_metrics(*metrics_, metrics_prefix_ + "faults.");
-  }
+  fault_plan_ = std::move(plan);
 }
 
 void RemoteWorkerPool::bind_metrics(runtime::MetricsRegistry& registry,
@@ -43,9 +38,20 @@ void RemoteWorkerPool::bind_metrics(runtime::MetricsRegistry& registry,
   RIF_CHECK_MSG(!started_, "bind_metrics after start");
   metrics_ = &registry;
   metrics_prefix_ = prefix;
-  if (faults_ != nullptr) {
-    faults_->bind_metrics(registry, prefix + "faults.");
-  }
+  resolve_counters();
+}
+
+void RemoteWorkerPool::resolve_counters() {
+  const auto counter = [this](const char* name) {
+    return &metrics_->counter(metrics_prefix_ + name);
+  };
+  pings_ = counter("pings");
+  pongs_ = counter("pongs");
+  evictions_ = counter("evictions");
+  disconnects_ = counter("disconnects");
+  malformed_ = counter("malformed");
+  telemetry_batches_ = counter("telemetry_batches");
+  telemetry_rejected_ = counter("telemetry_rejected");
 }
 
 void RemoteWorkerPool::set_telemetry_sink(
@@ -61,6 +67,11 @@ void RemoteWorkerPool::start(NodeId first_node_id) {
     on_frame(s, std::move(f));
   };
   auto closed_cb = [this](net::SessionId s) { on_closed(s); };
+  if (fault_plan_) {
+    faults_ = std::make_unique<net::FaultInjectingTransport>(
+        server_, std::move(*fault_plan_), *metrics_,
+        metrics_prefix_ + "faults.");
+  }
   if (faults_ != nullptr) {
     faults_->start(std::move(frame_cb), std::move(closed_cb));
   } else {
@@ -119,10 +130,7 @@ void RemoteWorkerPool::supervision_loop() {
       }
     }
     for (const net::SessionId session : evict) {
-      evictions_.fetch_add(1);
-      if (metrics_ != nullptr) {
-        metrics_->counter(metrics_prefix_ + "evictions").add(1);
-      }
+      evictions_->add();
       RIF_TRACE_INSTANT("remote.evict");
       // Rate-limited: a chaos soak can evict in bursts, and the eviction
       // counter already carries the exact tally.
@@ -135,10 +143,7 @@ void RemoteWorkerPool::supervision_loop() {
       server_.abort_session(session);
     }
     for (const auto& [session, node] : ping) {
-      pings_.fetch_add(1);
-      if (metrics_ != nullptr) {
-        metrics_->counter(metrics_prefix_ + "pings").add(1);
-      }
+      pings_->add();
       send_timed_ping(session, node);
     }
   }
@@ -209,9 +214,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
                   "malformed envelope on session " << session
                                                    << "; closing");
-    if (metrics_ != nullptr) {
-      metrics_->counter(metrics_prefix_ + "malformed").add(1);
-    }
+    malformed_->add();
     server_.close_session(session);
     return;
   }
@@ -257,7 +260,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     // A timestamped pong additionally yields one clock-offset sample:
     // the worker's steady clock minus the midpoint of our send/receive
     // stamps (the classic ping-echo estimate; the RTT bounds its error).
-    pongs_.fetch_add(1);
+    pongs_->add();
     const auto t0 = slot.pending_pings.find(env.seq);
     if (t0 != slot.pending_pings.end() &&
         env.body().size() == sizeof(std::uint64_t)) {
@@ -277,10 +280,6 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
       }
       slot.pending_pings.erase(t0);
     }
-    lock.unlock();
-    if (metrics_ != nullptr) {
-      metrics_->counter(metrics_prefix_ + "pongs").add(1);
-    }
     return;
   }
   if (env.kind == scp::FrameKind::kTelemetry) {
@@ -293,19 +292,13 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     const std::optional<scp::TelemetryBody> body =
         scp::TelemetryBody::try_decode(env.body());
     if (!body) {
-      telemetry_rejected_.fetch_add(1);
-      if (metrics_ != nullptr) {
-        metrics_->counter(metrics_prefix_ + "telemetry_rejected").add(1);
-      }
+      telemetry_rejected_->add();
       RIF_LOG_EVERY(::rif::LogLevel::kWarn, "remote", 1.0,
                     "undecodable telemetry body from node "
                         << node << "; batch dropped");
       return;
     }
-    telemetry_batches_.fetch_add(1);
-    if (metrics_ != nullptr) {
-      metrics_->counter(metrics_prefix_ + "telemetry_batches").add(1);
-    }
+    telemetry_batches_->add();
     if (telemetry_sink_) telemetry_sink_(node, *body);
     return;
   }
@@ -334,10 +327,7 @@ void RemoteWorkerPool::on_closed(net::SessionId session) {
   // Only an UNEXPECTED closure counts as a disconnect — shutdown_workers
   // marks sessions dead before closing them.
   if (slots_[worker].alive->exchange(false)) {
-    disconnects_.fetch_add(1);
-    if (metrics_ != nullptr) {
-      metrics_->counter(metrics_prefix_ + "disconnects").add(1);
-    }
+    disconnects_->add();
   }
   events_.push_back(Event{Event::Kind::kClosed, worker, {}});
   lock.unlock();

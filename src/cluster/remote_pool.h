@@ -18,6 +18,10 @@
 // computation — a worker crunching a covariance shard reads no pings until
 // it finishes.
 //
+// Every pool event is counted once, into a registry counter: into the
+// registry given to bind_metrics, or into one the pool owns when it is
+// never bound. The accessors read those same counters.
+//
 // Chaos testing (opt-in via install_faults): a net::FaultInjectingTransport
 // is interposed at the frame boundary, so every scripted drop / delay /
 // corruption / partition / kill exercises the exact supervision and
@@ -64,7 +68,7 @@ class RemoteWorkerPool {
     scp::WireEnvelope env;         ///< kFrame only; owns its frame
   };
 
-  RemoteWorkerPool() = default;
+  RemoteWorkerPool() { resolve_counters(); }
   ~RemoteWorkerPool() { stop(); }
   RemoteWorkerPool(const RemoteWorkerPool&) = delete;
   RemoteWorkerPool& operator=(const RemoteWorkerPool&) = delete;
@@ -85,10 +89,11 @@ class RemoteWorkerPool {
   /// tests). Call before start(); the plan is fixed for the pool's life.
   void install_faults(net::WireFaultPlan plan);
 
-  /// Publish supervision counters (`<prefix>pings`, `<prefix>pongs`,
-  /// `<prefix>evictions`, `<prefix>disconnects`, `<prefix>malformed`) and,
-  /// when faults are installed, the fault layer's counters under
-  /// `<prefix>faults.`. Call before start().
+  /// Count into `registry` instead of the pool's own: `<prefix>pings`,
+  /// `<prefix>pongs`, `<prefix>evictions`, `<prefix>disconnects`,
+  /// `<prefix>malformed`, `<prefix>telemetry_batches`,
+  /// `<prefix>telemetry_rejected` and, when faults are installed, the
+  /// fault layer's counters under `<prefix>faults.`. Call before start().
   void bind_metrics(runtime::MetricsRegistry& registry,
                     const std::string& prefix = "remote.");
 
@@ -96,8 +101,9 @@ class RemoteWorkerPool {
   /// outside the pool lock, with the sender's leased NodeId. Telemetry
   /// never enters the event queue — it flows whether or not a job is
   /// draining events. A batch whose BODY fails to decode is counted
-  /// (telemetry_rejected) and dropped with the session kept: degraded
-  /// telemetry must not kill a healthy compute session. Set before start().
+  /// (`<prefix>telemetry_rejected`) and dropped with the session kept:
+  /// degraded telemetry must not kill a healthy compute session. Set
+  /// before start().
   void set_telemetry_sink(
       std::function<void(NodeId, const scp::TelemetryBody&)> sink);
 
@@ -123,17 +129,16 @@ class RemoteWorkerPool {
   [[nodiscard]] bool node_alive(NodeId node) const;
   [[nodiscard]] NodeId node_of(int worker) const;
   [[nodiscard]] int worker_of_node(NodeId node) const;
-  [[nodiscard]] int disconnects() const { return disconnects_.load(); }
-  /// Workers evicted by supervision (a subset of disconnects()).
-  [[nodiscard]] int evictions() const { return evictions_.load(); }
-  [[nodiscard]] std::uint64_t pings_sent() const { return pings_.load(); }
-  [[nodiscard]] std::uint64_t pongs_received() const { return pongs_.load(); }
-  /// kTelemetry batches whose body decoded (handed to the sink) / didn't.
-  [[nodiscard]] std::uint64_t telemetry_batches() const {
-    return telemetry_batches_.load();
+  [[nodiscard]] int disconnects() const {
+    return static_cast<int>(disconnects_->value());
   }
-  [[nodiscard]] std::uint64_t telemetry_rejected() const {
-    return telemetry_rejected_.load();
+  /// Workers evicted by supervision (a subset of disconnects()).
+  [[nodiscard]] int evictions() const {
+    return static_cast<int>(evictions_->value());
+  }
+  [[nodiscard]] std::uint64_t pings_sent() const { return pings_->value(); }
+  [[nodiscard]] std::uint64_t pongs_received() const {
+    return pongs_->value();
   }
   /// Ping-echo clock estimate for a leased node: median over the session's
   /// samples of (worker steady ns − coordinator steady ns), so a worker
@@ -181,8 +186,26 @@ class RemoteWorkerPool {
   /// Send one seq-tagged kPing and record its send stamp for the
   /// ping-echo clock estimator. Takes mu_ briefly; call unlocked.
   void send_timed_ping(net::SessionId session, NodeId node);
+  /// Point the event counters at metrics_ under metrics_prefix_.
+  void resolve_counters();
+
+  /// The registry the pool counts into: its own until bind_metrics.
+  /// Declared before the server and threads that count into it.
+  runtime::MetricsRegistry own_metrics_;
+  runtime::MetricsRegistry* metrics_ = &own_metrics_;
+  std::string metrics_prefix_ = "remote.";
+  runtime::Counter* pings_ = nullptr;
+  runtime::Counter* pongs_ = nullptr;
+  runtime::Counter* evictions_ = nullptr;
+  runtime::Counter* disconnects_ = nullptr;
+  runtime::Counter* malformed_ = nullptr;
+  runtime::Counter* telemetry_batches_ = nullptr;
+  runtime::Counter* telemetry_rejected_ = nullptr;
 
   net::SocketServer server_;
+  /// Set by install_faults; the transport is built at start(), once the
+  /// registry it counts into is final.
+  std::optional<net::WireFaultPlan> fault_plan_;
   std::unique_ptr<net::FaultInjectingTransport> faults_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -191,13 +214,7 @@ class RemoteWorkerPool {
   std::map<NodeId, int> by_node_;
   std::deque<Event> events_;
   NodeId first_node_ = kNoNode;
-  std::atomic<int> disconnects_{0};
-  std::atomic<int> evictions_{0};
-  std::atomic<std::uint64_t> pings_{0};
-  std::atomic<std::uint64_t> pongs_{0};
   std::atomic<std::uint64_t> ping_seq_{0};
-  std::atomic<std::uint64_t> telemetry_batches_{0};
-  std::atomic<std::uint64_t> telemetry_rejected_{0};
   std::function<void(NodeId, const scp::TelemetryBody&)> telemetry_sink_;
   std::vector<std::thread> local_threads_;
   bool started_ = false;
@@ -206,9 +223,6 @@ class RemoteWorkerPool {
   std::thread sup_thread_;
   std::condition_variable sup_cv_;
   bool sup_running_ = false;  ///< under mu_
-
-  runtime::MetricsRegistry* metrics_ = nullptr;
-  std::string metrics_prefix_;
 };
 
 }  // namespace rif::cluster

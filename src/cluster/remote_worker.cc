@@ -11,6 +11,7 @@
 
 #include "core/distributed/messages.h"
 #include "core/distributed/shard_ops.h"
+#include "core/spectral_angle.h"
 #include "runtime/metrics.h"
 #include "scp/wire.h"
 #include "support/log.h"
@@ -320,7 +321,11 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
       }
       case scp::FrameKind::kJobStart: {
         auto job = scp::JobStartBody::try_decode(env.body());
-        if (!job) break;  // corrupt body: per-shard deadlines recover
+        // A corrupt or hostile header: per-shard deadlines recover.
+        if (!job || !core::UniqueSet::valid_threshold(
+                        job->screening_threshold)) {
+          break;
+        }
         st.job = *job;
         st.tiles.clear();
         st.transform.reset();

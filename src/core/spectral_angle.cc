@@ -33,7 +33,7 @@ UniqueSet::UniqueSet(int bands, double threshold_radians)
     : bands_(bands), threshold_(threshold_radians),
       cos_threshold_(std::cos(threshold_radians)) {
   RIF_CHECK(bands > 0);
-  RIF_CHECK(threshold_radians > 0.0 && threshold_radians < 1.5707);
+  RIF_CHECK(valid_threshold(threshold_radians));
 }
 
 std::span<const float> UniqueSet::member(std::size_t i) const {

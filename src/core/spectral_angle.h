@@ -26,7 +26,14 @@ double spectral_angle(std::span<const float> x, std::span<const float> y);
 /// A set of spectrally distinct pixel vectors.
 class UniqueSet {
  public:
+  /// Requires bands > 0 and valid_threshold(threshold_radians).
   UniqueSet(int bands, double threshold_radians);
+
+  /// The screening thresholds a set accepts: (0, 1.5707) radians, so the
+  /// cosine threshold stays positive. NaN is refused.
+  [[nodiscard]] static bool valid_threshold(double threshold_radians) {
+    return threshold_radians > 0.0 && threshold_radians < 1.5707;
+  }
 
   /// Add `pixel` if no current member is within the angle threshold.
   /// Returns true if the pixel was added. A zero pixel, or one with a NaN

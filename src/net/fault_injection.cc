@@ -93,20 +93,23 @@ std::vector<WireFaultEvent> wire_script_from_failures(
   return wire;
 }
 
-void FaultInjectingTransport::bind_metrics(runtime::MetricsRegistry& registry,
-                                           const std::string& prefix) {
-  metrics_ = &registry;
-  prefix_ = prefix;
+FaultInjectingTransport::FaultInjectingTransport(
+    SocketServer& server, WireFaultPlan plan,
+    runtime::MetricsRegistry& registry, const std::string& prefix)
+    : server_(server),
+      plan_(std::move(plan)),
+      rng_(plan_.seed),
+      total_(registry.counter(prefix + "total")) {
+  for (const char* name : kFaultNames) {
+    fault_counters_.push_back(&registry.counter(prefix + name));
+  }
 }
 
 void FaultInjectingTransport::count(WireFault fault) {
-  faults_injected_.fetch_add(1);
-  obs::SpanTracer::instance().instant(
-      kInstantNames[static_cast<std::uint32_t>(fault)]);
-  if (metrics_ != nullptr) {
-    metrics_->counter(prefix_ + fault_name(fault)).add(1);
-    metrics_->counter(prefix_ + "total").add(1);
-  }
+  const auto kind = static_cast<std::uint32_t>(fault);
+  obs::SpanTracer::instance().instant(kInstantNames[kind]);
+  fault_counters_[kind]->add();
+  total_.add();
 }
 
 void FaultInjectingTransport::start(SocketServer::FrameFn on_frame,

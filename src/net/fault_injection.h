@@ -41,7 +41,6 @@
 // experiment runs against the simulated cluster and the real sockets.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -115,15 +114,13 @@ struct WireFaultPlan {
 
 class FaultInjectingTransport {
  public:
-  FaultInjectingTransport(SocketServer& server, WireFaultPlan plan)
-      : server_(server), plan_(std::move(plan)), rng_(plan_.seed) {}
+  /// Every injected fault is counted into `registry`, once under its kind
+  /// (`<prefix>drop`, `<prefix>delay`, ...) and once in `<prefix>total`.
+  FaultInjectingTransport(SocketServer& server, WireFaultPlan plan,
+                          runtime::MetricsRegistry& registry,
+                          const std::string& prefix);
   FaultInjectingTransport(const FaultInjectingTransport&) = delete;
   FaultInjectingTransport& operator=(const FaultInjectingTransport&) = delete;
-
-  /// Publish per-fault counters (`<prefix>drop`, `<prefix>delay`, ...)
-  /// plus `<prefix>total` into `registry`. Call before start().
-  void bind_metrics(runtime::MetricsRegistry& registry,
-                    const std::string& prefix = "faults.");
 
   /// Install the pool's callbacks and start the server's poll loop with
   /// this transport interposed on the inbound path.
@@ -132,10 +129,6 @@ class FaultInjectingTransport {
   /// Outbound path: the pool sends through here instead of the server.
   /// A frame no fault touches is forwarded by move, never copied.
   bool send(SessionId session, std::vector<std::uint8_t> payload);
-
-  [[nodiscard]] std::uint64_t faults_injected() const {
-    return faults_injected_.load();
-  }
 
  private:
   struct Lane {
@@ -168,9 +161,8 @@ class FaultInjectingTransport {
   std::map<SessionId, SessionState> sessions_;
   std::vector<bool> fired_;  ///< parallel to plan_.script
   SocketServer::FrameFn on_frame_;
-  std::atomic<std::uint64_t> faults_injected_{0};
-  runtime::MetricsRegistry* metrics_ = nullptr;
-  std::string prefix_;
+  std::vector<runtime::Counter*> fault_counters_;  ///< indexed by WireFault
+  runtime::Counter& total_;
 };
 
 }  // namespace rif::net

@@ -3,13 +3,13 @@
 //
 // Output is the Trace Event Format that Perfetto and chrome://tracing load
 // directly: {"traceEvents":[...],"displayTimeUnit":"ms"}, one object per
-// event with name/ph/ts(us)/pid/tid and optional args/dur. Three producers
+// event with name/ph/ts(us)/pid/tid and optional args/dur. Two producers
 // share this writer so their schemas cannot drift:
 //
-//   * obs::SpanTracer      — real wall-clock execution (write_chrome_trace)
-//   * sim::TraceRecorder   — the virtual protocol timeline
-//                            (sim::export_trace_chrome)
-//   * anything else that wants a timeline artifact
+//   * obs::SpanTracer      — real wall-clock execution and the service's
+//                            virtual job lanes (write_chrome_trace)
+//   * obs::RemoteTelemetryCollector — one lane per remote worker in the
+//                            unified trace (write_unified_trace)
 //
 // Event kinds emitted: "B"/"E" duration pairs (strictly nested per tid),
 // "X" complete events (pre-paired, with dur), "i" instants, "C" counters,

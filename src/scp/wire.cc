@@ -214,6 +214,11 @@ std::optional<JobStartBody> JobStartBody::try_decode(
       !r.try_get(b.output_components) || !r.exhausted()) {
     return std::nullopt;
   }
+  // A job the worker could not shape its tiles, shards or transform by.
+  if (b.width <= 0 || b.height <= 0 || b.bands <= 0 ||
+      b.output_components < 3 || b.output_components > b.bands) {
+    return std::nullopt;
+  }
   return b;
 }
 

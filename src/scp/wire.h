@@ -168,7 +168,10 @@ struct JobStartBody {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static JobStartBody decode(std::span<const std::uint8_t> bytes);
-  /// Non-aborting decode for bodies off the socket plane.
+  /// Non-aborting decode for bodies off the socket plane. Refuses a
+  /// non-positive width, height or band count, and output_components
+  /// outside [3, bands]. The screening threshold is the worker's to check
+  /// (core::UniqueSet::valid_threshold).
   static std::optional<JobStartBody> try_decode(
       std::span<const std::uint8_t> bytes);
 };

@@ -4,7 +4,8 @@
 // and a virtual arrival time); the service answers with a SubmitResult
 // (typed rejection instead of hanging on impossible requests) and, after the
 // run, a JobRecord per job — the service-side analog of the single-job
-// world's FusionReport.
+// world's FusionReport. The records are the only per-job store: the
+// report's counts, latency tails and tenant rows are all derived from them.
 #pragma once
 
 #include <cstdint>
@@ -142,21 +143,19 @@ struct JobRecord {
   std::uint64_t memory_demand = 0;
   RejectReason rejected = RejectReason::kNone;
   bool completed = false;
-  /// Accepted and started, but lost to failures before completing.
+  /// Accepted and started, but lost before completing: to failures on the
+  /// virtual timeline, or to a host-execution failure found after virtual
+  /// completion (a streamed cube file lost mid-read).
   bool failed = false;
 
   SimTime submit_time = -1;
   SimTime start_time = -1;   ///< admission (lease granted); -1 = never ran
   SimTime finish_time = -1;  ///< completion or failure; -1 = never finished
-  double wait_seconds = 0.0;     ///< submit -> start
+  /// submit -> start. Arrival is when the request enters the queue, so
+  /// this is also the length of the job's "queue_wait" trace span.
+  double wait_seconds = 0.0;
   double service_seconds = 0.0;  ///< start -> finish (the per-job analog of
                                  ///< FusionReport::elapsed_seconds)
-  /// Virtual seconds spent queued (enqueue -> admission). Sourced from the
-  /// job's "queue_wait" span on the virtual trace timeline when tracing is
-  /// on, from the timestamps otherwise; either way it agrees with
-  /// wait_seconds (arrival is when the request enters the queue) and with
-  /// the Ledger's per-tenant wait histograms.
-  double queue_wait_seconds = 0.0;
   /// Worker nodes leased exclusively to this job while it ran.
   std::vector<cluster::NodeId> leased_nodes;
   /// Flops charged to the leased nodes during the job's tenure.

@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "core/parallel/parallel_pct.h"
+#include "core/spectral_angle.h"
 #include "hsi/chunked_reader.h"
 #include "linalg/kernels.h"
 #include "obs/span_tracer.h"
@@ -43,6 +45,13 @@ std::uint64_t vt_ns(SimTime t) {
 
 /// The job's lifecycle lane in the exported trace (tid on kVirtualPid).
 std::int32_t job_track(JobId id) { return static_cast<std::int32_t>(id); }
+
+/// Nearest-rank quantile of ascending `sorted`, q in [0, 1]; 0 when empty.
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  return sorted[static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5)];
+}
 
 }  // namespace
 
@@ -173,6 +182,14 @@ RejectReason FusionService::validate(const JobRequest& request) const {
   if (cfg.mode == core::ExecutionMode::kFull && cfg.cube == nullptr) {
     return RejectReason::kBadConfig;
   }
+  // Thresholds the screen would abort on mid-run, and fewer output
+  // components than the colour map needs. The upper bound on components
+  // is the band count, which a streamed job learns from its header
+  // (checked in submit).
+  if (!core::UniqueSet::valid_threshold(cfg.screening_threshold) ||
+      cfg.output_components < 3) {
+    return RejectReason::kBadConfig;
+  }
   if (request.mode == JobMode::kStreaming) {
     // Streaming jobs fuse a FILE on the host pool; the simulated actors
     // only play out timing/placement, so an in-memory cube (or Full-mode
@@ -222,7 +239,6 @@ SubmitResult FusionService::submit(JobRequest request) {
   job->record.mode = request.mode;
   job->record.workers = request.config.workers;
   job->record.submit_time = request.arrival;
-  ledger_.record_submitted(request.tenant);
 
   RejectReason reason = validate(request);
 
@@ -272,6 +288,13 @@ SubmitResult FusionService::submit(JobRequest request) {
     // A resident cube is the job's host working set, whole.
     job->record.memory_demand = request.config.cube->bytes();
   }
+  const int bands = request.config.cube != nullptr
+                        ? request.config.cube->bands()
+                        : request.config.shape.bands;
+  if (reason == RejectReason::kNone &&
+      request.config.output_components > bands) {
+    reason = RejectReason::kBadConfig;
+  }
   if (reason == RejectReason::kNone && config_.host_memory_budget > 0 &&
       job->record.memory_demand > config_.host_memory_budget) {
     reason = RejectReason::kOverMemoryBudget;
@@ -281,7 +304,6 @@ SubmitResult FusionService::submit(JobRequest request) {
   metrics_.counter("tenant." + request.tenant + ".submitted").add(1);
   if (reason != RejectReason::kNone) {
     job->record.rejected = reason;
-    ledger_.record_rejected(request.tenant);
     metrics_.counter("service.rejected").add(1);
     metrics_.counter("tenant." + request.tenant + ".rejected").add(1);
     jobs_.push_back(std::move(job));
@@ -301,7 +323,6 @@ void FusionService::on_arrival(JobId id) {
   if (config_.max_queue_length != 0 &&
       queue_.size() >= config_.max_queue_length) {
     job.record.rejected = RejectReason::kQueueFull;
-    ledger_.record_rejected(job.record.tenant);
     metrics_.counter("service.rejected").add(1);
     metrics_.counter("tenant." + job.record.tenant + ".rejected").add(1);
     --outstanding_;
@@ -311,7 +332,6 @@ void FusionService::on_arrival(JobId id) {
   queue_.push(id, job.record.priority, job.record.workers,
               job.record.memory_demand,
               job.record.mode == JobMode::kStreaming);
-  job.enqueue_time = sim_.now();
   publish_queue_gauges();
   metrics_.gauge("service.queued_memory_demand", runtime::GaugeKind::kSum)
       .set(static_cast<double>(queue_.total_memory_demand()));
@@ -413,10 +433,7 @@ void FusionService::start_job(JobId id, const cluster::NodeFilter& alive) {
   RIF_TRACE_COUNTER("service.memory_in_use",
                     static_cast<double>(memory_in_use_));
   // Close the job's queue_wait lane and open its execute lane at the same
-  // virtual instant; queue_wait_seconds is exactly that span's length.
-  if (job.enqueue_time >= 0) {
-    job.record.queue_wait_seconds = to_seconds(sim_.now() - job.enqueue_time);
-  }
+  // virtual instant; the queue_wait span is exactly wait_seconds long.
   obs::SpanTracer& tracer = obs::SpanTracer::instance();
   if (job.queue_span_open) {
     tracer.virtual_end("queue_wait", job_track(id), vt_ns(sim_.now()), id);
@@ -469,7 +486,6 @@ void FusionService::on_job_complete(JobId id) {
       .set(static_cast<double>(memory_in_use_));
   RIF_TRACE_COUNTER("service.memory_in_use",
                     static_cast<double>(memory_in_use_));
-  ledger_.record_completed(job.record);
   metrics_.counter("service.completed").add(1);
   metrics_.counter("tenant." + job.record.tenant + ".completed").add(1);
   metrics_.histogram("tenant." + job.record.tenant + ".wait_seconds")
@@ -518,7 +534,6 @@ void FusionService::fail_job(JobId id) {
       .set(static_cast<double>(memory_in_use_));
   RIF_TRACE_COUNTER("service.memory_in_use",
                     static_cast<double>(memory_in_use_));
-  ledger_.record_failed(job.record);
   metrics_.counter("service.failed").add(1);
   metrics_.counter("tenant." + job.record.tenant + ".failed").add(1);
   --running_;
@@ -670,7 +685,6 @@ bool FusionService::execute_remote(PendingJob& job) {
   RemoteExecResult r = execute_remote_job(*remote_pool_, workers, params);
   job.record.remote_disconnects += r.worker_disconnects;
   if (!r.completed) {
-    ++remote_fallbacks_;
     metrics_.counter("service.remote_fallbacks").add(1);
     RIF_LOG_WARN("service", "job " << job.record.id
                                    << " lost its remote workers; falling "
@@ -689,7 +703,6 @@ bool FusionService::execute_remote(PendingJob& job) {
   job.record.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  ++remote_jobs_;
   metrics_.counter("service.remote_jobs").add(1);
   // Telemetry barrier: each worker's job-end flush races our completion
   // (the spans ride the poll thread behind the last result frame). Give
@@ -845,7 +858,7 @@ void FusionService::execute_host_jobs() {
               job.record.failed = true;
               job.record.host_seconds =
                   seconds_between(job_start, clock::now());
-              return;  // ledger reclassified after the waves (single thread)
+              return;
             }
             job.record.stream = streamed->stats;
             metrics_.counter("stream.jobs").add(1);
@@ -864,18 +877,6 @@ void FusionService::execute_host_jobs() {
           out.merge_comparisons = r.merge_comparisons;
           job.record.host_seconds = seconds_between(job_start, clock::now());
         });
-  }
-
-  // A host-execution failure (streaming I/O lost mid-run) was discovered
-  // after the job's virtual completion: move it from the tenant's
-  // completed bucket to failed so the per-tenant ledger agrees with the
-  // job records in the same report.
-  for (const auto& wave : waves) {
-    for (PendingJob* job : wave) {
-      if (job->record.failed) {
-        ledger_.reclassify_completed_as_failed(job->record);
-      }
-    }
   }
 
   // Busy/idle accounting over the phase: pool capacity is threads * wall,
@@ -990,10 +991,6 @@ ServiceReport FusionService::build_report() {
     if (job->queue_span_open) {
       tracer.virtual_end("queue_wait", job_track(id), vt_ns(sim_.now()), id);
       job->queue_span_open = false;
-      if (job->enqueue_time >= 0) {
-        job->record.queue_wait_seconds =
-            to_seconds(sim_.now() - job->enqueue_time);
-      }
     }
     if (job->exec_span_open) {
       tracer.virtual_end("execute", job_track(id), vt_ns(sim_.now()), id);
@@ -1001,21 +998,33 @@ ServiceReport FusionService::build_report() {
     }
   }
 
-  LatencyStats wait;
-  LatencyStats service_time;
-  LatencyStats latency;
+  // One pass over the records derives the job counts, the latency tails
+  // and the tenant rows, so no two of them can disagree.
+  std::vector<double> wait;
+  std::vector<double> service_time;
+  std::vector<double> latency;
+  std::map<std::string, TenantAccount> tenants;
   SimTime last_finish = 0;
   for (auto& job : jobs_) {
     const JobRecord& r = job->record;
+    TenantAccount& acc = tenants[r.tenant];
+    acc.tenant = r.tenant;
+    ++acc.jobs_submitted;
+    acc.flops_charged += r.flops_charged;
     if (r.rejected != RejectReason::kNone) {
       ++report.jobs_rejected;
+      ++acc.jobs_rejected;
     } else if (r.failed) {
       ++report.jobs_failed;
+      ++acc.jobs_failed;
     } else if (r.completed) {
       ++report.jobs_completed;
-      wait.record(r.wait_seconds);
-      service_time.record(r.service_seconds);
-      latency.record(r.wait_seconds + r.service_seconds);
+      ++acc.jobs_completed;
+      acc.wait_seconds += r.wait_seconds;
+      acc.service_seconds += r.service_seconds;
+      wait.push_back(r.wait_seconds);
+      service_time.push_back(r.service_seconds);
+      latency.push_back(r.wait_seconds + r.service_seconds);
       last_finish = std::max(last_finish, r.finish_time);
     }
     // run() is terminal: hand the records (Full-mode outcomes carry whole
@@ -1031,15 +1040,19 @@ ServiceReport FusionService::build_report() {
     report.throughput_jobs_per_sec =
         static_cast<double>(report.jobs_completed) / report.makespan_seconds;
   }
-  report.wait_p50 = wait.quantile(0.50);
-  report.wait_p95 = wait.quantile(0.95);
-  report.wait_p99 = wait.quantile(0.99);
-  report.service_p50 = service_time.quantile(0.50);
-  report.service_p95 = service_time.quantile(0.95);
-  report.service_p99 = service_time.quantile(0.99);
-  report.latency_p50 = latency.quantile(0.50);
-  report.latency_p95 = latency.quantile(0.95);
-  report.latency_p99 = latency.quantile(0.99);
+  std::sort(wait.begin(), wait.end());
+  std::sort(service_time.begin(), service_time.end());
+  std::sort(latency.begin(), latency.end());
+  report.wait_p50 = nearest_rank(wait, 0.50);
+  report.wait_p95 = nearest_rank(wait, 0.95);
+  report.wait_p99 = nearest_rank(wait, 0.99);
+  report.service_p50 = nearest_rank(service_time, 0.50);
+  report.service_p95 = nearest_rank(service_time, 0.95);
+  report.service_p99 = nearest_rank(service_time, 0.99);
+  report.latency_p50 = nearest_rank(latency, 0.50);
+  report.latency_p95 = nearest_rank(latency, 0.95);
+  report.latency_p99 = nearest_rank(latency, 0.99);
+  for (auto& [name, acc] : tenants) report.tenants.push_back(std::move(acc));
 
   // Streaming totals are a VIEW over the service registry: every streamed
   // run merged its series under "stream." in execute_host_jobs, so the
@@ -1054,7 +1067,6 @@ ServiceReport FusionService::build_report() {
   report.streaming.compute_stall_seconds =
       metrics_.gauge_value("stream.compute_stall_seconds");
 
-  report.tenants = ledger_.snapshot();
   report.host_pool = host_stats_;
   report.simd_backend = linalg::kernels::backend();
   report.metrics_json = metrics_.to_json();
@@ -1075,27 +1087,12 @@ ServiceReport FusionService::build_report() {
   report.network = network_->stats();
   report.sim_events = sim_.events_executed();
   report.remote_workers_attached = static_cast<int>(remote_nodes_.size());
-  report.remote_jobs = remote_jobs_;
-  report.remote_fallbacks = remote_fallbacks_;
-  if (remote_pool_ != nullptr) {
-    report.remote_disconnects = remote_pool_->disconnects();
-    report.remote_evictions = remote_pool_->evictions();
-  }
-  if (telemetry_ != nullptr) {
-    report.remote_telemetry_batches = telemetry_->batches();
-    report.remote_telemetry_rejected = telemetry_->rejected();
-    report.remote_telemetry_spans = telemetry_->spans();
-    report.remote_log_records = telemetry_->log_records();
-  }
-  if (ops_server_ != nullptr) {
-    report.ops_requests = ops_server_->requests();
-    report.ops_bad_requests = ops_server_->bad_requests();
-    report.ops_dropped_frames = ops_server_->frames_dropped();
-  }
-  if (log_ring_ != nullptr) {
-    report.log_records_captured = log_ring_->total();
-    report.log_records_dropped = log_ring_->dropped();
-  }
+  report.remote_jobs =
+      static_cast<int>(metrics_.counter_value("service.remote_jobs"));
+  report.remote_fallbacks =
+      static_cast<int>(metrics_.counter_value("service.remote_fallbacks"));
+  report.remote_disconnects =
+      static_cast<int>(metrics_.counter_value("remote.disconnects"));
   // Flamegraph: fold the coordinator's own wall spans together with every
   // clock-aligned remote lane into one self/total-time table.
   if (tracer.enabled()) {

@@ -31,9 +31,9 @@
 //                in the shared runtime; regeneration of failed replicas is
 //                confined to the job's leased nodes.
 //   completion-> the manager's completion callback fires at virtual
-//                completion time: the lease is released, the per-tenant
-//                ledger is charged (flops on leased nodes, queue-wait and
-//                service-time histograms), and the scheduler immediately
+//                completion time: the job's record takes its wait,
+//                service time and the flops charged on its leased nodes,
+//                the lease is released, and the scheduler immediately
 //                tries to admit more queued work.
 //
 // ## Report mapping
@@ -43,8 +43,18 @@
 // JobRecord::outcome is FusionReport::outcome; protocol/network counters,
 // which are properties of the shared substrate, appear once, service-wide,
 // in ServiceReport. On top, ServiceReport adds what only exists with many
-// jobs: throughput (completed jobs per second of virtual time) and queue
-// wait / service time / total latency tails (p50/p95/p99).
+// jobs: throughput (completed jobs per second of virtual time), queue
+// wait / service time / total latency tails (p50/p95/p99) and the
+// per-tenant rows.
+//
+// Every service fact is stored once. The JobRecords are the per-job truth:
+// build_report derives the job counts, the latency tails and the tenant
+// rows from them in one pass. The MetricsRegistry is the live,
+// thread-safe view the ops endpoint and the scraper read; the report's
+// remote job/fallback/disconnect counts are read from it. Everything else
+// live — evictions, telemetry ingest, ops requests, the log ring — is read
+// from its owner (remote_pool(), remote_telemetry(), ops_server(),
+// log_ring()), which outlives run().
 //
 // ## Semantics notes
 //
@@ -100,12 +110,10 @@
 #include "obs/remote_telemetry.h"
 #include "runtime/metrics.h"
 #include "scp/runtime.h"
-#include "service/accounting.h"
 #include "service/job.h"
 #include "service/job_queue.h"
 #include "service/scheduler.h"
 #include "sim/simulation.h"
-#include "support/accounting.h"
 #include "support/time.h"
 
 namespace rif::service {
@@ -254,6 +262,24 @@ struct StreamingTotals {
   double compute_stall_seconds = 0.0;  ///< starvation (I/O-bound)
 };
 
+/// One tenant's row of the report, summed from its JobRecords: every
+/// submitted job lands in exactly one of completed / rejected / failed
+/// (or none, if it was stranded at the deadline). Flops are charged for
+/// every job that reached virtual completion — a job whose host execution
+/// failed afterwards still occupied its leased nodes — while the wait and
+/// service sums, like the report's quantiles, cover completed jobs only.
+struct TenantAccount {
+  std::string tenant;
+  std::uint64_t jobs_submitted = 0;
+  std::uint64_t jobs_completed = 0;
+  std::uint64_t jobs_rejected = 0;
+  std::uint64_t jobs_failed = 0;  ///< accepted but lost
+  /// Flops charged to the worker nodes leased to this tenant's jobs.
+  double flops_charged = 0.0;
+  double wait_seconds = 0.0;     ///< sum of completed jobs' wait_seconds
+  double service_seconds = 0.0;  ///< sum of completed jobs' service_seconds
+};
+
 struct ServiceReport {
   /// Every accepted job completed (none failed, none stranded at deadline).
   bool all_completed = false;
@@ -309,26 +335,13 @@ struct ServiceReport {
   std::vector<PressureSample> admission_pressure;
   std::uint64_t sim_events = 0;
 
-  // Remote worker plane (zeros when ServiceConfig::remote_workers == 0).
+  // Remote worker plane (zeros when ServiceConfig::remote_workers == 0),
+  // read from the registry's service.remote_jobs,
+  // service.remote_fallbacks and remote.disconnects.
   int remote_workers_attached = 0;  ///< workers that completed the handshake
   int remote_jobs = 0;              ///< jobs executed over the socket path
   int remote_fallbacks = 0;         ///< remote jobs that fell back to host
   int remote_disconnects = 0;       ///< worker connections lost during run()
-  int remote_evictions = 0;         ///< hung workers evicted by supervision
-
-  // Distributed telemetry plane (zeros when no remote workers shipped any).
-  std::uint64_t remote_telemetry_batches = 0;   ///< batches merged
-  std::uint64_t remote_telemetry_rejected = 0;  ///< dropped: bad/unbalanced
-  std::uint64_t remote_telemetry_spans = 0;     ///< span events ingested
-
-  // Live ops plane (zeros when ServiceConfig::ops_enabled == false).
-  std::uint64_t ops_requests = 0;        ///< introspection requests answered
-  std::uint64_t ops_bad_requests = 0;    ///< hostile/unknown, session closed
-  std::uint64_t ops_dropped_frames = 0;  ///< slow-subscriber pushes dropped
-  std::uint64_t log_records_captured = 0;  ///< records appended to the ring
-  std::uint64_t log_records_dropped = 0;   ///< oldest evicted past capacity
-  std::uint64_t remote_log_records = 0;    ///< worker records shipped over
-                                           ///< kTelemetry into the ring
 
   /// Flamegraph fold of the run's wall spans — host tracer lanes plus
   /// every remote worker's shipped spans on the unified timeline
@@ -411,8 +424,6 @@ class FusionService {
     /// deadline — the exported trace must always be balanced.
     bool queue_span_open = false;
     bool exec_span_open = false;
-    /// Virtual enqueue time, for span-sourced queue_wait_seconds.
-    SimTime enqueue_time = -1;
   };
 
   [[nodiscard]] RejectReason validate(const JobRequest& request) const;
@@ -457,7 +468,6 @@ class FusionService {
   cluster::LeaseBook leases_;
   JobQueue queue_;
   Scheduler scheduler_;
-  Ledger ledger_;
   std::unique_ptr<core::ThreadPool> exec_pool_;  ///< when execution_threads>0
   /// Background registry sampler, live during run() (see
   /// ServiceConfig::scrape_period_seconds). Its derive hook publishes the
@@ -482,8 +492,6 @@ class FusionService {
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   std::vector<cluster::NodeId> remote_nodes_;  ///< leased-in remote node ids
-  int remote_jobs_ = 0;
-  int remote_fallbacks_ = 0;
   HostPoolStats host_stats_;  ///< filled by execute_host_jobs()
   std::vector<std::unique_ptr<PendingJob>> jobs_;
 

@@ -545,9 +545,12 @@ TEST(ChaosSoakTest, EveryJobCompletesBitExactOrFallsBackUnderFaults) {
   EXPECT_EQ(static_cast<int>(report.jobs.size()), kJobs);
 
   // The hung worker was evicted by heartbeat supervision, and the fault
-  // layer's counters made it into the service's metrics registry.
-  EXPECT_GE(report.remote_evictions, 1);
+  // layer counted into the service's metrics registry.
+  ASSERT_NE(service.remote_pool(), nullptr);
+  EXPECT_GE(service.remote_pool()->evictions(), 1);
   EXPECT_GE(report.remote_disconnects, 1);
+  EXPECT_EQ(report.remote_disconnects, service.remote_pool()->disconnects());
+  EXPECT_GE(service.metrics().counter_value("remote.faults.total"), 1u);
   EXPECT_NE(report.metrics_json.find("remote.faults.total"),
             std::string::npos);
 
@@ -679,10 +682,6 @@ TEST(ChaosSoakTest, TelemetryDegradesToMissingLanesNeverGarbles) {
     }
     EXPECT_GE(jobs_with_lanes, 1);
   }
-
-  // Ingest health is observable, and the report carries it.
-  EXPECT_EQ(report.remote_telemetry_batches, telemetry->batches());
-  EXPECT_EQ(report.remote_telemetry_rejected, telemetry->rejected());
 
   std::remove(trace_path.c_str());
   tracer.clear();

@@ -11,17 +11,23 @@
 // extreme magnitude.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <thread>
 #include <vector>
 
+#include "cluster/remote_worker.h"
 #include "core/distributed/fusion_coordinator.h"
 #include "core/distributed/messages.h"
 #include "core/distributed/shard_ops.h"
 #include "core/spectral_angle.h"
 #include "linalg/stats.h"
 #include "net/frame.h"
+#include "net/socket_transport.h"
 #include "scp/wire.h"
 #include "support/rng.h"
 
@@ -114,24 +120,35 @@ std::vector<std::uint8_t> color_tile_body() {
       .payload;
 }
 
-/// Every fusion message that carries a body, with its encoder.
+/// The header of a job whose tiles are shaped like kTile.
+scp::JobStartBody job_start() {
+  return {7, kTile.width, 16, kTile.bands, 0.05, 3};
+}
+
+std::vector<std::uint8_t> job_start_body() { return job_start().encode(); }
+
+/// Every message that carries a body, with its encoder: the job header
+/// (a kJobStart control frame) and the fusion messages (kApp frames).
 struct Kind {
+  scp::FrameKind frame;
   std::uint32_t type;
   std::vector<std::uint8_t> (*body)();
 };
-constexpr std::array<Kind, 6> kKinds = {{
-    {core::kTileAssign, &tile_assign_body},
-    {core::kScreenResult, &screen_result_body},
-    {core::kCovShard, &cov_shard_body},
-    {core::kCovSum, &cov_sum_body},
-    {core::kTransform, &transform_body},
-    {core::kColorTile, &color_tile_body},
+constexpr std::array<Kind, 7> kKinds = {{
+    {scp::FrameKind::kJobStart, 0, &job_start_body},
+    {scp::FrameKind::kApp, core::kTileAssign, &tile_assign_body},
+    {scp::FrameKind::kApp, core::kScreenResult, &screen_result_body},
+    {scp::FrameKind::kApp, core::kCovShard, &cov_shard_body},
+    {scp::FrameKind::kApp, core::kCovSum, &cov_sum_body},
+    {scp::FrameKind::kApp, core::kTransform, &transform_body},
+    {scp::FrameKind::kApp, core::kColorTile, &color_tile_body},
 }};
 constexpr std::size_t kKindCount = kKinds.size();
 
-std::vector<std::uint8_t> seal(std::uint32_t type,
+std::vector<std::uint8_t> seal(const Kind& kind,
                                std::vector<std::uint8_t> body) {
-  scp::WireEnvelope env = app_envelope(type);
+  scp::WireEnvelope env = app_envelope(kind.type);
+  env.kind = kind.frame;
   env.payload = std::move(body);
   return env.encode();
 }
@@ -166,20 +183,24 @@ struct ChainStats {
   int envelopes = 0;  ///< payloads that decoded as an envelope
   /// Bodies that decoded as each kKinds message.
   std::array<int, kKindCount> decoded{};
+  int started = 0;   ///< decoded job headers that opened a unique set
   int screened = 0;  ///< decoded tiles run through screen_shard
   int summed = 0;    ///< decoded shards run through cov_shard_sum
   int colored = 0;   ///< decoded transforms run through color_shard
 };
 
 /// Runs every message decoder over `body`, whatever its declared type, then
-/// runs each decoded tile, shard and transform that the worker would accept
-/// for a job of kTile's band count (remote_worker.cc drops the rest)
-/// through the worker's op for it; transforms colour kTile.
+/// runs each decoded header, tile, shard and transform that the worker
+/// would accept (for a job of kTile's band count; remote_worker.cc drops
+/// the rest) through what the worker does with it: a header opens a unique
+/// set at its threshold, transforms colour kTile.
 void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
+  const auto job = scp::JobStartBody::try_decode(body);
   const auto assign = core::TileAssignMsg::try_decode(body);
   const auto shard = core::CovShardMsg::try_decode(body);
   const auto transform = core::TransformMsg::try_decode(body);
   const bool ok[kKindCount] = {
+      job.has_value(),
       assign.has_value(),
       core::ScreenResultMsg::try_decode(body).has_value(),
       shard.has_value(),
@@ -189,6 +210,10 @@ void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
   };
   for (std::size_t k = 0; k < kKindCount; ++k) stats.decoded[k] += ok[k];
 
+  if (job && core::UniqueSet::valid_threshold(job->screening_threshold)) {
+    (void)core::UniqueSet(job->bands, job->screening_threshold);
+    ++stats.started;
+  }
   if (assign && assign->fills(kTile.bands)) {
     (void)core::screen_shard(assign->tile, assign->data.data(), 0.05);
     ++stats.screened;
@@ -232,7 +257,7 @@ TEST(FuzzTest, FrameMutantsNeverAbortAndOnlyIntactEnvelopesDecode) {
   std::vector<std::vector<std::uint8_t>> envelopes;
   std::vector<std::vector<std::uint8_t>> frames;
   for (const Kind& kind : kKinds) {
-    envelopes.push_back(seal(kind.type, kind.body()));
+    envelopes.push_back(seal(kind, kind.body()));
     frames.push_back(net::encode_frame(envelopes.back()));
   }
   Rng rng(20261017);
@@ -266,7 +291,7 @@ TEST(FuzzTest, BodyMutantsUnderValidChecksumsNeverAbort) {
   for (int i = 0; i < kBudget; ++i) {
     for (std::size_t b = 0; b < kKindCount; ++b) {
       const auto body = mutate(rng, bodies[b], bodies[(b + 1) % kKindCount]);
-      const auto frame = net::encode_frame(seal(kKinds[b].type, body));
+      const auto frame = net::encode_frame(seal(kKinds[b], body));
       EXPECT_EQ(run_chain(rng, frame, stats).size(), 1u);
     }
   }
@@ -280,6 +305,7 @@ TEST(FuzzTest, BodyMutantsUnderValidChecksumsNeverAbort) {
   }
   EXPECT_LT(decoded, static_cast<int>(kKindCount) * kBudget);
   // Mutants the worker accepts reached its shard ops.
+  EXPECT_GT(stats.started, 0);
   EXPECT_GT(stats.screened, 0);
   EXPECT_GT(stats.summed, 0);
   EXPECT_GT(stats.colored, 0);
@@ -329,6 +355,89 @@ TEST(FuzzTest, ShardMessagesOfTheWrongShapeAreRefused) {
   assign.tile.rows = -kTile.rows;  // negative geometry
   assign.tile.width = kTile.width;
   EXPECT_FALSE(assign.fills(kTile.bands));
+
+  // A job header the worker could not shape its work by.
+  const auto header_refused = [](void (*spoil)(scp::JobStartBody&)) {
+    scp::JobStartBody job = job_start();
+    spoil(job);
+    return !scp::JobStartBody::try_decode(job.encode()).has_value();
+  };
+  EXPECT_TRUE(header_refused([](scp::JobStartBody& j) { j.bands = 0; }));
+  EXPECT_TRUE(header_refused([](scp::JobStartBody& j) { j.bands = -16; }));
+  EXPECT_TRUE(header_refused([](scp::JobStartBody& j) { j.width = 0; }));
+  EXPECT_TRUE(header_refused([](scp::JobStartBody& j) { j.height = -1; }));
+  EXPECT_TRUE(header_refused(
+      [](scp::JobStartBody& j) { j.output_components = 2; }));
+  EXPECT_TRUE(header_refused(
+      [](scp::JobStartBody& j) { j.output_components = j.bands + 1; }));
+  EXPECT_TRUE(scp::JobStartBody::try_decode(job_start_body()));
+  // Thresholds the unique set would abort on decode; the worker drops
+  // them (WorkerDropsJobHeadersItCouldNotServe runs the worker).
+  for (const double t : {0.0, -0.05, 1.5707, 3.0,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(core::UniqueSet::valid_threshold(t)) << t;
+  }
+  EXPECT_TRUE(core::UniqueSet::valid_threshold(job_start().screening_threshold));
+}
+
+TEST(FuzzTest, WorkerDropsJobHeadersItCouldNotServe) {
+  // Two hostile jobs, each followed by the work it was built to break: a
+  // zero threshold and one valid tile (the unique set aborts the worker),
+  // and zero bands with an empty covariance shard that claims 2^62
+  // vectors (cov_shard_sum loops for ~2^57 blocks). The worker must drop
+  // both headers, and with them the work, then serve a sound job.
+  core::CovShardMsg empty_shard;
+  empty_shard.shard_count = std::uint64_t{1} << 62;
+  ASSERT_TRUE(core::CovShardMsg::try_decode(empty_shard.encode(0)));
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  cluster::RemoteWorkerStats stats;
+  std::thread worker([&stats, fd = sv[1]] {
+    net::SocketClient client;
+    client.adopt(fd);
+    cluster::RemoteWorkerOptions options;
+    options.telemetry = false;
+    stats = cluster::serve_remote_worker(client, options);
+    client.close();
+  });
+  net::SocketClient service;
+  service.adopt(sv[0]);
+  const auto send = [&service](scp::FrameKind kind, std::uint64_t seq,
+                               std::uint32_t type,
+                               std::vector<std::uint8_t> body) {
+    scp::WireEnvelope env = app_envelope(type);
+    env.kind = kind;
+    env.seq = seq;
+    env.payload = std::move(body);
+    return service.send_frame(env.encode());
+  };
+
+  scp::JobStartBody zero_threshold = job_start();
+  zero_threshold.job_id = 1;
+  zero_threshold.screening_threshold = 0.0;
+  EXPECT_TRUE(send(scp::FrameKind::kJobStart, 0, 0, zero_threshold.encode()));
+  EXPECT_TRUE(send(scp::FrameKind::kApp, 1, core::kTileAssign,
+                   tile_assign_body()));
+  scp::JobStartBody no_bands = job_start();
+  no_bands.job_id = 2;
+  no_bands.bands = 0;
+  EXPECT_TRUE(send(scp::FrameKind::kJobStart, 0, 0, no_bands.encode()));
+  EXPECT_TRUE(send(scp::FrameKind::kApp, 2, core::kCovShard,
+                   empty_shard.encode(0).payload));
+  const scp::JobStartBody sound = job_start();
+  EXPECT_TRUE(send(scp::FrameKind::kJobStart, 0, 0, sound.encode()));
+  EXPECT_TRUE(send(scp::FrameKind::kApp,
+                   static_cast<std::uint64_t>(sound.job_id),
+                   core::kTileAssign, tile_assign_body()));
+  EXPECT_TRUE(send(scp::FrameKind::kGoodbye, 0, 0, {}));
+  worker.join();
+  service.close();
+
+  EXPECT_TRUE(stats.clean_exit);
+  EXPECT_EQ(stats.jobs, 1u);
+  EXPECT_EQ(stats.tiles_screened, 1u);
+  EXPECT_EQ(stats.shards_summed, 0u);
 }
 
 TEST(FuzzTest, ExtremeMagnitudeMembersMergeExactly) {

@@ -21,8 +21,6 @@
 #include "obs/span_tracer.h"
 #include "obs/trace_check.h"
 #include "runtime/metrics.h"
-#include "sim/trace.h"
-#include "sim/trace_export.h"
 #include "support/log.h"
 
 namespace rif::obs {
@@ -299,22 +297,6 @@ TEST(JsonParserTest, ParsesEscapesNumbersAndStructure) {
   EXPECT_FALSE(parse_json("{} extra", v, err));
   EXPECT_FALSE(parse_json("{\"a\": 1", v, err));
   EXPECT_FALSE(parse_json("", v, err));
-}
-
-// --- sim virtual-timeline export ---------------------------------------------
-
-TEST(SimTraceExportTest, ComputeRecordsBecomeValidatedSlices) {
-  sim::TraceRecorder rec;
-  rec.set_enabled(true);
-  rec.record({from_seconds(1.0), sim::TraceKind::kComputeStart, 3, -1, 0, ""});
-  rec.record({from_seconds(2.0), sim::TraceKind::kComputeEnd, 3, -1, 0, ""});
-  rec.record({from_seconds(2.5), sim::TraceKind::kMessageSent, 3, 4, 128, ""});
-  const std::string path = temp_path("rif_sim_trace.json");
-  ASSERT_TRUE(sim::export_trace_chrome(rec, path));
-  const TraceCheckResult check = check_chrome_trace_file(path);
-  EXPECT_TRUE(check.ok) << check.error;
-  EXPECT_GE(check.events, 3u);
-  fs::remove(path);
 }
 
 // --- MetricsScraper ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/distributed/fusion_job.h"
@@ -40,6 +42,36 @@ JobRequest request(const std::string& tenant, int workers,
 
 const JobRecord& record_of(const ServiceReport& report, JobId id) {
   return report.jobs[static_cast<std::size_t>(id)];
+}
+
+/// Every tenant row equals its sums over the job records: counts over
+/// all of the tenant's jobs, flops over every job (0 for one that never
+/// reached virtual completion), wait and service time over completed jobs.
+void expect_tenants_match_records(const ServiceReport& report) {
+  std::set<std::string> names;
+  for (const JobRecord& r : report.jobs) names.insert(r.tenant);
+  ASSERT_EQ(report.tenants.size(), names.size());
+  for (const TenantAccount& acc : report.tenants) {
+    TenantAccount sum;
+    for (const JobRecord& r : report.jobs) {
+      if (r.tenant != acc.tenant) continue;
+      ++sum.jobs_submitted;
+      sum.jobs_completed += r.completed;
+      sum.jobs_rejected += r.rejected != RejectReason::kNone;
+      sum.jobs_failed += r.failed;
+      sum.flops_charged += r.flops_charged;
+      if (!r.completed) continue;
+      sum.wait_seconds += r.wait_seconds;
+      sum.service_seconds += r.service_seconds;
+    }
+    EXPECT_EQ(acc.jobs_submitted, sum.jobs_submitted) << acc.tenant;
+    EXPECT_EQ(acc.jobs_completed, sum.jobs_completed) << acc.tenant;
+    EXPECT_EQ(acc.jobs_rejected, sum.jobs_rejected) << acc.tenant;
+    EXPECT_EQ(acc.jobs_failed, sum.jobs_failed) << acc.tenant;
+    EXPECT_DOUBLE_EQ(acc.flops_charged, sum.flops_charged) << acc.tenant;
+    EXPECT_DOUBLE_EQ(acc.wait_seconds, sum.wait_seconds) << acc.tenant;
+    EXPECT_DOUBLE_EQ(acc.service_seconds, sum.service_seconds) << acc.tenant;
+  }
 }
 
 // --- Acceptance-criteria scenario -------------------------------------------
@@ -86,23 +118,9 @@ TEST(ServiceTest, TwoTenantsManyJobsShareOneCluster) {
 
   // Per-tenant accounting equals the sum of the per-job records.
   ASSERT_EQ(report.tenants.size(), 2u);
+  expect_tenants_match_records(report);
   for (const TenantAccount& acc : report.tenants) {
-    std::uint64_t completed = 0;
-    double flops = 0.0;
-    double wait = 0.0;
-    double service_time = 0.0;
-    for (const JobRecord& r : report.jobs) {
-      if (r.tenant != acc.tenant || !r.completed) continue;
-      ++completed;
-      flops += r.flops_charged;
-      wait += r.wait_seconds;
-      service_time += r.service_seconds;
-    }
     EXPECT_EQ(acc.jobs_submitted, 5u);
-    EXPECT_EQ(acc.jobs_completed, completed);
-    EXPECT_DOUBLE_EQ(acc.flops_charged, flops);
-    EXPECT_DOUBLE_EQ(acc.queue_wait.total(), wait);
-    EXPECT_DOUBLE_EQ(acc.service_time.total(), service_time);
     EXPECT_GT(acc.flops_charged, 0.0);
   }
 }
@@ -163,14 +181,54 @@ TEST(ServiceTest, RejectsJobLargerThanClusterWithTypedError) {
   zero.config.workers = 0;
   EXPECT_EQ(service.submit(zero).rejected, RejectReason::kBadConfig);
 
+  // Screening thresholds the unique set would abort on mid-run, NaN
+  // included, and output components outside [3, bands].
+  for (const double threshold :
+       {0.0, -0.1, 1.5707, 2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    JobRequest bad_threshold = request("greedy", 2);
+    bad_threshold.config.screening_threshold = threshold;
+    EXPECT_EQ(service.submit(bad_threshold).rejected,
+              RejectReason::kBadConfig)
+        << threshold;
+  }
+  for (const int components : {2, 106}) {  // the cube has 105 bands
+    JobRequest bad_components = request("greedy", 2);
+    bad_components.config.output_components = components;
+    EXPECT_EQ(service.submit(bad_components).rejected,
+              RejectReason::kBadConfig)
+        << components;
+  }
+
   // The run must terminate immediately — rejected jobs never queue.
   const ServiceReport report = service.run();
-  EXPECT_EQ(report.jobs_submitted, 3);
-  EXPECT_EQ(report.jobs_rejected, 3);
+  EXPECT_EQ(report.jobs_submitted, 10);
+  EXPECT_EQ(report.jobs_rejected, 10);
   EXPECT_EQ(report.jobs_completed, 0);
   EXPECT_TRUE(report.all_completed);
   ASSERT_EQ(report.tenants.size(), 1u);
-  EXPECT_EQ(report.tenants[0].jobs_rejected, 3u);
+  EXPECT_EQ(report.tenants[0].jobs_rejected, 10u);
+}
+
+TEST(ServiceTest, ComponentsUpToTheBandCountAreAccepted) {
+  // The component bound is inclusive: a Full job asking for every band
+  // runs to completion.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 16;
+  scene_cfg.height = 16;
+  scene_cfg.bands = 8;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+  ServiceConfig cfg;
+  cfg.worker_nodes = 2;
+  cfg.execution_threads = 1;
+  FusionService service(cfg);
+  JobRequest r = request("t", 1);
+  r.config.mode = core::ExecutionMode::kFull;
+  r.config.shape = {16, 16, 8};
+  r.config.cube = &scene.cube;
+  r.config.output_components = 8;
+  ASSERT_TRUE(service.submit(r).accepted());
+  const ServiceReport report = service.run();
+  EXPECT_TRUE(report.all_completed);
 }
 
 TEST(ServiceTest, EmptyQueueDrainsImmediately) {
@@ -554,6 +612,7 @@ TEST(ServiceTest, LostJobIsFailedAndServiceKeepsServing) {
   ASSERT_EQ(report.tenants.size(), 1u);
   EXPECT_EQ(report.tenants[0].jobs_failed, 1u);
   EXPECT_EQ(report.tenants[0].jobs_completed, 1u);
+  expect_tenants_match_records(report);
 }
 
 // --- Streaming job mode ------------------------------------------------------
@@ -665,6 +724,46 @@ TEST(ServiceTest, StreamingJobStructuralValidation) {
     both.config.cube = &scene.cube;
     EXPECT_EQ(service.submit(both).rejected, RejectReason::kBadConfig);
   }
+  fs::remove(path);
+  fs::remove(path + ".hdr");
+}
+
+TEST(ServiceTest, StreamingFileLostAfterSubmitFailsTheJob) {
+  // The file passes validation at submit() and is truncated before run():
+  // the virtual run completes, then host execution cannot read the cube.
+  // The job is failed, and the tenant row still sums its records.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 16;
+  scene_cfg.height = 16;
+  scene_cfg.bands = 4;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+  const std::string path = write_scene_file(scene, "rif_svc_stream_lost.dat");
+
+  ServiceConfig cfg;
+  cfg.worker_nodes = 4;
+  cfg.execution_threads = 1;
+  FusionService service(cfg);
+  const SubmitResult lost = service.submit(streaming_request("t", 2, path, 8));
+  ASSERT_TRUE(lost.accepted());
+  const SubmitResult kept = service.submit(request("t", 2));
+  ASSERT_TRUE(kept.accepted());
+  fs::resize_file(path, 10);
+  const ServiceReport report = service.run();
+
+  const JobRecord& rec = record_of(report, lost.id);
+  EXPECT_TRUE(rec.failed);
+  EXPECT_FALSE(rec.completed);
+  EXPECT_TRUE(record_of(report, kept.id).completed);
+  EXPECT_EQ(report.jobs_failed, 1);
+  EXPECT_EQ(report.jobs_completed, 1);
+  EXPECT_FALSE(report.all_completed);
+  ASSERT_EQ(report.tenants.size(), 1u);
+  EXPECT_EQ(report.tenants[0].jobs_failed, 1u);
+  EXPECT_EQ(report.tenants[0].jobs_completed, 1u);
+  expect_tenants_match_records(report);
+  // The quantiles cover completed jobs only, like the tenant sums.
+  EXPECT_DOUBLE_EQ(report.wait_p99, record_of(report, kept.id).wait_seconds);
+
   fs::remove(path);
   fs::remove(path + ".hdr");
 }
@@ -812,7 +911,7 @@ PressureScenario run_pressure_scenario(AdmissionPolicy policy,
   JobRequest blocker;  // no host memory, every remaining worker, short
   blocker.tenant = "blocker";
   blocker.config = cost_only_job(3);
-  blocker.config.shape = {8, 8, 2};
+  blocker.config.shape = {8, 8, 3};  // bands >= output_components
   blocker.arrival = 0;
   EXPECT_TRUE(service.submit(blocker).accepted());
 
@@ -1116,23 +1215,20 @@ TEST(ServiceTest, ScrapedTimelineAndPressureHistoryLandInReport) {
   }
   EXPECT_GT(max_pressure, 0.0);
 
-  // queue_wait_seconds (span-sourced when tracing, timestamps here) agrees
-  // with wait_seconds per job and with the tenant ledger's wait stats.
+  // The tenant row's wait is the sum of the job records' waits.
   double wait_sum = 0.0;
   double max_wait = 0.0;
   int completed = 0;
   for (const auto& rec : report.jobs) {
     if (!rec.completed) continue;
-    EXPECT_NEAR(rec.queue_wait_seconds, rec.wait_seconds, 1e-9);
-    wait_sum += rec.queue_wait_seconds;
-    max_wait = std::max(max_wait, rec.queue_wait_seconds);
+    wait_sum += rec.wait_seconds;
+    max_wait = std::max(max_wait, rec.wait_seconds);
     ++completed;
   }
   ASSERT_EQ(completed, 2);
   EXPECT_GT(max_wait, 0.0);  // the second job really queued
   ASSERT_EQ(report.tenants.size(), 1u);
-  EXPECT_NEAR(report.tenants[0].queue_wait.mean(), wait_sum / completed,
-              1e-9);
+  EXPECT_DOUBLE_EQ(report.tenants[0].wait_seconds, wait_sum);
 
   fs::remove(path);
   fs::remove(path + ".hdr");

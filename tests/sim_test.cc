@@ -5,10 +5,6 @@
 #include "sim/simulation.h"
 #include "sim/timer.h"
 #include "sim/trace.h"
-#include "sim/trace_export.h"
-
-#include <filesystem>
-#include <fstream>
 
 namespace rif::sim {
 namespace {
@@ -174,40 +170,6 @@ TEST(TraceTest, DisabledRecordsNothing) {
   TraceRecorder trace;
   trace.record({0, TraceKind::kMessageSent, 1, 2, 100, {}});
   EXPECT_TRUE(trace.records().empty());
-}
-
-TEST(TraceExportTest, JsonlRoundTripParses) {
-  TraceRecorder trace;
-  trace.set_enabled(true);
-  trace.record({from_seconds(1.5), TraceKind::kMessageSent, 1, 2, 100, {}});
-  trace.record({from_seconds(2.0), TraceKind::kNodeFailed, 3, -1, 0,
-                "strike \"alpha\""});
-  const auto path =
-      (std::filesystem::temp_directory_path() / "rif_trace.jsonl").string();
-  ASSERT_TRUE(export_trace_jsonl(trace, path));
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"kind\""), std::string::npos);
-  }
-  EXPECT_EQ(lines, 2);
-  std::filesystem::remove(path);
-}
-
-TEST(TraceExportTest, SummaryCountsKinds) {
-  TraceRecorder trace;
-  trace.set_enabled(true);
-  trace.record({0, TraceKind::kMessageSent, 1, 2, 100, {}});
-  trace.record({1, TraceKind::kMessageSent, 2, 1, 50, {}});
-  trace.record({2, TraceKind::kReplicaSpawned, 1, 0, 3, {}});
-  const std::string summary = summarize_trace(trace);
-  EXPECT_NE(summary.find("message_sent: 2"), std::string::npos);
-  EXPECT_NE(summary.find("value sum 150"), std::string::npos);
-  EXPECT_NE(summary.find("replica_spawned: 1"), std::string::npos);
 }
 
 TEST(TraceTest, KindNamesAreStable) {

@@ -679,13 +679,12 @@ TEST(TelemetryEndToEndTest, ServiceRunShipsWorkerLanesIntoOneTrace) {
   ASSERT_EQ(report.remote_jobs, 1);
 
   // Every worker that served the job shipped at least one span, and the
-  // report surfaces the ingest health.
+  // collector surfaces the ingest health.
   const obs::RemoteTelemetryCollector* telemetry = service.remote_telemetry();
   ASSERT_NE(telemetry, nullptr);
   EXPECT_GT(telemetry->batches(), 0u);
   EXPECT_GT(telemetry->spans(), 0u);
   EXPECT_EQ(telemetry->rejected(), 0u);
-  EXPECT_EQ(report.remote_telemetry_batches, telemetry->batches());
   EXPECT_FALSE(telemetry->nodes_with_job(submitted.id).empty());
   // The barrier waited for the end-of-job flush, so the whole-job span
   // (not just a mid-job periodic batch) is in the lane.
