@@ -6,6 +6,7 @@
 #include "hsi/partition.h"
 #include "linalg/stats.h"
 #include "obs/span_tracer.h"
+#include "stream/streaming_engine.h"
 #include "support/check.h"
 
 namespace rif::core {
@@ -124,60 +125,28 @@ linalg::Matrix FusedScreen::covariance(const std::vector<double>& mean,
 
 PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
                         const ParallelPctConfig& config) {
-  RIF_CHECK(config.pct.output_components >= 3);
-  // Per-tile spans execute on pool workers, outside the caller's JobScope;
-  // capture the ambient job once and attribute explicitly.
-  const std::int64_t trace_job = obs::current_job();
-  const int tiles = config.tiles > 0 ? config.tiles : pool.size();
-  PctResult result;
-
-  // Manual phase begin/end (one RAII span would blanket the whole engine);
-  // `traced` is captured once so every begun phase also ends.
-  obs::SpanTracer& tracer = obs::SpanTracer::instance();
-  const bool traced = tracer.enabled();
-  FusedScreen fused(cube.bands(), config.pct.screening_threshold);
-  if (traced) tracer.begin("fused_screen", trace_job);
-  fused.screen(cube.raw(), cube.width(), cube.height(), tiles, pool);
-  if (traced) tracer.end("fused_screen", trace_job);
-  if (traced) tracer.begin("fused_fold", trace_job);
-  fused.fold(pool);
-  if (traced) tracer.end("fused_fold", trace_job);
-  result.screen_comparisons = fused.screen_comparisons();
-  result.merge_comparisons = fused.merge_comparisons();
-  result.unique_set_size = fused.unique_set_size();
-  RIF_CHECK_MSG(result.unique_set_size >= 3,
-                "degenerate scene: unique set too small");
-
-  // Statistics barrier: mean, sharded covariance, eigen-decomposition.
-  if (traced) tracer.begin("fused_eigen", trace_job);
-  result.mean = fused.mean();
-  linalg::EigenResult eig = linalg::jacobi_eigen(
-      fused.covariance(result.mean, config.cov_shards, pool),
-      config.pct.jacobi);
-  if (traced) tracer.end("fused_eigen", trace_job);
-  result.eigenvalues = eig.values;
-  result.eigenvectors = eig.vectors;
-  result.jacobi_sweeps = eig.sweeps;
-
-  // Transform + colour map, reusing the same row tiling as the fused pass.
-  const auto tile_list = hsi::partition_rows(
-      {cube.width(), cube.height(), cube.bands()}, tiles);
-  const linalg::Matrix t =
-      transform_matrix(eig.vectors, config.pct.output_components);
-  const auto scales = scales_from_eigenvalues(eig.values);
   const auto n = static_cast<std::size_t>(cube.pixel_count());
-  result.component_planes.assign(config.pct.output_components,
-                                 std::vector<float>(n));
-  result.composite = hsi::RgbImage(cube.width(), cube.height());
-  if (traced) tracer.begin("fused_transform", trace_job);
-  pool.parallel_tasks(static_cast<int>(tile_list.size()), [&](int i) {
-    RIF_TRACE_SPAN_JOB("tile_transform", trace_job);
-    transform_and_map_range(cube, t, result.mean, scales,
-                            result.component_planes, result.composite,
-                            tile_list[i].first_flat_index(),
-                            tile_list[i].end_flat_index());
-  });
-  if (traced) tracer.end("fused_transform", trace_job);
+  std::vector<std::vector<float>> planes(
+      static_cast<std::size_t>(config.pct.output_components),
+      std::vector<float>(n));
+  stream::StreamingConfig engine;
+  engine.pct = config.pct;
+  engine.tiles_per_chunk = config.tiles > 0 ? config.tiles : pool.size();
+  engine.plane_sink = [&planes](std::int64_t first, std::int64_t count,
+                                int comps, const float* components) {
+    for (std::int64_t p = 0; p < count; ++p) {
+      for (int c = 0; c < comps; ++c) {
+        planes[c][static_cast<std::size_t>(first + p)] =
+            components[p * comps + c];
+      }
+    }
+  };
+  stream::CubeChunkSource source(cube);
+  std::optional<stream::StreamingResult> fused =
+      stream::fuse_chunks(source, pool, engine, config.cov_shards);
+  RIF_CHECK_MSG(fused.has_value(), "degenerate scene: unique set too small");
+  PctResult result = std::move(*fused);
+  result.component_planes = std::move(planes);
   return result;
 }
 

@@ -6,6 +6,9 @@
 // function as the distributed Full-mode run with the same tile and shard
 // counts: per-tile screening, in-order merge, sharded covariance,
 // sequential eigen step, parallel transform + colour mapping.
+//
+// The engine is stream::fuse_chunks (stream/streaming_engine.h); this
+// header holds its screening stage and fuse_parallel, its resident driver.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +35,9 @@ struct ParallelPctConfig {
   int cov_shards = 1;
 };
 
-/// The shared-memory engine's pass 1 and statistics, written once for both
-/// of its drivers: fuse_parallel screens the whole resident cube as one
-/// block, stream::fuse_streaming screens one block per chunk.
+/// The shared-memory engine's pass 1 and statistics: stream::fuse_chunks
+/// screens one block per chunk, which for a resident cube is the whole
+/// cube.
 ///
 /// screen() cuts a block of BIP rows into row tiles exactly as
 /// hsi::partition_rows does and screens each tile into its own unique set,
@@ -88,12 +91,13 @@ class FusedScreen {
 };
 
 /// Fuse a resident cube on a caller-provided pool (reusable across calls):
-/// one FusedScreen pass over the cube, the eigen-solve on its statistics,
-/// then the transform and colour map over the same row tiling, with full
-/// component planes. With the same tile and shard counts the result is
-/// bit-identical to the distributed run and to stream::fuse_streaming at
-/// matched tile boundaries; with those fixed, the thread count does not
-/// change it.
+/// stream::fuse_chunks over the cube as one chunk, with full component
+/// planes. With the same tile and shard counts the result is bit-identical
+/// to the distributed run and to stream::fuse_streaming at matched tile
+/// boundaries; with those fixed, the thread count does not change it.
+/// Aborts on a degenerate scene (a unique set of fewer than 3 members), as
+/// core::fuse does; callers that must survive one, like the service, call
+/// fuse_chunks and get nullopt instead.
 PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
                         const ParallelPctConfig& config);
 

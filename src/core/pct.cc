@@ -93,22 +93,17 @@ void transform_and_map_range(const hsi::ImageCube& cube,
                              std::int64_t hi) {
   const int comps = transform.rows();
   const std::vector<double> bias = projection_bias(transform, mean);
-  // Blocked multi-pixel projection: a whole run of BIP pixels goes through
-  // the SIMD projection kernel at once, then the block's components are
-  // scattered to the planes and colour-mapped while still cache-hot.
+  // The chunk kernel over cache-sized runs of pixels, whose pixel-major
+  // components are then scattered to the planes while still hot.
   constexpr std::int64_t kBlock = 128;
   std::vector<float> comp(static_cast<std::size_t>(comps) * kBlock);
   for (std::int64_t p0 = lo; p0 < hi; p0 += kBlock) {
     const std::int64_t n = std::min(kBlock, hi - p0);
-    project_pixels(transform, bias, cube.pixel(p0).data(), n, comp.data());
+    transform_and_map_chunk(cube.pixel(p0).data(), n, transform, bias, scales,
+                            comp.data(), composite, p0);
     for (std::int64_t k = 0; k < n; ++k) {
-      const float* px = comp.data() + k * comps;
       const auto p = static_cast<std::size_t>(p0 + k);
-      for (int c = 0; c < comps; ++c) planes[c][p] = px[c];
-      const auto rgb = map_pixel({px[0], px[1], px[2]}, scales);
-      composite.data[p * 3 + 0] = rgb[0];
-      composite.data[p * 3 + 1] = rgb[1];
-      composite.data[p * 3 + 2] = rgb[2];
+      for (int c = 0; c < comps; ++c) planes[c][p] = comp[k * comps + c];
     }
   }
 }

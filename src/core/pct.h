@@ -74,7 +74,7 @@ std::vector<double> projection_bias(const linalg::Matrix& transform,
 
 /// Project `count` contiguous BIP pixels through the truncated transform
 /// into `out` (row-major count x transform.rows()) with the blocked SIMD
-/// kernel. The shared projection primitive behind transform_and_map_range
+/// kernel. The shared projection primitive behind transform_and_map_chunk
 /// and the distributed workers' transform stage.
 void project_pixels(const linalg::Matrix& transform,
                     const std::vector<double>& bias, const float* pixels,
@@ -84,29 +84,14 @@ void project_pixels(const linalg::Matrix& transform,
 std::array<ComponentScale, 3> scales_from_eigenvalues(
     const std::vector<double>& eigenvalues);
 
-/// Steps 7-8 over the flat pixel range [lo, hi): transform each pixel into
-/// `planes` (one plane per transform row) and colour-map the leading three
-/// components into `composite`. The shared kernel behind the sequential
-/// pipeline and both shared-memory engines — ranges are disjoint, so
-/// parallel callers need no synchronisation.
-void transform_and_map_range(const hsi::ImageCube& cube,
-                             const linalg::Matrix& transform,
-                             const std::vector<double>& mean,
-                             const std::array<ComponentScale, 3>& scales,
-                             std::vector<std::vector<float>>& planes,
-                             hsi::RgbImage& composite, std::int64_t lo,
-                             std::int64_t hi);
-
-/// Steps 7-8 over `count` contiguous BIP pixels held in a caller buffer —
-/// the out-of-core sibling of transform_and_map_range for engines that
-/// never hold a whole ImageCube (the streaming pipeline's transform
-/// stage). `pixels` is count x transform.cols() floats; the colour-mapped
-/// bytes land at flat pixel offset `out_offset` of `composite`. When
+/// Steps 7-8 over `count` contiguous BIP pixels held in a caller buffer:
+/// the one transform kernel, behind every shared-memory engine.
+/// `pixels` is count x transform.cols() floats; the colour-mapped bytes
+/// land at flat pixel offset `out_offset` of `composite`. When
 /// `plane_chunk` is non-null it receives the raw components pixel-major
 /// (count x transform.rows(), the project_pixels layout) so callers can
-/// sink component planes chunk-by-chunk instead of materializing them.
-/// Same blocked projection kernel and per-pixel arithmetic as
-/// transform_and_map_range, so composites agree byte-for-byte.
+/// sink component planes chunk by chunk instead of materializing them.
+/// Ranges are disjoint, so parallel callers need no synchronisation.
 void transform_and_map_chunk(const float* pixels, std::int64_t count,
                              const linalg::Matrix& transform,
                              const std::vector<double>& bias,
@@ -114,9 +99,15 @@ void transform_and_map_chunk(const float* pixels, std::int64_t count,
                              float* plane_chunk, hsi::RgbImage& composite,
                              std::int64_t out_offset);
 
-/// Flops charged per transformed pixel for `bands` -> `components`.
-inline double transform_flops_per_pixel(int bands, int components) {
-  return static_cast<double>(components) * (2.0 * bands) + bands;
-}
+/// transform_and_map_chunk over the flat pixel range [lo, hi) of a
+/// resident cube, scattering the components into `planes` (one plane per
+/// transform row). The sequential pipeline's transform stage.
+void transform_and_map_range(const hsi::ImageCube& cube,
+                             const linalg::Matrix& transform,
+                             const std::vector<double>& mean,
+                             const std::array<ComponentScale, 3>& scales,
+                             std::vector<std::vector<float>>& planes,
+                             hsi::RgbImage& composite, std::int64_t lo,
+                             std::int64_t hi);
 
 }  // namespace rif::core

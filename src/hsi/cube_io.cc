@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -45,6 +46,16 @@ bool getline_any(std::istream& in, std::string& line) {
     line.push_back(static_cast<char>(c));
   }
   return !line.empty();
+}
+
+/// The whole of `value` as a decimal int; nullopt on anything else,
+/// out-of-range values included (where std::atoi is undefined).
+std::optional<int> parse_int(const std::string& value) {
+  int out = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return out;
 }
 
 }  // namespace
@@ -160,8 +171,7 @@ std::optional<CubeHeader> read_header(const std::string& hdr_path) {
   std::ifstream in(hdr_path);
   if (!in) return std::nullopt;
 
-  CubeHeader header;
-  bool has_samples = false, has_lines = false, has_bands = false;
+  CubeHeader header;  // a missing dimension stays 0 and is refused
   std::string line;
   bool first_line = true;
   while (getline_any(in, line)) {
@@ -175,21 +185,20 @@ std::optional<CubeHeader> read_header(const std::string& hdr_path) {
     const std::string key = lower(trim(line.substr(0, eq)));
     std::string value = trim(line.substr(eq + 1));
 
-    if (key == "samples") {
-      header.samples = std::atoi(value.c_str());
-      has_samples = true;
-    } else if (key == "lines") {
-      header.lines = std::atoi(value.c_str());
-      has_lines = true;
-    } else if (key == "bands") {
-      header.bands = std::atoi(value.c_str());
-      has_bands = true;
+    int* const dim = key == "samples" ? &header.samples
+                     : key == "lines" ? &header.lines
+                     : key == "bands" ? &header.bands
+                                      : nullptr;
+    if (dim != nullptr) {
+      const std::optional<int> n = parse_int(value);
+      if (!n) return std::nullopt;
+      *dim = *n;
     } else if (key == "interleave") {
       const auto il = parse_interleave(value);
       if (!il) return std::nullopt;
       header.interleave = *il;
     } else if (key == "data type") {
-      if (std::atoi(value.c_str()) != 4) return std::nullopt;  // float32 only
+      if (parse_int(value) != 4) return std::nullopt;  // float32 only
     } else if (key == "wavelength") {
       // Multi-line { a, b, ... } list.
       std::string list = value;
@@ -206,13 +215,20 @@ std::optional<CubeHeader> read_header(const std::string& hdr_path) {
       while (ss >> wl) header.wavelengths.push_back(wl);
     }
   }
-  if (!has_samples || !has_lines || !has_bands || header.samples <= 0 ||
-      header.lines <= 0 || header.bands <= 0) {
+  if (header.samples <= 0 || header.lines <= 0 || header.bands <= 0) {
     return std::nullopt;
   }
   if (!header.wavelengths.empty() &&
       static_cast<int>(header.wavelengths.size()) != header.bands) {
     return std::nullopt;
+  }
+  // The data size must be representable: a wrapped product would let a
+  // short (even empty) data file pass validate_data_size.
+  std::uint64_t bytes = sizeof(float);
+  for (const int n : {header.samples, header.lines, header.bands}) {
+    if (__builtin_mul_overflow(bytes, static_cast<std::uint64_t>(n), &bytes)) {
+      return std::nullopt;
+    }
   }
   return header;
 }

@@ -36,13 +36,16 @@ bool save_cube(const std::string& path, const ImageCube& cube,
                Interleave interleave = Interleave::kBip,
                const std::vector<double>& wavelengths = {});
 
-/// Parse a header file; nullopt on malformed/missing keys. Tolerates
-/// Windows-authored files: CRLF (and CR-only) line endings, a UTF-8 BOM,
-/// and stray whitespace/tabs around the `=` of each key.
+/// Parse a header file; nullopt on malformed/missing keys, on a samples,
+/// lines, bands or data type value that is not a whole int, and on
+/// dimensions whose data size overflows 64 bits. Tolerates Windows-authored
+/// files: CRLF (and CR-only) line endings, a UTF-8 BOM, and stray
+/// whitespace/tabs around the `=` of each key.
 std::optional<CubeHeader> read_header(const std::string& hdr_path);
 
 /// Byte length the data file must have for `header`:
-/// samples * lines * bands * sizeof(float).
+/// samples * lines * bands * sizeof(float), which read_header guarantees
+/// fits in 64 bits.
 std::uint64_t expected_data_bytes(const CubeHeader& header);
 
 /// True iff the data file at `path` exists and its byte length matches

@@ -26,11 +26,11 @@ inline constexpr JobId kNoJob = scp::kNoJob;
 /// How an admitted job's pixels reach the host execution pool.
 ///
 ///  * kFull      — the tenant hands the service an in-memory cube
-///                 (FusionJobConfig::cube); host execution runs the fused
+///                 (FusionJobConfig::cube); host execution runs the
 ///                 shared-memory engine over it. Peak memory: the cube.
 ///  * kStreaming — the tenant hands the service a cube FILE (cube_path);
-///                 host execution streams it out-of-core through the
-///                 StreamingFusionEngine in bounded memory. Peak memory:
+///                 host execution streams it out-of-core through the same
+///                 engine in bounded memory. Peak memory:
 ///                 queue_depth chunk buffers, which is what the Scheduler
 ///                 budgets instead of the whole-cube footprint — scenes
 ///                 larger than RAM become admissible.
@@ -169,7 +169,9 @@ struct JobRecord {
   /// the socket transport (service/remote_exec.h) rather than the host
   /// pool or the simulated actors.
   bool remote_executed = false;
-  int remote_workers = 0;         ///< covariance shards = workers at start
+  /// Covariance shards = live workers when the remote attempt started; a
+  /// host fallback runs at this count too. 0 when no attempt started.
+  int remote_workers = 0;
   int remote_requeued_tiles = 0;  ///< tiles reassigned after disconnects
   int remote_disconnects = 0;     ///< workers lost while this job ran
   /// Streaming-mode pipeline counters (zeros for every other job): chunk

@@ -415,18 +415,16 @@ void FusionService::start_job(JobId id, const cluster::NodeFilter& alive) {
   // flow are unchanged, but virtual time and flops then follow the cost
   // model's estimates rather than the data-dependent counts a Full-mode
   // actor run would charge — the host pool trades that fidelity for
-  // running the arithmetic once instead of twice.
+  // running the arithmetic once instead of twice. A Streaming job's actors
+  // are CostOnly already (validate guarantees it, and a host pool).
   core::FusionJobConfig sim_config = job.request.config;
-  if (exec_pool_ != nullptr &&
-      sim_config.mode == core::ExecutionMode::kFull) {
-    job.host_execute = true;
+  job.host_execute = exec_pool_ != nullptr &&
+                     (sim_config.mode == core::ExecutionMode::kFull ||
+                      job.request.mode == JobMode::kStreaming);
+  if (job.host_execute) {
     sim_config.mode = core::ExecutionMode::kCostOnly;
     sim_config.cube = nullptr;
   }
-  // A Streaming job's actors always run CostOnly (validate guarantees it):
-  // placement, leases and message flow play out on the virtual timeline
-  // while the pixels stream from disk on the host pool afterwards.
-  if (job.request.mode == JobMode::kStreaming) job.stream_execute = true;
   memory_in_use_ += job.record.memory_demand;
   metrics_.gauge("service.memory_in_use", runtime::GaugeKind::kSum)
       .set(static_cast<double>(memory_in_use_));
@@ -684,6 +682,9 @@ bool FusionService::execute_remote(PendingJob& job) {
   params.metrics = &metrics_;
   RemoteExecResult r = execute_remote_job(*remote_pool_, workers, params);
   job.record.remote_disconnects += r.worker_disconnects;
+  // A fallback keeps the shard count this attempt fixed, so the host
+  // computes the composite the remote run would have.
+  job.record.remote_workers = r.shards;
   if (!r.completed) {
     metrics_.counter("service.remote_fallbacks").add(1);
     RIF_LOG_WARN("service", "job " << job.record.id
@@ -698,7 +699,6 @@ bool FusionService::execute_remote(PendingJob& job) {
   out.screen_comparisons = r.screen_comparisons;
   out.merge_comparisons = r.merge_comparisons;
   job.record.remote_executed = true;
-  job.record.remote_workers = r.shards;
   job.record.remote_requeued_tiles = r.tiles_requeued;
   job.record.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -740,7 +740,7 @@ void FusionService::execute_host_jobs() {
   if (exec_pool_ == nullptr) return;
   std::vector<PendingJob*> ready;
   for (auto& job : jobs_) {
-    if ((job->host_execute || job->stream_execute) && job->record.completed) {
+    if (job->host_execute && job->record.completed) {
       ready.push_back(job.get());
     }
   }
@@ -754,7 +754,7 @@ void FusionService::execute_host_jobs() {
     std::vector<PendingJob*> rest;
     rest.reserve(ready.size());
     for (PendingJob* job : ready) {
-      if (job->stream_execute || !execute_remote(*job)) {
+      if (job->request.mode == JobMode::kStreaming || !execute_remote(*job)) {
         rest.push_back(job);
       }
     }
@@ -815,25 +815,21 @@ void FusionService::execute_host_jobs() {
           RIF_TRACE_SPAN("host_execute");
           const auto job_start = clock::now();
           const core::FusionJobConfig& req = job.request.config;
-          core::PctConfig pct;
-          pct.screening_threshold = req.screening_threshold;
-          pct.output_components = req.output_components;
-          pct.jacobi = req.jacobi;
-          // The job's pool budget (tiles screened at once) is the
-          // workers x tiles_per_worker the Scheduler admitted.
-          const int tiles = job.record.workers * req.tiles_per_worker;
-          core::PctResult r;
-          if (job.stream_execute) {
-            // Out-of-core: the job's cube streams from disk in bounded
-            // memory, each chunk cut into `tiles` sub-tiles.
-            stream::StreamingConfig cfg;
-            cfg.pct = pct;
+          const bool streamed = job.request.mode == JobMode::kStreaming;
+          stream::StreamingConfig cfg;
+          cfg.pct.screening_threshold = req.screening_threshold;
+          cfg.pct.output_components = req.output_components;
+          cfg.pct.jacobi = req.jacobi;
+          // The job's pool budget (tiles screened at once, per chunk) is
+          // the workers x tiles_per_worker the Scheduler admitted.
+          cfg.tiles_per_chunk = job.record.workers * req.tiles_per_worker;
+          std::unique_ptr<stream::ChunkSource> source;
+          if (streamed) {
+            // Out-of-core, in bounded memory. The run's registry merges
+            // into the service's under one prefix, where concurrent jobs
+            // aggregate (counters add, peaks max) for StreamingTotals.
             cfg.chunk_lines = job.request.chunk_lines;
             cfg.queue_depth = job.request.queue_depth;
-            cfg.tiles_per_chunk = tiles;
-            // Every streamed run's registry merges into the service's under
-            // one prefix: concurrent jobs aggregate (counters add, peaks
-            // max), and the report's StreamingTotals reads the result.
             cfg.metrics = &metrics_;
             cfg.metrics_prefix = "stream.";
             if (job.request.autotune) {
@@ -845,37 +841,36 @@ void FusionService::execute_host_jobs() {
               tune.memory_budget = job.record.memory_demand;
               cfg.autotune = tune;
             }
-            auto streamed = stream::fuse_streaming(job.request.cube_path,
-                                                   *exec_pool_, cfg);
-            if (!streamed) {
-              // Validated at submit, so this is a mid-run I/O failure (file
-              // vanished, disk error). The virtual run is already over:
-              // record the job failed and keep the service report honest.
-              RIF_LOG_WARN("service", "streaming job "
-                                          << job.record.id << " lost "
-                                          << job.request.cube_path);
-              job.record.completed = false;
-              job.record.failed = true;
-              job.record.host_seconds =
-                  seconds_between(job_start, clock::now());
-              return;
-            }
-            job.record.stream = streamed->stats;
-            metrics_.counter("stream.jobs").add(1);
-            r = std::move(*streamed);
+            source = stream::open_cube_file(job.request.cube_path, cfg);
           } else {
-            core::ParallelPctConfig cfg;
-            cfg.pct = pct;
-            cfg.tiles = tiles;
-            r = core::fuse_parallel(*req.cube, *exec_pool_, cfg);
+            source = std::make_unique<stream::CubeChunkSource>(*req.cube);
+          }
+          // A remote job that fell back runs at the shard count its
+          // attempt fixed; every other job at one shard.
+          std::optional<stream::StreamingResult> r;
+          if (source != nullptr) {
+            r = stream::fuse_chunks(*source, *exec_pool_, cfg,
+                                    std::max(1, job.record.remote_workers));
+          }
+          job.record.host_seconds = seconds_between(job_start, clock::now());
+          if (!r) {
+            // The virtual run is already over: a file lost since submit, a
+            // disk error or a degenerate scene fails this job alone.
+            RIF_LOG_WARN("service", "host execution failed");
+            job.record.completed = false;
+            job.record.failed = true;
+            return;
+          }
+          if (streamed) {
+            job.record.stream = r->stats;
+            metrics_.counter("stream.jobs").add(1);
           }
           core::JobOutcome& out = job.record.outcome;
-          out.composite = std::move(r.composite);
-          out.eigenvalues = std::move(r.eigenvalues);
-          out.unique_set_size = r.unique_set_size;
-          out.screen_comparisons = r.screen_comparisons;
-          out.merge_comparisons = r.merge_comparisons;
-          job.record.host_seconds = seconds_between(job_start, clock::now());
+          out.composite = std::move(r->composite);
+          out.eigenvalues = std::move(r->eigenvalues);
+          out.unique_set_size = r->unique_set_size;
+          out.screen_comparisons = r->screen_comparisons;
+          out.merge_comparisons = r->merge_comparisons;
         });
   }
 
@@ -966,7 +961,7 @@ std::string FusionService::status_json() {
   return os.str();
 }
 
-std::string FusionService::flamegraph_json() {
+obs::FlameTable FusionService::fold_flame() {
   obs::SpanTracer& tracer = obs::SpanTracer::instance();
   std::vector<obs::FlameSpan> flame;
   if (tracer.enabled()) flame = obs::tracer_flame_spans(tracer);
@@ -975,8 +970,10 @@ std::string FusionService::flamegraph_json() {
         telemetry_->flame_spans(tracer.epoch_ns());
     flame.insert(flame.end(), remote.begin(), remote.end());
   }
-  return obs::fold_spans(std::move(flame)).to_json();
+  return obs::fold_spans(std::move(flame));
 }
+
+std::string FusionService::flamegraph_json() { return fold_flame().to_json(); }
 
 ServiceReport FusionService::build_report() {
   ServiceReport report;
@@ -1093,16 +1090,9 @@ ServiceReport FusionService::build_report() {
       static_cast<int>(metrics_.counter_value("service.remote_fallbacks"));
   report.remote_disconnects =
       static_cast<int>(metrics_.counter_value("remote.disconnects"));
-  // Flamegraph: fold the coordinator's own wall spans together with every
-  // clock-aligned remote lane into one self/total-time table.
+  // Flamegraph: empty when tracing was off.
   if (tracer.enabled()) {
-    std::vector<obs::FlameSpan> flame = obs::tracer_flame_spans(tracer);
-    if (telemetry_ != nullptr) {
-      std::vector<obs::FlameSpan> remote =
-          telemetry_->flame_spans(tracer.epoch_ns());
-      flame.insert(flame.end(), remote.begin(), remote.end());
-    }
-    report.flamegraph = obs::fold_spans(std::move(flame));
+    report.flamegraph = fold_flame();
     report.flamegraph_json = report.flamegraph.to_json();
   }
   return report;

@@ -137,12 +137,13 @@ struct ServiceConfig {
   /// Host threads for REAL execution of admitted Full-mode jobs on one
   /// shared ThreadPool (0 = off: Full-mode pixels flow through the
   /// simulated actors instead). When on, each admitted Full-mode job's
-  /// cube is fused with the shared-memory engine (core::fuse_parallel, one
-  /// covariance shard); its parallelism budget — the number of
-  /// tiles it may occupy the pool with — is workers * tiles_per_worker,
-  /// where `workers` is what the Scheduler actually admitted. Jobs execute
-  /// concurrently as nested parallel work on the one pool, which the
-  /// help-while-waiting ThreadPool makes deadlock-free.
+  /// cube is fused with the shared-memory engine (stream::fuse_chunks over
+  /// the resident cube, at one covariance shard or the shard count of a
+  /// remote attempt it fell back from); its parallelism budget — the
+  /// number of tiles it may occupy the pool with — is workers *
+  /// tiles_per_worker, where `workers` is what the Scheduler actually
+  /// admitted. Jobs execute concurrently as nested parallel work on the
+  /// one pool, which the help-while-waiting ThreadPool makes deadlock-free.
   int execution_threads = 0;
 
   /// Host-memory budget (bytes) for the peak working sets of concurrently
@@ -413,12 +414,10 @@ class FusionService {
     /// flops_charged() of each leased node at admission, for per-job
     /// attribution (leases are exclusive, so the delta is exact).
     std::vector<double> flops_at_start;
-    /// Full-mode job whose composite is computed on the shared host pool
-    /// (the simulated actors then run CostOnly for timing/placement).
+    /// Full-mode or Streaming job whose composite is computed on the
+    /// shared host pool, from the resident cube or request.cube_path (the
+    /// simulated actors then run CostOnly for timing/placement).
     bool host_execute = false;
-    /// Streaming-mode job: host execution fuses request.cube_path
-    /// out-of-core through the StreamingFusionEngine.
-    bool stream_execute = false;
     /// Open virtual spans on the job's trace track ("queue_wait" /
     /// "execute"), so build_report can close a stranded job's spans at the
     /// deadline — the exported trace must always be balanced.
@@ -448,8 +447,10 @@ class FusionService {
   /// publishes service.queue_length / service.running_jobs gauges for it),
   /// the pool's locked accessors, the collector, and the log ring.
   [[nodiscard]] std::string status_json();
-  /// Current span fold for the ops endpoint (same composition as the
-  /// report's flamegraph, computed on demand).
+  /// The coordinator's wall spans and every clock-aligned remote lane,
+  /// folded into one self/total-time table: the report's flamegraph and,
+  /// serialized on demand, the ops endpoint's.
+  [[nodiscard]] obs::FlameTable fold_flame();
   [[nodiscard]] std::string flamegraph_json();
   /// on-scrape sink: append to the NDJSON stream file (when open) and fan
   /// the same line out to ops subscribers. Scraper thread.

@@ -25,7 +25,7 @@ double seconds_since(clock::time_point t0) {
   return std::chrono::duration<double>(clock::now() - t0).count();
 }
 
-/// One recycled chunk buffer. The engine owns a fixed set of these
+/// One recycled chunk buffer. The file source owns a fixed set of these
 /// (queue_depth of them); indices circulate reader -> full queue ->
 /// compute -> free queue -> reader, so allocation is bounded for the whole
 /// run regardless of file size.
@@ -37,10 +37,10 @@ struct ChunkBuffer {
   double read_seconds = 0.0;       // this fill's read_lines time (autotune)
 };
 
-/// Registry series of one streamed run, looked up once. The engine always
-/// records into a run-private registry; StreamingStats is materialized
-/// from it afterwards, and the whole registry merges into an optional
-/// long-lived one (StreamingConfig::metrics).
+/// Registry series of one run, looked up by the engine and by the file
+/// source. Both record into a run-private registry; StreamingStats is
+/// materialized from it afterwards, and the whole registry merges into an
+/// optional long-lived one (StreamingConfig::metrics).
 struct RunMetrics {
   runtime::MetricsRegistry& reg;
   runtime::Counter& chunks = reg.counter("chunks");
@@ -107,67 +107,261 @@ void trim(ChunkBuffer& buf, std::uint64_t bytes,
   buf.alloc_bytes = bytes;
 }
 
-/// Shared state of one reader pass. The reader is a dedicated std::thread:
-/// it must never borrow the compute pool, or a pool blocked in pop() could
-/// starve the very stage that would refill it (see bounded_queue.h).
-struct ReaderPass {
-  hsi::ChunkedCubeReader* reader = nullptr;
-  std::vector<ChunkBuffer>* buffers = nullptr;
-  BoundedQueue<int>* free_q = nullptr;
-  BoundedQueue<int>* full_q = nullptr;
-  /// Lines of the NEXT chunk — reread every iteration, so the autotuner
-  /// (on the consumer side) retunes a live pass with at most queue_depth
-  /// chunks of lag.
-  const std::atomic<int>* chunk_lines = nullptr;
-  RunMetrics* metrics = nullptr;
-  /// Live chunk-buffer bytes, owned by the engine so it survives (and the
-  /// peak gauge spans) both passes and any pass-boundary depth change.
-  /// Atomic because during an autotuned pass BOTH sides move it: the
-  /// reader grows it as buffers widen, the consumer claims room for a
-  /// buffer it activates and shrinks it retiring/trimming buffers.
-  std::atomic<std::uint64_t>* live_buffer_bytes = nullptr;
-  /// Cap on live_buffer_bytes; 0 = none. Every growth is claimed against
-  /// it by compare-and-swap before memory is allocated, so the cap holds by
-  /// construction — even when the chunk_lines this reader loaded is wider
-  /// than what the consumer has since published and budgeted for.
-  std::uint64_t memory_budget = 0;
-  /// Job attribution for the reader thread's spans — the reader runs
-  /// outside the consumer's JobScope, so the id travels explicitly.
-  std::int64_t trace_job = obs::kNoJob;
-  std::atomic<bool> io_error{false};
+/// Join-on-destruction reader thread, so an early return can never leave
+/// it running against queues about to be destroyed. The reader must never
+/// borrow the compute pool, or a pool blocked in pop() could starve the
+/// very stage that would refill it (see bounded_queue.h).
+class ReaderThread {
+ public:
+  ReaderThread(BoundedQueue<int>& free_q, BoundedQueue<int>& full_q,
+               std::function<void()> body)
+      : free_q_(free_q), full_q_(full_q), thread_(std::move(body)) {}
+  ReaderThread(const ReaderThread&) = delete;
+  ReaderThread& operator=(const ReaderThread&) = delete;
+  ~ReaderThread() { join(); }
 
-  void run() {
+  /// Unblock the reader if necessary and wait for it; the pass counters
+  /// are stable (and safely readable) once this returns.
+  void join() {
+    if (!thread_.joinable()) return;
+    free_q_.close();  // releases a reader blocked on a free buffer
+    full_q_.close();
+    thread_.join();
+  }
+
+ private:
+  BoundedQueue<int>& free_q_;
+  BoundedQueue<int>& full_q_;
+  std::thread thread_;
+};
+
+/// A cube file, read once per engine pass by a dedicated reader thread
+/// into recycled buffers: the reader, the buffers, the live-byte clamp and
+/// the optional autotuner live across both passes.
+class FileChunkSource final : public ChunkSource {
+ public:
+  FileChunkSource(hsi::ChunkedCubeReader reader, const StreamingConfig& config)
+      : reader_(std::move(reader)) {
+    // Autotuned runs start from AutotuneConfig::initial_chunk_lines (the
+    // configured chunk_lines when 0); fixed runs keep the configured
+    // geometry for the whole run (the atomic is then never written again).
+    const int lines = reader_.lines();
+    if (config.autotune.has_value()) {
+      const int start = config.autotune->initial_chunk_lines > 0
+                            ? config.autotune->initial_chunk_lines
+                            : config.chunk_lines;
+      tuner_.emplace(*config.autotune, std::min(start, lines),
+                     config.queue_depth,
+                     static_cast<std::uint64_t>(reader_.samples()) *
+                         reader_.bands() * sizeof(float));
+      memory_budget_ = config.autotune->memory_budget;
+    }
+    chunk_lines_.store(tuner_ ? tuner_->chunk_lines()
+                              : std::min(config.chunk_lines, lines));
+    // Autotuned runs allocate buffer STRUCTS up to the depth ceiling
+    // (memory only materializes when a buffer circulates), so depth can
+    // move live; fixed runs circulate exactly queue_depth. The ceiling
+    // comes from the TUNER's clamped config, never the raw caller value:
+    // an absurd AutotuneConfig::max_queue_depth must not size a real
+    // allocation (the structs are cheap, a billion of them is not).
+    active_depth_ = tuner_ ? tuner_->queue_depth() : config.queue_depth;
+    buffers_.resize(static_cast<std::size_t>(
+        tuner_ ? std::max(tuner_->max_queue_depth(), active_depth_)
+               : config.queue_depth));
+  }
+
+  [[nodiscard]] hsi::CubeShape shape() const override {
+    return {reader_.samples(), reader_.lines(), reader_.bands()};
+  }
+
+  [[nodiscard]] runtime::AutotuneReport autotune() const override {
+    return tuner_ ? tuner_->report() : runtime::AutotuneReport{};
+  }
+
+  /// One reader pass over the file: owns the queue pair, feeds every chunk
+  /// through `consume` (in ascending chunk order, on the calling thread),
+  /// joins the reader and merges the pass's stall attribution into the run
+  /// registry. Both engine passes run it, so stall attribution and the
+  /// error path cannot diverge between them.
+  ///
+  /// `active_depth_` buffers circulate (the rest hold no memory). With a
+  /// tuner, each consumed chunk's timing deltas feed the controller and
+  /// BOTH knobs apply live, consumer-side: the new chunk_lines is published
+  /// to the reader (effective from its next fill, i.e. with at most
+  /// queue_depth chunks of lag), and a queue-depth move retires the
+  /// just-consumed buffer (its memory is freed before the wider chunk_lines
+  /// is published, so a width-for-depth trade never transiently exceeds
+  /// the memory clamp) or activates an idle one.
+  bool pass(runtime::MetricsRegistry& run,
+            const std::function<double(const ChunkView&)>& consume) override {
+    // Pass 2 starts at the converged geometry and KEEPS tuning: the
+    // per-pixel transform is indifferent to chunk boundaries, so geometry
+    // is pure throughput there — and its read/compute balance differs from
+    // screening's, so the controller is left in the loop. The boundary is
+    // declared to the tuner so the first transform epoch is never judged
+    // against a screening-phase rate (a cross-kernel comparison that could
+    // veto a perfectly good move).
+    if (tuner_ && passes_ > 0) {
+      tuner_->phase_boundary();
+      chunk_lines_.store(tuner_->chunk_lines(), std::memory_order_relaxed);
+      active_depth_ = tuner_->queue_depth();
+    }
+    ++passes_;
+    RunMetrics metrics{run};
+    // The free queue can hold every buffer; the full queue's capacity is
+    // what is left after the slot the reader is filling and the one the
+    // compute stage is draining — with active_depth_ buffers circulating,
+    // in-flight memory can never exceed active_depth_ chunks.
+    BoundedQueue<int> free_q(buffers_.size());
+    BoundedQueue<int> full_q(buffers_.size() - 2);
+    free_q.bind_metrics(run, "free_queue.");
+    full_q.bind_metrics(run, "full_queue.");
+    std::vector<int> idle;  // allocated structs not currently circulating
+    const std::uint64_t nominal =
+        reader_.chunk_bytes(chunk_lines_.load(std::memory_order_relaxed));
+    for (int i = 0; i < static_cast<int>(buffers_.size()); ++i) {
+      ChunkBuffer& buf = buffers_[static_cast<std::size_t>(i)];
+      if (i >= active_depth_) {
+        // Not part of this pass (depth shrank since the buffer last ran):
+        // release its memory and drop it from the live accounting.
+        trim(buf, 0, live_buffer_bytes_);
+        idle.push_back(i);
+      } else if (memory_budget_ > 0) {
+        trim(buf, nominal, live_buffer_bytes_);
+      }
+    }
+    // Under a budget every circulating buffer starts the pass holding a
+    // claim on exactly one nominal chunk (the tuner keeps depth x nominal
+    // within the budget), so no claim made mid-pass can leave a buffer
+    // without room for the line its fill needs at the least.
+    for (int i = 0; i < active_depth_; ++i) {
+      ChunkBuffer& buf = buffers_[static_cast<std::size_t>(i)];
+      if (memory_budget_ > 0 && buf.alloc_bytes < nominal &&
+          claim(live_buffer_bytes_, nominal - buf.alloc_bytes,
+                memory_budget_)) {
+        buf.alloc_bytes = nominal;
+      }
+      free_q.push(i);
+    }
+    metrics.peak_buffer_bytes.record(static_cast<double>(
+        live_buffer_bytes_.load(std::memory_order_relaxed)));
+
+    // The reader thread runs outside the consumer's JobScope, so the job
+    // id for its spans travels explicitly.
+    std::atomic<bool> io_error{false};
+    ReaderThread reader_thread(
+        free_q, full_q, [&, trace_job = obs::current_job()] {
+          read_chunks(free_q, full_q, metrics, trace_job, io_error);
+        });
+
+    double reader_stall_seen = 0.0;
+    double compute_stall_seen = 0.0;
+    while (const auto idx = full_q.pop()) {
+      ChunkBuffer& buf = buffers_[static_cast<std::size_t>(*idx)];
+      const double compute_seconds =
+          consume({buf.line0, buf.rows, buf.data.data()});
+      if (tuner_) {
+        // Timing deltas since the previous chunk; the stall accessors take
+        // the queue mutex, which at one sample per chunk is noise.
+        const double reader_stall =
+            free_q.pop_stall_seconds() + full_q.push_stall_seconds();
+        const double compute_stall = full_q.pop_stall_seconds();
+        runtime::TuneObservation obs;
+        obs.read_seconds = buf.read_seconds;
+        obs.reader_stall_seconds = reader_stall - reader_stall_seen;
+        obs.compute_stall_seconds = compute_stall - compute_stall_seen;
+        obs.compute_seconds = compute_seconds;
+        obs.lines = buf.rows;
+        reader_stall_seen = reader_stall;
+        compute_stall_seen = compute_stall;
+        tuner_->observe(obs);
+        if (tuner_->queue_depth() < active_depth_) {
+          // Retire the buffer we exclusively hold: free its memory FIRST,
+          // then publish the (possibly wider) chunk_lines below.
+          trim(buf, 0, live_buffer_bytes_);
+          idle.push_back(*idx);
+          --active_depth_;
+          chunk_lines_.store(tuner_->chunk_lines(), std::memory_order_relaxed);
+          continue;  // this index does not rejoin the free queue
+        }
+        // After a shrink decision, recycled buffers still carry their old
+        // wider capacity. Trim the one we hold to the CURRENT nominal
+        // chunk before it recirculates — otherwise the live accounting
+        // stays pinned at the old width and a later depth increase would
+        // stack new buffers on top of stale ones, past the memory clamp.
+        const std::uint64_t now_nominal =
+            reader_.chunk_bytes(chunk_lines_.load(std::memory_order_relaxed));
+        trim(buf, now_nominal, live_buffer_bytes_);
+        if (tuner_->queue_depth() > active_depth_ && !idle.empty() &&
+            claim(live_buffer_bytes_, now_nominal, memory_budget_)) {
+          // Activate read-ahead only when the ACTUAL live bytes (which may
+          // still include not-yet-trimmed wide buffers) leave room for one
+          // more nominal chunk — the tuner's check is against nominal
+          // geometry, this one is against reality. The room is claimed for
+          // the buffer now, atomically with the check, so a reader fill
+          // racing this cannot take it first; the buffer allocates it on
+          // its first fill.
+          buffers_[static_cast<std::size_t>(idle.back())].alloc_bytes =
+              now_nominal;
+          metrics.peak_buffer_bytes.record(static_cast<double>(
+              live_buffer_bytes_.load(std::memory_order_relaxed)));
+          free_q.push(idle.back());
+          idle.pop_back();
+          ++active_depth_;
+        }
+        chunk_lines_.store(tuner_->chunk_lines(), std::memory_order_relaxed);
+      }
+      free_q.push(*idx);
+    }
+    reader_thread.join();
+    metrics.compute_stall.record(full_q.pop_stall_seconds());
+    metrics.reader_stall.record(free_q.pop_stall_seconds() +
+                                full_q.push_stall_seconds());
+    if (io_error.load()) {
+      RIF_LOG_WARN("stream", "I/O error streaming " << reader_.path());
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  /// The reader thread of one pass: fill free buffers with the next lines
+  /// and hand them to the compute stage, until the file ends, an I/O error
+  /// or the consumer closes the queues.
+  void read_chunks(BoundedQueue<int>& free_q, BoundedQueue<int>& full_q,
+                   RunMetrics& metrics, std::int64_t trace_job,
+                   std::atomic<bool>& io_error) {
     obs::SpanTracer::instance().set_thread_name("stream-reader");
-    const int lines = reader->lines();
+    const int lines = reader_.lines();
     int line0 = 0;
     while (line0 < lines) {
-      const auto idx = free_q->pop();
+      const auto idx = free_q.pop();
       if (!idx) return;  // aborted by the consumer
-      ChunkBuffer& buf = (*buffers)[static_cast<std::size_t>(*idx)];
+      ChunkBuffer& buf = buffers_[static_cast<std::size_t>(*idx)];
       int want = std::max(
-          1, std::min(chunk_lines->load(std::memory_order_relaxed),
+          1, std::min(chunk_lines_.load(std::memory_order_relaxed),
                       lines - line0));
       // Claim this fill's growth before allocating it. When the budget's
       // headroom cannot cover `want` lines, read fewer — never under one,
       // so the pass always progresses.
-      std::uint64_t live = live_buffer_bytes->load(std::memory_order_relaxed);
+      std::uint64_t live = live_buffer_bytes_.load(std::memory_order_relaxed);
       std::uint64_t grow = 0;
       do {
-        if (memory_budget > 0) {
+        if (memory_budget_ > 0) {
           const std::uint64_t room =
               buf.alloc_bytes +
-              (live < memory_budget ? memory_budget - live : 0);
+              (live < memory_budget_ ? memory_budget_ - live : 0);
           want = std::max(1, static_cast<int>(std::min<std::uint64_t>(
-                                 room / reader->chunk_bytes(1),
+                                 room / reader_.chunk_bytes(1),
                                  static_cast<std::uint64_t>(want))));
         }
-        const std::uint64_t needed = reader->chunk_bytes(want);
+        const std::uint64_t needed = reader_.chunk_bytes(want);
         grow = needed > buf.alloc_bytes ? needed - buf.alloc_bytes : 0;
-      } while (grow > 0 && !live_buffer_bytes->compare_exchange_weak(
+      } while (grow > 0 && !live_buffer_bytes_.compare_exchange_weak(
                                live, live + grow, std::memory_order_relaxed));
       if (grow > 0) {
         buf.alloc_bytes += grow;
-        metrics->peak_buffer_bytes.record(static_cast<double>(live + grow));
+        metrics.peak_buffer_bytes.record(static_cast<double>(live + grow));
       }
       buf.line0 = line0;
       buf.rows = want;
@@ -175,197 +369,57 @@ struct ReaderPass {
       // would otherwise hand a widening (autotuned) chunk up to 2x its
       // nominal bytes and quietly break the memory clamp.
       const auto needed = static_cast<std::size_t>(
-          reader->chunk_bytes(buf.rows) / sizeof(float));
+          reader_.chunk_bytes(buf.rows) / sizeof(float));
       if (buf.data.capacity() < needed) buf.data.reserve(needed);
       const auto t0 = clock::now();
       bool ok;
       {
         RIF_TRACE_SPAN_JOB("chunk_read", trace_job);
-        ok = reader->read_lines(line0, buf.rows, buf.data);
+        ok = reader_.read_lines(line0, buf.rows, buf.data);
       }
       buf.read_seconds = seconds_since(t0);
-      metrics->read_hist.observe(buf.read_seconds);
+      metrics.read_hist.observe(buf.read_seconds);
       if (!ok) {
         io_error.store(true);
-        free_q->push(*idx);
+        free_q.push(*idx);
         break;
       }
-      metrics->bytes_read.add(reader->chunk_bytes(buf.rows));
-      metrics->chunk_bytes.record(
-          static_cast<double>(reader->chunk_bytes(buf.rows)));
+      metrics.bytes_read.add(reader_.chunk_bytes(buf.rows));
+      metrics.chunk_bytes.record(
+          static_cast<double>(reader_.chunk_bytes(buf.rows)));
       line0 += want;
-      if (!full_q->push(*idx)) return;  // aborted by the consumer
+      if (!full_q.push(*idx)) return;  // aborted by the consumer
     }
-    full_q->close();  // end-of-stream (or I/O error): drain and stop
+    full_q.close();  // end-of-stream (or I/O error): drain and stop
   }
+
+  hsi::ChunkedCubeReader reader_;
+  std::optional<runtime::ChunkAutotuner> tuner_;
+  /// Cap on live_buffer_bytes_ (the tuner's clamp); 0 = none. Every growth
+  /// is claimed against it by compare-and-swap before memory is allocated,
+  /// so the cap holds by construction — even when the chunk_lines a reader
+  /// fill loaded is wider than what the consumer has since published and
+  /// budgeted for.
+  std::uint64_t memory_budget_ = 0;
+  /// Lines of the NEXT chunk — reread by the reader every fill, so the
+  /// tuner (on the consumer side) retunes a live pass with at most
+  /// queue_depth chunks of lag.
+  std::atomic<int> chunk_lines_{0};
+  int active_depth_ = 0;
+  std::vector<ChunkBuffer> buffers_;
+  /// Live chunk-buffer bytes, held here so the accounting (and the peak
+  /// gauge) spans both passes and any pass-boundary depth change. Atomic
+  /// because during an autotuned pass BOTH sides move it: the reader grows
+  /// it as buffers widen, the consumer claims room for a buffer it
+  /// activates and shrinks it retiring/trimming buffers.
+  std::atomic<std::uint64_t> live_buffer_bytes_{0};
+  int passes_ = 0;
 };
-
-/// Join-on-destruction wrapper so an early return (I/O error, degenerate
-/// scene CHECK) can never leave the reader thread running against queues
-/// about to be destroyed.
-class ReaderThread {
- public:
-  explicit ReaderThread(ReaderPass& pass)
-      : pass_(pass), thread_([&pass] { pass.run(); }) {}
-  ~ReaderThread() { join(); }
-
-  /// Unblock the reader if necessary and wait for it; the pass counters
-  /// are stable (and safely readable) once this returns.
-  void join() {
-    if (!thread_.joinable()) return;
-    pass_.free_q->close();  // releases a reader blocked on a free buffer
-    pass_.full_q->close();
-    thread_.join();
-  }
-
- private:
-  ReaderPass& pass_;
-  std::thread thread_;
-};
-
-/// One full reader pass over the file: owns the queue pair, feeds every
-/// chunk through `consume` (in ascending chunk order, on the calling
-/// thread; returns its compute seconds for that chunk), joins the reader
-/// and merges the pass's stall attribution into the run registry. Returns
-/// false on a mid-pass I/O error. Shared by both pipeline passes so stall
-/// attribution and the error path cannot diverge between them.
-///
-/// `active_depth` buffers of `buffers` circulate (the rest hold no
-/// memory). When `tuner` is set, each consumed chunk's timing deltas feed
-/// the controller and BOTH knobs apply live, consumer-side: the new
-/// chunk_lines is published to the reader (effective from its next fill,
-/// i.e. with at most queue_depth chunks of lag), and a queue-depth move
-/// retires the just-consumed buffer (its memory is freed before the wider
-/// chunk_lines is published, so a width-for-depth trade never transiently
-/// exceeds the memory clamp) or activates an idle one.
-bool run_reader_pass(hsi::ChunkedCubeReader& reader,
-                     std::vector<ChunkBuffer>& buffers,
-                     std::atomic<int>& chunk_lines, RunMetrics& metrics,
-                     std::atomic<std::uint64_t>& live_buffer_bytes,
-                     int& active_depth,
-                     std::uint64_t memory_budget,
-                     runtime::ChunkAutotuner* tuner, std::int64_t trace_job,
-                     const std::function<double(const ChunkBuffer&)>& consume) {
-  // The free queue can hold every buffer; the full queue's capacity is
-  // what is left after the slot the reader is filling and the one the
-  // compute stage is draining — with active_depth buffers circulating,
-  // in-flight memory can never exceed active_depth chunks.
-  BoundedQueue<int> free_q(buffers.size());
-  BoundedQueue<int> full_q(buffers.size() - 2);
-  free_q.bind_metrics(metrics.reg, "free_queue.");
-  full_q.bind_metrics(metrics.reg, "full_queue.");
-  std::vector<int> idle;  // allocated structs not currently circulating
-  const std::uint64_t nominal =
-      reader.chunk_bytes(chunk_lines.load(std::memory_order_relaxed));
-  for (int i = 0; i < static_cast<int>(buffers.size()); ++i) {
-    ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
-    if (i >= active_depth) {
-      // Not part of this pass (depth shrank since the buffer last ran):
-      // release its memory and drop it from the live accounting.
-      trim(buf, 0, live_buffer_bytes);
-      idle.push_back(i);
-    } else if (memory_budget > 0) {
-      trim(buf, nominal, live_buffer_bytes);
-    }
-  }
-  // Under a budget every circulating buffer starts the pass holding a claim
-  // on exactly one nominal chunk (the tuner keeps depth x nominal within
-  // the budget), so no claim made mid-pass can leave a buffer without room
-  // for the line its fill needs at the least.
-  for (int i = 0; i < active_depth; ++i) {
-    ChunkBuffer& buf = buffers[static_cast<std::size_t>(i)];
-    if (memory_budget > 0 && buf.alloc_bytes < nominal &&
-        claim(live_buffer_bytes, nominal - buf.alloc_bytes, memory_budget)) {
-      buf.alloc_bytes = nominal;
-    }
-    free_q.push(i);
-  }
-  metrics.peak_buffer_bytes.record(
-      static_cast<double>(live_buffer_bytes.load(std::memory_order_relaxed)));
-
-  ReaderPass pass;
-  pass.reader = &reader;
-  pass.buffers = &buffers;
-  pass.free_q = &free_q;
-  pass.full_q = &full_q;
-  pass.chunk_lines = &chunk_lines;
-  pass.metrics = &metrics;
-  pass.live_buffer_bytes = &live_buffer_bytes;
-  pass.memory_budget = memory_budget;
-  pass.trace_job = trace_job;
-  ReaderThread reader_thread(pass);
-
-  double reader_stall_seen = 0.0;
-  double compute_stall_seen = 0.0;
-  while (const auto idx = full_q.pop()) {
-    ChunkBuffer& buf = buffers[static_cast<std::size_t>(*idx)];
-    const double compute_seconds = consume(buf);
-    if (tuner != nullptr) {
-      // Timing deltas since the previous chunk; the stall accessors take
-      // the queue mutex, which at one sample per chunk is noise.
-      const double reader_stall =
-          free_q.pop_stall_seconds() + full_q.push_stall_seconds();
-      const double compute_stall = full_q.pop_stall_seconds();
-      runtime::TuneObservation obs;
-      obs.read_seconds = buf.read_seconds;
-      obs.reader_stall_seconds = reader_stall - reader_stall_seen;
-      obs.compute_stall_seconds = compute_stall - compute_stall_seen;
-      obs.compute_seconds = compute_seconds;
-      obs.lines = buf.rows;
-      reader_stall_seen = reader_stall;
-      compute_stall_seen = compute_stall;
-      tuner->observe(obs);
-      if (tuner->queue_depth() < active_depth) {
-        // Retire the buffer we exclusively hold: free its memory FIRST,
-        // then publish the (possibly wider) chunk_lines below.
-        trim(buf, 0, live_buffer_bytes);
-        idle.push_back(*idx);
-        --active_depth;
-        chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
-        continue;  // this index does not rejoin the free queue
-      }
-      // After a shrink decision, recycled buffers still carry their old
-      // wider capacity. Trim the one we hold to the CURRENT nominal
-      // chunk before it recirculates — otherwise the live accounting
-      // stays pinned at the old width and a later depth increase would
-      // stack new buffers on top of stale ones, past the memory clamp.
-      const std::uint64_t now_nominal =
-          reader.chunk_bytes(chunk_lines.load(std::memory_order_relaxed));
-      trim(buf, now_nominal, live_buffer_bytes);
-      if (tuner->queue_depth() > active_depth && !idle.empty() &&
-          claim(live_buffer_bytes, now_nominal, memory_budget)) {
-        // Activate read-ahead only when the ACTUAL live bytes (which may
-        // still include not-yet-trimmed wide buffers) leave room for one
-        // more nominal chunk — the tuner's check is against nominal
-        // geometry, this one is against reality. The room is claimed for
-        // the buffer now, atomically with the check, so a reader fill
-        // racing this cannot take it first; the buffer allocates it on its
-        // first fill.
-        buffers[static_cast<std::size_t>(idle.back())].alloc_bytes =
-            now_nominal;
-        metrics.peak_buffer_bytes.record(static_cast<double>(
-            live_buffer_bytes.load(std::memory_order_relaxed)));
-        free_q.push(idle.back());
-        idle.pop_back();
-        ++active_depth;
-      }
-      chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
-    }
-    free_q.push(*idx);
-  }
-  reader_thread.join();
-  metrics.compute_stall.record(full_q.pop_stall_seconds());
-  metrics.reader_stall.record(free_q.pop_stall_seconds() +
-                              full_q.push_stall_seconds());
-  return !pass.io_error.load();
-}
 
 }  // namespace
 
-std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
-                                              core::ThreadPool& pool,
-                                              const StreamingConfig& config) {
-  RIF_CHECK(config.pct.output_components >= 3);
+std::unique_ptr<ChunkSource> open_cube_file(const std::string& cube_path,
+                                            const StreamingConfig& config) {
   // Shared bounds with submit-time validation: zero/negative and absurdly
   // huge geometry fails the same way everywhere — a logged error, not a
   // crash or a near-cube allocation.
@@ -373,59 +427,38 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
           config.chunk_lines, config.queue_depth)) {
     RIF_LOG_WARN("stream", "rejecting stream of " << cube_path << ": "
                                                   << error);
-    return std::nullopt;
+    return nullptr;
   }
   auto reader = hsi::ChunkedCubeReader::open(cube_path);
-  if (!reader) return std::nullopt;
+  if (!reader) return nullptr;
+  return std::make_unique<FileChunkSource>(std::move(*reader), config);
+}
 
+std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
+                                           core::ThreadPool& pool,
+                                           const StreamingConfig& config,
+                                           int cov_shards) {
+  RIF_CHECK(config.pct.output_components >= 3);
   // Ambient job id of the submitting task (the service's JobScope),
   // captured once: per-chunk spans run on pool workers and the reader
   // thread, outside that scope, so the id travels explicitly.
   const std::int64_t trace_job = obs::current_job();
-
-  const int W = reader->samples();
-  const int H = reader->lines();
-  const int B = reader->bands();
+  const hsi::CubeShape shape = source.shape();
+  const int W = shape.width;
+  const int B = shape.bands;
   const int tiles_per_chunk =
       config.tiles_per_chunk > 0 ? config.tiles_per_chunk : pool.size();
 
   runtime::MetricsRegistry reg;
   RunMetrics metrics{reg};
-  std::atomic<std::uint64_t> live_buffer_bytes{0};
-
-  // Autotuned runs start from AutotuneConfig::initial_chunk_lines (the
-  // configured chunk_lines when 0); fixed runs keep the configured
-  // geometry for the whole run (the atomic is then never written again).
-  std::optional<runtime::ChunkAutotuner> tuner;
-  if (config.autotune.has_value()) {
-    const int start = config.autotune->initial_chunk_lines > 0
-                          ? config.autotune->initial_chunk_lines
-                          : config.chunk_lines;
-    tuner.emplace(*config.autotune, std::min(start, H), config.queue_depth,
-                  static_cast<std::uint64_t>(W) * B * sizeof(float));
-  }
-  std::atomic<int> chunk_lines{
-      tuner ? tuner->chunk_lines() : std::min(config.chunk_lines, H)};
-  // Autotuned runs allocate buffer STRUCTS up to the depth ceiling (memory
-  // only materializes when a buffer circulates), so depth can move live;
-  // fixed runs circulate exactly queue_depth.
-  int active_depth = tuner ? tuner->queue_depth() : config.queue_depth;
-  // Ceiling from the TUNER's clamped config, never the raw caller value:
-  // an absurd AutotuneConfig::max_queue_depth must not size a real
-  // allocation (the structs are cheap, a billion of them is not).
-  const int max_depth =
-      tuner ? std::max(tuner->max_queue_depth(), active_depth)
-            : config.queue_depth;
-  std::vector<ChunkBuffer> buffers(static_cast<std::size_t>(max_depth));
-
   StreamingResult result;
 
   // --- pass 1: screen, folded in chunk order ---------------------------------
-  // Each chunk is sub-tiled exactly as the in-memory driver tiles the cube,
-  // so matched tile boundaries give that driver's result bit for bit.
+  // Each chunk is sub-tiled exactly as partition_rows tiles a resident
+  // cube, so matched tile boundaries give the same result bit for bit.
   core::FusedScreen fused(B, config.pct.screening_threshold);
   {
-    const auto screen_chunk = [&](const ChunkBuffer& buf) {
+    const auto screen_chunk = [&](const ChunkView& chunk) {
       // Manual begin/end rather than one RAII span: screening and the
       // in-order fold are distinct trace stages of the same chunk.
       obs::SpanTracer& tracer = obs::SpanTracer::instance();
@@ -433,7 +466,8 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       if (traced) tracer.begin("chunk_screen", trace_job);
       const auto t0 = clock::now();
       metrics.chunks.add(1);
-      fused.screen(buf.data, W, buf.rows, tiles_per_chunk, pool);
+      fused.screen({chunk.pixels, static_cast<std::size_t>(chunk.rows) * W * B},
+                   W, chunk.rows, tiles_per_chunk, pool);
       const double screen_seconds = seconds_since(t0);
       metrics.screen_hist.observe(screen_seconds);
       if (traced) tracer.end("chunk_screen", trace_job);
@@ -446,24 +480,16 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       return screen_seconds + fold_seconds;
     };
     RIF_TRACE_SPAN_JOB("stream_pass1", trace_job);
-    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics,
-                         live_buffer_bytes, active_depth,
-                         tuner ? config.autotune->memory_budget : 0,
-                         tuner ? &*tuner : nullptr, trace_job,
-                         screen_chunk)) {
-      RIF_LOG_WARN("stream", "I/O error streaming " << cube_path);
-      return std::nullopt;
-    }
+    if (!source.pass(reg, screen_chunk)) return std::nullopt;
   }
   result.screen_comparisons = fused.screen_comparisons();
   result.merge_comparisons = fused.merge_comparisons();
   result.unique_set_size = fused.unique_set_size();
   // A degenerate scene is a property of the INPUT, not a program bug: fail
-  // the job (caller sees nullopt and reports it) instead of aborting a
+  // the run (caller sees nullopt and reports it) instead of aborting a
   // service that may have other jobs in flight.
   if (result.unique_set_size < 3) {
-    RIF_LOG_WARN("stream", "degenerate scene in "
-                               << cube_path << ": unique set has "
+    RIF_LOG_WARN("stream", "degenerate scene: unique set has "
                                << result.unique_set_size
                                << " pixels (need >= 3)");
     return std::nullopt;
@@ -474,43 +500,28 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
   linalg::EigenResult eig;
   {
     RIF_TRACE_SPAN_JOB("stream_eigen", trace_job);
-    // One covariance shard: StreamingConfig has no shard count, and the
-    // in-memory driver defaults to one.
-    eig = linalg::jacobi_eigen(fused.covariance(result.mean, 1, pool),
+    eig = linalg::jacobi_eigen(fused.covariance(result.mean, cov_shards, pool),
                                config.pct.jacobi);
   }
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;
   result.jacobi_sweeps = eig.sweeps;
 
-  // Pass 2 starts at the converged geometry and KEEPS tuning: the
-  // per-pixel transform is indifferent to chunk boundaries, so geometry is
-  // pure throughput there — and its read/compute balance differs from
-  // screening's, so the controller is left in the loop. The boundary is
-  // declared to the tuner so the first transform epoch is never judged
-  // against a screening-phase rate (a cross-kernel comparison that could
-  // veto a perfectly good move).
-  if (tuner) {
-    tuner->phase_boundary();
-    chunk_lines.store(tuner->chunk_lines(), std::memory_order_relaxed);
-    active_depth = tuner->queue_depth();
-  }
-
-  // --- pass 2: streamed blocked transform + colour map -----------------------
+  // --- pass 2: blocked transform + colour map --------------------------------
   const linalg::Matrix t =
       core::transform_matrix(eig.vectors, config.pct.output_components);
   const std::vector<double> bias = core::projection_bias(t, result.mean);
   const auto scales = core::scales_from_eigenvalues(eig.values);
   const int comps = t.rows();
-  result.composite = hsi::RgbImage(W, H);
+  result.composite = hsi::RgbImage(W, shape.height);
   std::vector<float> plane_chunk;  // one chunk of components, when sunk
   {
-    const auto transform_chunk = [&](const ChunkBuffer& buf) {
+    const auto transform_chunk = [&](const ChunkView& chunk) {
       obs::ScopedSpan transform_span("chunk_transform", trace_job);
       const auto t0 = clock::now();
-      const std::int64_t count = static_cast<std::int64_t>(buf.rows) * W;
+      const std::int64_t count = static_cast<std::int64_t>(chunk.rows) * W;
       const std::int64_t first_flat =
-          static_cast<std::int64_t>(buf.line0) * W;
+          static_cast<std::int64_t>(chunk.line0) * W;
       float* planes = nullptr;
       if (config.plane_sink) {
         plane_chunk.resize(static_cast<std::size_t>(count) * comps);
@@ -518,7 +529,7 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       }
       pool.parallel_for(count, [&](std::int64_t lo, std::int64_t hi) {
         core::transform_and_map_chunk(
-            buf.data.data() + lo * B, hi - lo, t, bias, scales,
+            chunk.pixels + lo * B, hi - lo, t, bias, scales,
             planes != nullptr ? planes + lo * comps : nullptr,
             result.composite, first_flat + lo);
       });
@@ -530,22 +541,23 @@ std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
       return transform_seconds;
     };
     RIF_TRACE_SPAN_JOB("stream_pass2", trace_job);
-    if (!run_reader_pass(*reader, buffers, chunk_lines, metrics,
-                         live_buffer_bytes, active_depth,
-                         tuner ? config.autotune->memory_budget : 0,
-                         tuner ? &*tuner : nullptr, trace_job,
-                         transform_chunk)) {
-      RIF_LOG_WARN("stream", "I/O error streaming " << cube_path);
-      return std::nullopt;
-    }
+    if (!source.pass(reg, transform_chunk)) return std::nullopt;
   }
 
-  if (tuner) result.autotune = tuner->report();
+  result.autotune = source.autotune();
   result.stats = stats_view(reg);
   if (config.metrics != nullptr) {
     reg.merge_into(*config.metrics, config.metrics_prefix);
   }
   return result;
+}
+
+std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
+                                              core::ThreadPool& pool,
+                                              const StreamingConfig& config) {
+  const std::unique_ptr<ChunkSource> source = open_cube_file(cube_path, config);
+  if (source == nullptr) return std::nullopt;
+  return fuse_chunks(*source, pool, config);
 }
 
 std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,

@@ -1,59 +1,57 @@
-// Out-of-core streaming fusion: fuse a cube straight from disk in bounded
-// memory, overlapping I/O with compute.
+// The shared-memory fusion engine, written once over a chunk source, for
+// a cube resident in memory and for one streamed from disk.
 //
-// Every other engine in the repo (sequential fuse, the shared-memory
-// engine, the distributed actors) needs the whole hyper-spectral cube
-// resident before the first pixel is screened — scene size is capped at
-// RAM and load time serializes in front of compute. This engine is the
-// pipelined data-flow answer: a dedicated reader thread pulls chunks of
-// `chunk_lines` image lines through a ChunkedCubeReader into a fixed pool
-// of recycled buffers and hands them to the compute stage over a
-// BoundedQueue, whose capacity is the backpressure that keeps in-flight
-// memory at `queue_depth` chunk buffers — never the cube — while read-
-// ahead (double-buffered prefetch at queue_depth >= 3) hides disk latency
-// behind screening.
+// fuse_chunks makes two passes over a ChunkSource, around the statistics
+// barrier PCA cannot avoid (eigenvectors need the full covariance before
+// any pixel can be transformed):
 //
-// The algorithm is the shared-memory engine's, restructured around the
-// statistics barrier that out-of-core PCA cannot avoid (eigenvectors need
-// the full covariance before any pixel can be transformed):
+//   pass 1  per chunk, core::FusedScreen: the chunk is sub-tiled across the
+//           pool, each sub-tile screened into its unique set, then folded
+//           in chunk order;
+//   barrier mean and `cov_shards` covariance of the merged unique set (held
+//           in memory), Jacobi eigen-solve. A unique set of fewer than 3
+//           members fails the run: it is a property of the input;
+//   pass 2  per chunk, blocked SIMD transform + colour map: composite bytes
+//           land in place, component planes go to an optional sink.
 //
-//   pass 1  reader -> [BoundedQueue] -> core::FusedScreen per chunk: the
-//           chunk is sub-tiled across the pool, each sub-tile screened
-//           into its unique set, then folded in chunk order — the same
-//           class core::fuse_parallel runs over the resident cube;
-//   barrier mean and one-shard covariance of the merged unique set (held
-//           in memory, so no extra disk pass), Jacobi eigen-solve;
-//   pass 2  reader (re-streams the file) -> blocked SIMD transform +
-//           colour map per chunk, writing output chunks: composite bytes
-//           land in place, component planes go to an optional per-chunk
-//           sink instead of ever materializing whole planes.
+// CubeChunkSource hands over a resident cube as ONE zero-copy chunk, so
+// its tiles are hsi::partition_rows of the cube (core::fuse_parallel and
+// the service's Full-mode jobs). open_cube_file streams a file: a
+// dedicated reader thread pulls chunks of `chunk_lines` lines through a
+// ChunkedCubeReader into `queue_depth` recycled buffers and hands them to
+// the compute stage over a BoundedQueue, whose capacity is backpressure:
+// in-flight memory stays at queue_depth chunks, never the cube, while
+// read-ahead hides disk latency behind screening.
 //
-// Contract: the streamed run is byte-identical to core::fuse_parallel at
+// Contract: the result depends only on the tile boundaries and the shard
+// count. A streamed run is byte-identical to core::fuse_parallel at
 // matched tile boundaries (chunk_lines x tiles_per_chunk aligned with
 // ParallelPctConfig::tiles) and one covariance shard: composite bytes,
-// unique set, eigenvalues, mean and comparison counts — asserted in
-// tests/stream_test.cc.
+// unique set, eigenvalues, mean and comparison counts (tests/stream_test.cc).
 //
 // Deadlock safety with the help-while-waiting ThreadPool: the reader runs
 // on its own std::thread and never touches the pool, so the compute stage
 // may block on the queue (it parks, it does not help) yet always gets its
-// next chunk; nested parallel_for/parallel_tasks inside compute stay
-// deadlock-free on any pool size, including 1 (regression-tested).
+// next chunk, on any pool size, including 1 (regression-tested).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/parallel/thread_pool.h"
 #include "core/pct.h"
+#include "hsi/image_cube.h"
 #include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 
 namespace rif::stream {
 
+/// The engine reads pct, tiles_per_chunk, plane_sink and metrics; the file
+/// source reads chunk_lines, queue_depth and autotune.
 struct StreamingConfig {
   core::PctConfig pct;
 
@@ -107,16 +105,11 @@ struct StreamingConfig {
       plane_sink;
 };
 
-/// Per-stage observability of one streamed run. Stall seconds tell the
-/// bottleneck story without a profiler: reader_stall ~ backpressure
-/// (compute-bound), compute_stall ~ starvation (I/O-bound).
-///
-/// Since the adaptive-runtime PR this struct is a VIEW: the engine
-/// records everything into a per-run runtime::MetricsRegistry (per-chunk
-/// read/screen/fold/transform latency histograms, stall gauges, queue
-/// series) and materializes these fields from it at the end of the run —
-/// the registry is the source of truth, this is the stable per-job
-/// summary shape JobRecord::stream carries.
+/// Per-stage observability of one run: a view materialized at its end from
+/// the run's private registry (per-chunk latency histograms, stall gauges,
+/// queue series), the per-job summary JobRecord::stream carries. Stall
+/// seconds tell the bottleneck story without a profiler: reader_stall ~
+/// backpressure (compute-bound), compute_stall ~ starvation (I/O-bound).
 struct StreamingStats {
   int chunks = 0;                 ///< chunks consumed in pass 1
   std::uint64_t bytes_read = 0;   ///< file bytes read (both passes)
@@ -134,9 +127,8 @@ struct StreamingStats {
   double transform_seconds = 0.0;  ///< compute stage, pass 2 (excl. stalls)
 };
 
-/// What fuse() returns, minus whole-cube artifacts: component_planes
-/// stays empty — the planes are streamed to StreamingConfig::plane_sink
-/// instead of stored.
+/// What fuse() returns, except that component_planes stays empty: the
+/// planes go to StreamingConfig::plane_sink instead.
 struct StreamingResult : core::PctResult {
   StreamingStats stats;
   /// Tuned trajectory of this run (enabled == false when the run used
@@ -144,8 +136,65 @@ struct StreamingResult : core::PctResult {
   runtime::AutotuneReport autotune;
 };
 
-/// Fuse the cube at `<cube_path>` (+ `.hdr`) straight from disk on
-/// `pool`. nullopt on open/validation failure or an I/O error mid-stream.
+/// Whole image lines of a cube in BIP order, valid during one consume call.
+struct ChunkView {
+  int line0 = 0;                  ///< first image line
+  int rows = 0;                   ///< lines in the chunk
+  const float* pixels = nullptr;  ///< rows x width x bands floats
+};
+
+/// Where the engine's chunks come from. Each pass feeds the whole cube,
+/// line 0 to the last, through `consume` on the calling thread; `consume`
+/// returns the compute seconds it spent on the chunk (the autotuner's
+/// feedback). The engine makes two passes per run and gives each the run's
+/// private registry for the source's own series. False on an I/O error.
+class ChunkSource {
+ public:
+  ChunkSource() = default;
+  ChunkSource(const ChunkSource&) = delete;
+  ChunkSource& operator=(const ChunkSource&) = delete;
+  virtual ~ChunkSource() = default;
+  [[nodiscard]] virtual hsi::CubeShape shape() const = 0;
+  virtual bool pass(runtime::MetricsRegistry& run,
+                    const std::function<double(const ChunkView&)>& consume) = 0;
+  /// Tuned trajectory of the run (enabled == false for fixed geometry).
+  [[nodiscard]] virtual runtime::AutotuneReport autotune() const { return {}; }
+};
+
+/// A resident cube as one zero-copy chunk per pass.
+class CubeChunkSource final : public ChunkSource {
+ public:
+  explicit CubeChunkSource(const hsi::ImageCube& cube) : cube_(cube) {}
+  [[nodiscard]] hsi::CubeShape shape() const override {
+    return {cube_.width(), cube_.height(), cube_.bands()};
+  }
+  bool pass(runtime::MetricsRegistry& /*run*/,
+            const std::function<double(const ChunkView&)>& consume) override {
+    consume({0, cube_.height(), cube_.raw().data()});
+    return true;
+  }
+
+ private:
+  const hsi::ImageCube& cube_;
+};
+
+/// The file at `<cube_path>` (+ `.hdr`) as a chunk source streamed at
+/// config's chunk_lines, queue_depth and autotune. nullptr, with a logged
+/// error, on out-of-bounds geometry or a file that fails open/validation.
+std::unique_ptr<ChunkSource> open_cube_file(const std::string& cube_path,
+                                            const StreamingConfig& config);
+
+/// The engine: fuse `source` on `pool` with config's pct, tiles_per_chunk,
+/// plane_sink and metrics, summing the covariance in `cov_shards` shards.
+/// nullopt on an I/O error or a unique set of fewer than 3 members.
+std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
+                                           core::ThreadPool& pool,
+                                           const StreamingConfig& config,
+                                           int cov_shards = 1);
+
+/// Fuse the cube at `<cube_path>` (+ `.hdr`) straight from disk on `pool`:
+/// open_cube_file + fuse_chunks at one covariance shard. nullopt on
+/// open/validation failure, an I/O error mid-stream or a degenerate scene.
 std::optional<StreamingResult> fuse_streaming(const std::string& cube_path,
                                               core::ThreadPool& pool,
                                               const StreamingConfig& config);

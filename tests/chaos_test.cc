@@ -564,7 +564,9 @@ TEST(ChaosSoakTest, EveryJobCompletesBitExactOrFallsBackUnderFaults) {
   // Byte-identity under fire: whatever mix of drops, delays, duplicates,
   // re-sends and requeues a remote job survived, its composite is the
   // exact bytes of the sim-oracle chain (fuse_parallel at the same
-  // shard/tile counts). Oracles are cached per live-shard count — workers
+  // shard/tile counts). A job that fell back to the host ran at the shard
+  // count its remote attempt fixed, or at one shard when none started, so
+  // it meets the same oracle. Oracles are cached per shard count — workers
   // die as the soak progresses, so later jobs run with fewer shards.
   std::map<int, core::PctResult> oracle;
   int verified = 0;
@@ -572,26 +574,25 @@ TEST(ChaosSoakTest, EveryJobCompletesBitExactOrFallsBackUnderFaults) {
     const service::JobRecord& rec =
         report.jobs[static_cast<std::size_t>(id)];
     ASSERT_TRUE(rec.completed) << "job " << id;
-    if (!rec.remote_executed) continue;
-    ASSERT_GE(rec.remote_workers, 1);
-    auto it = oracle.find(rec.remote_workers);
+    const int shards = std::max(1, rec.remote_workers);
+    auto it = oracle.find(shards);
     if (it == oracle.end()) {
       core::ParallelPctConfig pcfg;
       pcfg.tiles = rec.workers * 2;  // tiles_per_worker = 2
-      pcfg.cov_shards = rec.remote_workers;
-      it = oracle.emplace(rec.remote_workers,
-                          core::fuse_parallel(scene.cube, pcfg))
+      pcfg.cov_shards = shards;
+      it = oracle.emplace(shards, core::fuse_parallel(scene.cube, pcfg))
                .first;
     }
     EXPECT_EQ(rec.outcome.composite.data, it->second.composite.data)
-        << "job " << id << " with " << rec.remote_workers << " shards";
+        << "job " << id << " with " << shards << " shards"
+        << (rec.remote_executed ? "" : " (host fallback)");
     EXPECT_EQ(rec.outcome.eigenvalues, it->second.eigenvalues);
     EXPECT_EQ(rec.outcome.unique_set_size, it->second.unique_set_size);
     EXPECT_EQ(rec.outcome.screen_comparisons, it->second.screen_comparisons);
     EXPECT_EQ(rec.outcome.merge_comparisons, it->second.merge_comparisons);
     ++verified;
   }
-  EXPECT_GE(verified, 5);
+  EXPECT_EQ(verified, kJobs);
 
   // CI uploads this snapshot as the soak's artifact.
   std::ofstream out("METRICS_chaos.json");

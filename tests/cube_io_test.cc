@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "hsi/chunked_reader.h"
 #include "hsi/cube_io.h"
 #include "hsi/scene.h"
 
@@ -175,6 +176,42 @@ TEST(CubeIoTest, CrlfCubeRoundTrips) {
   EXPECT_EQ(loaded->raw(), cube.raw());
   fs::remove(path);
   fs::remove(path + ".hdr");
+}
+
+TEST(CubeIoTest, HeaderWhoseDataSizeWrapsIsRefused) {
+  // 2^30 x 2^30 x 16 float32 is 2^66 bytes: a wrapped 64-bit product reads
+  // 0, which an EMPTY data file would match. Both loaders must refuse it
+  // before any allocation.
+  const std::string path = temp_path("rif_wrap_cube.dat");
+  {
+    std::ofstream hdr(path + ".hdr");
+    hdr << "ENVI\nsamples = 1073741824\nlines = 1073741824\nbands = 16\n"
+        << "data type = 4\ninterleave = bip\n";
+  }
+  { std::ofstream data(path, std::ios::binary); }
+  EXPECT_FALSE(read_header(path + ".hdr").has_value());
+  EXPECT_FALSE(ChunkedCubeReader::open(path).has_value());
+  EXPECT_FALSE(load_cube(path).has_value());
+  fs::remove(path);
+  fs::remove(path + ".hdr");
+}
+
+TEST(CubeIoTest, NonIntegerDimensionsAreRefused) {
+  const std::string path = temp_path("rif_int_cube.hdr");
+  for (const char* samples :
+       {"99999999999", "-4", "4x", "4.5", "", "0x10", "2147483648"}) {
+    {
+      std::ofstream hdr(path);
+      hdr << "ENVI\nsamples = " << samples << "\nlines = 4\nbands = 3\n";
+    }
+    EXPECT_FALSE(read_header(path).has_value()) << samples;
+  }
+  {
+    std::ofstream hdr(path);
+    hdr << "ENVI\nsamples = 4\nlines = 4\nbands = 3\ndata type = 4.0\n";
+  }
+  EXPECT_FALSE(read_header(path).has_value());
+  fs::remove(path);
 }
 
 TEST(CubeIoTest, OversizedDataFails) {

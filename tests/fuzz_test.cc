@@ -6,9 +6,9 @@
 // tile, shard or transform that a worker would accept then runs through
 // the worker's shard op. The invariant is that nothing aborts and nothing
 // reads out of bounds (the ASan leg checks the second half). A fixed seed
-// and budget keep the run deterministic and short. The last cases pin the
-// shard-message shape checks and feed the coordinator's merge members of
-// extreme magnitude.
+// and budget keep the run deterministic and short. The later cases pin the
+// shard-message shape checks, feed the coordinator's merge members of
+// extreme magnitude, and mutate cube headers through the .hdr parser.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,7 +16,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "core/distributed/messages.h"
 #include "core/distributed/shard_ops.h"
 #include "core/spectral_angle.h"
+#include "hsi/cube_io.h"
 #include "linalg/stats.h"
 #include "net/frame.h"
 #include "net/socket_transport.h"
@@ -491,6 +495,68 @@ TEST(FuzzTest, ExtremeMagnitudeMembersMergeExactly) {
   EXPECT_EQ(shards[0].vectors,
             concat({direction(0, 1e30), direction(1, 1e-30),
                     direction(2, 1e30), direction(3, 1e-30)}));
+}
+
+TEST(FuzzTest, CubeHeaderMutantsNeverAbortOrWrapTheDataSize) {
+  // The .hdr parser is a trust boundary too: a service accepts cube paths
+  // from tenants, and a header whose data size wraps 64 bits would let an
+  // empty data file through validation. Mutants of clean headers (LF, CRLF,
+  // lone CR, huge dimensions) go through a temp file into read_header.
+  const std::vector<std::string> texts = {
+      "ENVI\nsamples = 5\nlines = 4\nbands = 3\nheader offset = 0\n"
+      "data type = 4\ninterleave = bip\nbyte order = 0\n"
+      "wavelength = { 400, 1000,\n 2500 }\n",
+      "\xEF\xBB\xBF" "ENVI\r\nsamples\t=  640\r\nlines =640\r\n"
+      "bands= 105\r\ndata type = 4\r\ninterleave =\tBIL\r\n",
+      "ENVI\rsamples = 7\rlines = 2\rbands = 4\rdata type = 4\r"
+      "interleave = bsq\r",
+      "ENVI\nsamples = 1073741824\nlines = 1073741824\nbands = 16\n"
+      "data type = 4\n",
+      "ENVI\nsamples = 2147483647\nlines = 2147483647\nbands = 2\n",
+  };
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const std::string& t : texts) seeds.emplace_back(t.begin(), t.end());
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "rif_fuzz_cube.hdr").string();
+  Rng rng(1073741824);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    for (std::size_t h = 0; h < seeds.size(); ++h) {
+      const auto mutant =
+          mutate(rng, seeds[h], seeds[(h + 1 + i) % seeds.size()]);
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(mutant.data()),
+                  static_cast<std::streamsize>(mutant.size()));
+      }
+      const auto header = hsi::read_header(path);
+      if (!header) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      ASSERT_GT(header->samples, 0);
+      ASSERT_GT(header->lines, 0);
+      ASSERT_GT(header->bands, 0);
+      const unsigned __int128 exact = static_cast<unsigned __int128>(
+                                          header->samples) *
+                                      static_cast<unsigned __int128>(
+                                          header->lines) *
+                                      static_cast<unsigned __int128>(
+                                          header->bands) *
+                                      sizeof(float);
+      ASSERT_TRUE(exact == hsi::expected_data_bytes(*header))
+          << header->samples << "x" << header->lines << "x" << header->bands;
+      EXPECT_TRUE(header->wavelengths.empty() ||
+                  header->wavelengths.size() ==
+                      static_cast<std::size_t>(header->bands));
+    }
+  }
+  std::filesystem::remove(path);
+  // The budget reached both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
@@ -723,6 +724,15 @@ TEST(ServiceTest, StreamingJobStructuralValidation) {
     JobRequest both = streaming_request("t", 2, path, 8);
     both.config.cube = &scene.cube;
     EXPECT_EQ(service.submit(both).rejected, RejectReason::kBadConfig);
+    // A header whose data size wraps 64 bits would match an empty file.
+    {
+      std::ofstream hdr(path + ".hdr", std::ios::trunc);
+      hdr << "ENVI\nsamples = 1073741824\nlines = 1073741824\n"
+          << "bands = 16\ndata type = 4\n";
+    }
+    fs::resize_file(path, 0);
+    EXPECT_EQ(service.submit(streaming_request("t", 2, path, 8)).rejected,
+              RejectReason::kBadConfig);
   }
   fs::remove(path);
   fs::remove(path + ".hdr");
@@ -766,6 +776,47 @@ TEST(ServiceTest, StreamingFileLostAfterSubmitFailsTheJob) {
 
   fs::remove(path);
   fs::remove(path + ".hdr");
+}
+
+TEST(ServiceTest, DegenerateFullJobFailsAloneOnTheHostPool) {
+  // A constant cube screens to a one-member unique set, which has no
+  // covariance to decompose. submit() cannot see that coming; host
+  // execution fails that job, and the next job of the run still completes.
+  hsi::ImageCube flat(8, 8, 4);
+  std::fill(flat.raw().begin(), flat.raw().end(), 0.5f);
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 16;
+  scene_cfg.height = 16;
+  scene_cfg.bands = 4;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+  const auto full_request = [](const hsi::ImageCube& cube) {
+    JobRequest r;
+    r.tenant = "t";
+    r.config = cost_only_job(2);
+    r.config.mode = core::ExecutionMode::kFull;
+    r.config.shape = {cube.width(), cube.height(), cube.bands()};
+    r.config.cube = &cube;
+    return r;
+  };
+
+  ServiceConfig cfg;
+  cfg.worker_nodes = 4;
+  cfg.execution_threads = 1;
+  FusionService service(cfg);
+  const SubmitResult degenerate = service.submit(full_request(flat));
+  ASSERT_TRUE(degenerate.accepted());
+  const SubmitResult kept = service.submit(full_request(scene.cube));
+  ASSERT_TRUE(kept.accepted());
+  const ServiceReport report = service.run();
+
+  const JobRecord& rec = record_of(report, degenerate.id);
+  EXPECT_TRUE(rec.failed);
+  EXPECT_FALSE(rec.completed);
+  EXPECT_TRUE(record_of(report, kept.id).completed);
+  EXPECT_EQ(report.jobs_failed, 1);
+  EXPECT_EQ(report.jobs_completed, 1);
+  EXPECT_FALSE(report.all_completed);
+  expect_tenants_match_records(report);
 }
 
 TEST(ServiceTest, MemoryBudgetSerializesHostJobs) {
