@@ -132,14 +132,18 @@ PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,
   stream::StreamingConfig engine;
   engine.pct = config.pct;
   engine.tiles_per_chunk = config.tiles > 0 ? config.tiles : pool.size();
-  engine.plane_sink = [&planes](std::int64_t first, std::int64_t count,
-                                int comps, const float* components) {
-    for (std::int64_t p = 0; p < count; ++p) {
+  // The cube is one chunk, so the sink sees every pixel at once: scatter
+  // the pixel-major components into the planes across the pool.
+  engine.plane_sink = [&planes, &pool](std::int64_t first, std::int64_t count,
+                                       int comps, const float* components) {
+    pool.parallel_for(count, [&](std::int64_t lo, std::int64_t hi) {
       for (int c = 0; c < comps; ++c) {
-        planes[c][static_cast<std::size_t>(first + p)] =
-            components[p * comps + c];
+        float* plane = planes[c].data() + first;
+        for (std::int64_t p = lo; p < hi; ++p) {
+          plane[p] = components[p * comps + c];
+        }
       }
-    }
+    });
   };
   stream::CubeChunkSource source(cube);
   std::optional<stream::StreamingResult> fused =

@@ -855,10 +855,18 @@ void FusionService::execute_host_jobs() {
           job.record.host_seconds = seconds_between(job_start, clock::now());
           if (!r) {
             // The virtual run is already over: a file lost since submit, a
-            // disk error or a degenerate scene fails this job alone.
-            RIF_LOG_WARN("service", "host execution failed");
+            // disk error or a degenerate scene fails this job alone. Its
+            // virtual completion was already counted; the counters cannot
+            // take that back, so they add the failure on top.
+            RIF_LOG_WARN("service",
+                         "job " << job.record.id << " failed on the host"
+                                << (streamed ? " streaming " +
+                                                   job.request.cube_path
+                                             : std::string()));
             job.record.completed = false;
             job.record.failed = true;
+            metrics_.counter("service.failed").add(1);
+            metrics_.counter("tenant." + job.record.tenant + ".failed").add(1);
             return;
           }
           if (streamed) {

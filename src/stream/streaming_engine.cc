@@ -8,6 +8,7 @@
 
 #include "core/parallel/parallel_pct.h"
 #include "hsi/chunked_reader.h"
+#include "hsi/partition.h"
 #include "linalg/jacobi_eig.h"
 #include "obs/span_tracer.h"
 #include "runtime/chunk_geometry.h"
@@ -527,9 +528,13 @@ std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
         plane_chunk.resize(static_cast<std::size_t>(count) * comps);
         planes = plane_chunk.data();
       }
-      pool.parallel_for(count, [&](std::int64_t lo, std::int64_t hi) {
+      // The same row tiles as pass 1 screened, one task each.
+      const auto tiles =
+          hsi::partition_rows({W, chunk.rows, B}, tiles_per_chunk);
+      pool.parallel_tasks(static_cast<int>(tiles.size()), [&](int i) {
+        const std::int64_t lo = tiles[i].first_flat_index();
         core::transform_and_map_chunk(
-            chunk.pixels + lo * B, hi - lo, t, bias, scales,
+            chunk.pixels + lo * B, tiles[i].pixels(), t, bias, scales,
             planes != nullptr ? planes + lo * comps : nullptr,
             result.composite, first_flat + lo);
       });

@@ -11,8 +11,9 @@
 //   barrier mean and `cov_shards` covariance of the merged unique set (held
 //           in memory), Jacobi eigen-solve. A unique set of fewer than 3
 //           members fails the run: it is a property of the input;
-//   pass 2  per chunk, blocked SIMD transform + colour map: composite bytes
-//           land in place, component planes go to an optional sink.
+//   pass 2  per chunk, blocked SIMD transform + colour map over the same
+//           sub-tiles: composite bytes land in place, component planes go
+//           to an optional sink.
 //
 // CubeChunkSource hands over a resident cube as ONE zero-copy chunk, so
 // its tiles are hsi::partition_rows of the cube (core::fuse_parallel and
@@ -87,9 +88,10 @@ struct StreamingConfig {
   runtime::MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "stream.";
 
-  /// Screening sub-tiles per chunk (the compute stage's parallelism);
-  /// 0 = pool size. Chunk x sub-tile boundaries define the screening fold
-  /// order, exactly like ParallelPctConfig::tiles: choose
+  /// Sub-tiles per chunk, screened and then transformed one task each
+  /// (the compute stage's parallelism); 0 = pool size. Chunk x sub-tile
+  /// boundaries define the screening fold order, exactly like
+  /// ParallelPctConfig::tiles: choose
   /// chunks * tiles_per_chunk boundaries that match an in-memory engine's
   /// row partition when comparing outputs.
   int tiles_per_chunk = 0;

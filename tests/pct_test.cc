@@ -180,6 +180,12 @@ TEST(ColorMapTest, ScaleCentersMean) {
   EXPECT_LT(s.to_byte(8.0), 128.0);
 }
 
+TEST(ColorMapTest, PlaneStats) {
+  const auto stats = plane_stats({1.0f, 3.0f});
+  EXPECT_DOUBLE_EQ(stats.mean, 2.0);
+  EXPECT_DOUBLE_EQ(stats.stddev, 1.0);
+}
+
 // --- Sequential pipeline -----------------------------------------------------------
 
 TEST(PctPipelineTest, RunsOnSyntheticScene) {

@@ -817,6 +817,8 @@ TEST(ServiceTest, DegenerateFullJobFailsAloneOnTheHostPool) {
   EXPECT_EQ(report.jobs_completed, 1);
   EXPECT_FALSE(report.all_completed);
   expect_tenants_match_records(report);
+  EXPECT_EQ(service.metrics().counter_value("service.failed"), 1u);
+  EXPECT_EQ(service.metrics().counter_value("tenant.t.failed"), 1u);
 }
 
 TEST(ServiceTest, MemoryBudgetSerializesHostJobs) {
