@@ -10,14 +10,12 @@ LeaseBook::LeaseBook(std::vector<NodeId> pool) {
     const bool inserted = free_.insert(n).second;
     RIF_CHECK_MSG(inserted, "duplicate node in lease pool");
   }
-  total_ = static_cast<int>(free_.size());
 }
 
 void LeaseBook::add_node(NodeId node) {
   RIF_CHECK_MSG(node != kNoNode, "invalid node in lease pool");
   const bool inserted = free_.insert(node).second;
   RIF_CHECK_MSG(inserted, "node already in lease pool");
-  ++total_;
 }
 
 int LeaseBook::free_nodes(const NodeFilter& eligible) const {
@@ -51,11 +49,6 @@ void LeaseBook::release(LeaseOwner owner) {
   if (it == leases_.end()) return;
   for (const NodeId n : it->second) free_.insert(n);
   leases_.erase(it);
-}
-
-std::vector<NodeId> LeaseBook::leased_to(LeaseOwner owner) const {
-  auto it = leases_.find(owner);
-  return it == leases_.end() ? std::vector<NodeId>{} : it->second;
 }
 
 LeaseOwner LeaseBook::owner_of(NodeId node) const {

@@ -31,7 +31,6 @@ class LeaseBook {
   /// the head/sensor node is kept out of the pool).
   explicit LeaseBook(std::vector<NodeId> pool);
 
-  [[nodiscard]] int total_nodes() const { return total_; }
   [[nodiscard]] int free_nodes() const { return static_cast<int>(free_.size()); }
   [[nodiscard]] bool fits(int n) const { return n >= 0 && n <= free_nodes(); }
 
@@ -52,18 +51,10 @@ class LeaseBook {
   /// unknown owner.
   void release(LeaseOwner owner);
 
-  /// Nodes currently leased to `owner` (empty if none).
-  [[nodiscard]] std::vector<NodeId> leased_to(LeaseOwner owner) const;
-
-  [[nodiscard]] bool is_leased(NodeId node) const {
-    return owner_of(node) != kNoOwner;
-  }
-
   /// Owner currently holding `node`, or kNoOwner.
   [[nodiscard]] LeaseOwner owner_of(NodeId node) const;
 
  private:
-  int total_ = 0;
   std::set<NodeId> free_;                            ///< ascending id order
   std::map<LeaseOwner, std::vector<NodeId>> leases_;
 };

@@ -64,9 +64,6 @@ class Node {
            from_seconds(flops / config_.flops_per_second);
   }
 
-  /// Time at which the CPU queue drains (>= now when busy).
-  [[nodiscard]] SimTime busy_until() const { return busy_until_; }
-
   /// Crash the node: all queued compute and timers die with it.
   void fail();
 

@@ -55,14 +55,6 @@ ComponentScale make_scale(const ComponentStats& stats, double sigmas = 2.5);
 std::array<std::uint8_t, 3> map_pixel(const std::array<double, 3>& components,
                                       const std::array<ComponentScale, 3>& scales);
 
-/// Map three full component planes to an RGB image.
-hsi::RgbImage map_planes(const std::vector<float>& pc1,
-                         const std::vector<float>& pc2,
-                         const std::vector<float>& pc3, int width, int height);
-
-/// Per-plane statistics helper.
-ComponentStats plane_stats(const std::vector<float>& plane);
-
 /// Flops charged per mapped pixel (3x3 matrix apply + scales + clamps).
 inline constexpr double kColorMapFlopsPerPixel = 30.0;
 

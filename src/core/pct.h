@@ -99,11 +99,6 @@ void transform_and_map_chunk(const float* pixels, std::int64_t count,
                              float* plane_chunk, hsi::RgbImage& composite,
                              std::int64_t out_offset);
 
-/// Flops charged per transformed pixel for `bands` -> `components`.
-inline double transform_flops_per_pixel(int bands, int components) {
-  return static_cast<double>(components) * (2.0 * bands) + bands;
-}
-
 /// transform_and_map_chunk over the flat pixel range [lo, hi) of a
 /// resident cube, scattering the components into `planes` (one plane per
 /// transform row). The sequential pipeline's transform stage.

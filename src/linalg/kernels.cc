@@ -256,8 +256,6 @@ const KernelTable& compiled_table() { return compiled_tbl(); }
 
 const char* backend() { return active()->name; }
 
-const char* compiled_backend() { return compiled_tbl().name; }
-
 bool simd_enabled() { return std::strcmp(active()->name, "scalar") != 0; }
 
 std::vector<std::string> available_backends() {

@@ -59,10 +59,6 @@ const char* backend();
 /// True when the dispatched kernels are vectorized (backend != "scalar").
 bool simd_enabled();
 
-/// Tier the compile-time fallback path of this TU was built for — what
-/// backend() used to mean before runtime dispatch.
-const char* compiled_backend();
-
 /// Tier names this binary can run on this CPU, widest first; always ends
 /// with "scalar".
 std::vector<std::string> available_backends();

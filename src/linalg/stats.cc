@@ -200,12 +200,13 @@ std::optional<CovarianceAccumulator> CovarianceAccumulator::try_decode(
     return std::nullopt;
   }
   // Validate the wire payload BEFORE trusting it: a negative or mismatched
-  // dims field must fail cleanly, not drive size arithmetic on garbage.
-  if (dims <= 0 || static_cast<std::size_t>(dims) != mean.size()) {
+  // dims field must fail cleanly, not drive size arithmetic on garbage,
+  // and the triangle is checked before one of dims' size is allocated.
+  if (dims <= 0 || static_cast<std::size_t>(dims) != mean.size() ||
+      upper.size() != mean.size() * (mean.size() + 1) / 2) {
     return std::nullopt;
   }
   CovarianceAccumulator acc(dims, std::move(mean));
-  if (upper.size() != acc.upper_.size()) return std::nullopt;
   acc.upper_ = std::move(upper);
   acc.count_ = count;
   return acc;

@@ -106,9 +106,6 @@ class CovarianceAccumulator {
   static std::optional<CovarianceAccumulator> try_decode(
       const std::vector<std::uint8_t>& bytes);
 
-  /// Flops charged per added pixel of dimension n (upper triangle MACs).
-  static double flops_per_pixel(int n) { return 0.5 * n * (n + 3.0); }
-
  private:
   int dims_;
   std::vector<double> mean_;

@@ -73,7 +73,7 @@ void SpanTracer::emit(SpanEvent e) {
                                  : blk->count.load(std::memory_order_relaxed);
   if (n == kBlockEvents) {
     const std::lock_guard<std::mutex> lock(buf.mutex);
-    if (buf.blocks.size() >= max_blocks_.load(std::memory_order_relaxed)) {
+    if (buf.blocks.size() >= kMaxBlocksPerThread) {
       buf.dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }

@@ -140,14 +140,8 @@ class SpanTracer {
   [[nodiscard]] std::map<std::int64_t, std::string> job_tenants() const;
   [[nodiscard]] std::map<std::int32_t, std::string> thread_names() const;
 
-  /// Events dropped because a thread hit max_blocks_per_thread.
+  /// Events dropped because a thread hit kMaxBlocksPerThread.
   [[nodiscard]] std::uint64_t dropped_events() const;
-
-  /// Per-thread buffer cap, in blocks of kBlockEvents events (bounds trace
-  /// memory on runaway instrumentation; excess events are counted dropped).
-  void set_max_blocks_per_thread(std::size_t blocks) {
-    max_blocks_.store(blocks, std::memory_order_relaxed);
-  }
 
   /// Discard all recorded events (thread buffers stay registered, job and
   /// thread names are kept). Callers must guarantee no concurrent
@@ -174,7 +168,9 @@ class SpanTracer {
   ThreadBuffer& local_buffer();
 
   std::atomic<bool> enabled_{false};
-  std::atomic<std::size_t> max_blocks_{256};  // 1M events/thread
+  /// Per-thread buffer cap in blocks (1M events): bounds trace memory on
+  /// runaway instrumentation; excess events are counted dropped.
+  static constexpr std::size_t kMaxBlocksPerThread = 256;
   std::uint64_t epoch_ns_ = 0;                // steady_clock at construction
 
   mutable std::mutex registry_mutex_;

@@ -40,7 +40,8 @@
 //   * Memory clamp: chunk_lines never grows past what memory_budget
 //     affords at the current queue_depth (queue_depth x chunk_bytes <=
 //     budget), and both knobs respect the shared chunk-geometry bounds.
-//     The service passes the job's ADMITTED budget here, so a tuned job
+//     A file source given no budget passes its fixed-geometry working set
+//     here, the number the service admits a job against, so a tuned job
 //     cannot outgrow what the Scheduler let it in with.
 //
 // The controller is driven purely by per-chunk observations (deltas of

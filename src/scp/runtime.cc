@@ -961,7 +961,6 @@ void Runtime::Impl::install_replica(ThreadId tid, int slot, std::uint64_t inc,
                           << ")");
   on_heartbeat(tid, slot, inc);  // fresh grace period
   shell->start(/*run_on_start=*/false);
-  if (!migration && self.on_regenerated_) self.on_regenerated_(tid, slot);
 }
 
 // ---------------------------------------------------------------------------

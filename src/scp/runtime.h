@@ -183,11 +183,6 @@ class Runtime {
   /// True if every spawned group still has at least one live replica.
   [[nodiscard]] bool all_groups_alive() const;
 
-  /// Injected by tests: invoked whenever a replica is regenerated.
-  void set_on_regenerated(std::function<void(ThreadId, int)> fn) {
-    on_regenerated_ = std::move(fn);
-  }
-
   /// Proactively move a live replica to `target` — the paper's
   /// attack-assessment-driven mobility (§2: threads "highly mobile, moving
   /// from one place in the network to another"). The replica's checkpoint
@@ -214,7 +209,6 @@ class Runtime {
   RuntimeConfig config_;
   ProtocolStats stats_;
   std::function<void(ThreadId)> on_group_lost_;
-  std::function<void(ThreadId, int)> on_regenerated_;
 };
 
 }  // namespace rif::scp

@@ -23,17 +23,17 @@ namespace rif::service {
 using JobId = scp::JobId;
 inline constexpr JobId kNoJob = scp::kNoJob;
 
-/// How an admitted job's pixels reach the host execution pool.
+/// What a job's source is. submit() builds the source once
+/// (stream::ChunkSource); its working set is the job's memory_demand and
+/// the engine fuses it the same way in both modes.
 ///
 ///  * kFull      — the tenant hands the service an in-memory cube
-///                 (FusionJobConfig::cube); host execution runs the
-///                 shared-memory engine over it. Peak memory: the cube.
-///  * kStreaming — the tenant hands the service a cube FILE (cube_path);
-///                 host execution streams it out-of-core through the same
-///                 engine in bounded memory. Peak memory:
-///                 queue_depth chunk buffers, which is what the Scheduler
-///                 budgets instead of the whole-cube footprint — scenes
-///                 larger than RAM become admissible.
+///                 (FusionJobConfig::cube). Working set: the cube.
+///  * kStreaming — the tenant hands the service a cube FILE (cube_path),
+///                 streamed out-of-core. Working set: queue_depth chunk
+///                 buffers, not the whole cube, so scenes larger than RAM
+///                 become admissible. The mode also selects the stream.*
+///                 registry series and the Scheduler's streaming preference.
 enum class JobMode { kFull = 0, kStreaming = 1 };
 
 inline const char* to_string(JobMode m) {
@@ -69,9 +69,8 @@ enum class RejectReason {
   kTooManyWorkers,
   /// The bounded queue was full when the job arrived.
   kQueueFull,
-  /// The job's peak-memory demand (whole cube for Full mode, queue_depth
-  /// chunk buffers for Streaming) exceeds the service's host-memory budget
-  /// outright — admitting it would queue it forever.
+  /// The working set of the job's source exceeds the service's
+  /// host-memory budget outright — admitting it would queue it forever.
   kOverMemoryBudget,
 };
 
@@ -95,23 +94,25 @@ struct JobRequest {
 
   JobMode mode = JobMode::kFull;
   /// Streaming mode: the cube file (`<path>` + `<path>.hdr`) to fuse
-  /// out-of-core. `config.cube` stays null; the job's shape is read from
-  /// the header at submission. Requires ServiceConfig::execution_threads.
+  /// out-of-core, opened once at submission as the job's source, whose
+  /// header gives the job its shape. `config.cube` stays null. Requires
+  /// ServiceConfig::execution_threads.
   ///
   /// A FULL-mode request may also set this: it marks the tenant's consent
   /// to the kAdaptive counter-offer — when the cube outruns the service's
-  /// memory budget, the service converts the job to Streaming over this
-  /// file instead of rejecting it kOverMemoryBudget (see service.h).
+  /// memory budget, the service streams this file as the job's source
+  /// instead of rejecting it kOverMemoryBudget (see service.h).
   std::string cube_path;
   /// Streaming mode: image lines per chunk (the I/O and fold unit).
   /// Bounds shared with the engine: runtime/chunk_geometry.h.
   int chunk_lines = 64;
   /// Streaming mode: chunk buffers in flight (>= 3); with chunk_lines this
-  /// IS the job's budgeted peak memory.
+  /// sets the working set of the job's source, its budgeted peak memory.
   int queue_depth = 4;
   /// Streaming mode: let the runtime's ChunkAutotuner retune
-  /// chunk_lines/queue_depth during the run, clamped to the job's ADMITTED
-  /// memory demand so tuning never outgrows what the Scheduler let in.
+  /// chunk_lines/queue_depth during the run, clamped to the working set of
+  /// the job's source, its ADMITTED memory demand, so tuning never
+  /// outgrows what the Scheduler let in.
   bool autotune = false;
 };
 
@@ -134,18 +135,20 @@ struct JobRecord {
   std::string tenant;
   Priority priority = Priority::kNormal;
   JobMode mode = JobMode::kFull;
-  /// Accepted via the kAdaptive counter-offer: submitted Full, ran
-  /// Streaming (mode above reflects what RAN).
+  /// Accepted via the kAdaptive counter-offer: submitted Full, its source
+  /// is the streamed cube_path (mode above reflects what RAN).
   bool counter_offered = false;
   int workers = 0;
-  /// Peak host memory the Scheduler budgeted for this job (0 when the job
-  /// carries no host working set, e.g. CostOnly simulations).
+  /// Peak host memory the Scheduler budgeted for this job: the working set
+  /// of the job's source (0 when the job has none, e.g. CostOnly
+  /// simulations).
   std::uint64_t memory_demand = 0;
   RejectReason rejected = RejectReason::kNone;
   bool completed = false;
   /// Accepted and started, but lost before completing: to failures on the
   /// virtual timeline, or to a host-execution failure found after virtual
-  /// completion (a streamed cube file lost mid-read).
+  /// completion (a streamed cube file lost mid-read, a degenerate scene).
+  /// The registry counts such a job failed only, never completed.
   bool failed = false;
 
   SimTime submit_time = -1;

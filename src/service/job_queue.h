@@ -20,9 +20,9 @@ class JobQueue {
     Priority priority = Priority::kNormal;
     std::uint64_t seq = 0;  ///< global arrival order (FIFO tie-break)
     int workers = 0;        ///< worker-node demand
-    /// Peak host-memory demand (bytes): the whole cube for Full-mode host
-    /// execution, queue_depth chunk buffers for Streaming, 0 for jobs with
-    /// no host working set.
+    /// Peak host-memory demand (bytes): the working set of the job's
+    /// source (the whole cube when resident, queue_depth chunk buffers when
+    /// streamed), 0 for jobs with no source.
     std::uint64_t memory = 0;
     /// Streaming-mode job (bounded-memory demand) — what the kAdaptive
     /// policy prefers under memory pressure.

@@ -3,12 +3,12 @@
 // The scheduler decides which queued job to admit next against the free
 // worker capacity tracked by the LeaseBook AND the free host-memory budget
 // (a job "fits" only when both its worker demand and its peak-memory
-// demand fit — the memory demand being the whole cube for a Full-mode host
-// job but only queue_depth chunk buffers for a Streaming one, which is how
-// larger-than-budget scenes stay admissible). Both policies backfill — a
-// job too large for the current free set never blocks smaller jobs behind
-// it — so the queue keeps draining at saturation; they differ in *which*
-// fitting job goes first:
+// demand fit — the memory demand being the working set of the job's
+// source: the whole cube when resident, only queue_depth chunk buffers
+// when streamed, which is how larger-than-budget scenes stay admissible).
+// All three policies backfill — a job too large for the current free set
+// never blocks smaller jobs behind it — so the queue keeps draining at
+// saturation; they differ in *which* fitting job goes first:
 //
 //  * kFirstFit       — the first fitting job in priority-then-FIFO order.
 //                      Preserves arrival fairness within a priority class.

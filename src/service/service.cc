@@ -12,10 +12,8 @@
 
 #include "core/parallel/parallel_pct.h"
 #include "core/spectral_angle.h"
-#include "hsi/chunked_reader.h"
 #include "linalg/kernels.h"
 #include "obs/span_tracer.h"
-#include "runtime/chunk_geometry.h"
 #include "stream/streaming_engine.h"
 #include "support/check.h"
 #include "support/log.h"
@@ -51,6 +49,25 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   return sorted[static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5)];
+}
+
+/// The engine settings of `request`. The file source reads chunk_lines,
+/// queue_depth and autotune when it is opened; fuse_chunks reads pct. An
+/// autotuned file source is clamped to its working set, which is the
+/// demand the Scheduler admits, so tuning never outgrows it.
+stream::StreamingConfig engine_config(const JobRequest& request) {
+  stream::StreamingConfig cfg;
+  cfg.pct.screening_threshold = request.config.screening_threshold;
+  cfg.pct.output_components = request.config.output_components;
+  cfg.pct.jacobi = request.config.jacobi;
+  cfg.chunk_lines = request.chunk_lines;
+  cfg.queue_depth = request.queue_depth;
+  if (request.autotune) {
+    runtime::AutotuneConfig tune;
+    tune.initial_chunk_lines = 0;  // start from the tenant's value
+    cfg.autotune = tune;
+  }
+  return cfg;
 }
 
 }  // namespace
@@ -184,28 +201,19 @@ RejectReason FusionService::validate(const JobRequest& request) const {
   }
   // Thresholds the screen would abort on mid-run, and fewer output
   // components than the colour map needs. The upper bound on components
-  // is the band count, which a streamed job learns from its header
-  // (checked in submit).
+  // is the band count of the job's source (checked in submit).
   if (!core::UniqueSet::valid_threshold(cfg.screening_threshold) ||
       cfg.output_components < 3) {
     return RejectReason::kBadConfig;
   }
-  if (request.mode == JobMode::kStreaming) {
-    // Streaming jobs fuse a FILE on the host pool; the simulated actors
-    // only play out timing/placement, so an in-memory cube (or Full-mode
-    // actor execution) alongside is a contradiction. Chunk-geometry bounds
-    // are the engine's own (runtime/chunk_geometry.h): a request the
-    // engine would refuse mid-run is refused here, at submission.
-    if (request.cube_path.empty() || cfg.cube != nullptr ||
-        cfg.mode == core::ExecutionMode::kFull ||
-        config_.execution_threads <= 0) {
-      return RejectReason::kBadConfig;
-    }
-    if (const char* error = runtime::validate_chunk_geometry(
-            request.chunk_lines, request.queue_depth)) {
-      RIF_LOG_WARN("service", "streaming request rejected: " << error);
-      return RejectReason::kBadConfig;
-    }
+  // A Streaming job fuses a FILE on the host pool; the simulated actors
+  // only play out timing/placement, so an in-memory cube (or Full-mode
+  // actor execution) alongside is a contradiction. The file and its chunk
+  // geometry are checked when submit opens it.
+  if (request.mode == JobMode::kStreaming &&
+      (request.cube_path.empty() || cfg.cube != nullptr ||
+       cfg.mode == core::ExecutionMode::kFull || exec_pool_ == nullptr)) {
+    return RejectReason::kBadConfig;
   }
   if (cfg.replication > 1 && !config_.runtime.resilient) {
     return RejectReason::kBadConfig;
@@ -242,57 +250,50 @@ SubmitResult FusionService::submit(JobRequest request) {
 
   RejectReason reason = validate(request);
 
-  // The kAdaptive counter-offer: a Full-mode cube that can NEVER fit the
+  // The job's pixels: the file a Streaming job names, opened here once
+  // (open_cube_file refuses bad chunk geometry and bad files), or the
+  // resident cube. A CostOnly job has none.
+  if (reason == RejectReason::kNone) {
+    if (request.mode == JobMode::kStreaming) {
+      job->source =
+          stream::open_cube_file(request.cube_path, engine_config(request));
+      if (job->source == nullptr) reason = RejectReason::kBadConfig;
+    } else if (request.config.cube != nullptr) {
+      job->source =
+          std::make_unique<stream::CubeChunkSource>(*request.config.cube);
+    }
+  }
+
+  // The kAdaptive counter-offer: a resident cube that can NEVER fit the
   // memory budget is a guaranteed kOverMemoryBudget — unless the tenant
-  // attached a cube_path, which is consent to run the same scene as a
-  // Streaming job whose demand is queue_depth chunk buffers instead of
-  // the cube. Convert, then let the normal streaming validation/budgeting
-  // below treat it like any other streamed submission.
+  // attached a cube_path, which is consent to stream the same scene from
+  // that file, whose working set is queue_depth chunk buffers instead of
+  // the cube.
   if (reason == RejectReason::kNone && request.mode == JobMode::kFull &&
+      job->source != nullptr &&
       config_.admission == AdmissionPolicy::kAdaptive &&
       config_.host_memory_budget > 0 && exec_pool_ != nullptr &&
-      request.config.cube != nullptr && !request.cube_path.empty() &&
-      request.config.cube->bytes() > config_.host_memory_budget) {
-    request.mode = JobMode::kStreaming;
-    request.config.cube = nullptr;
-    request.config.mode = core::ExecutionMode::kCostOnly;
+      !request.cube_path.empty() &&
+      job->source->working_set_bytes() > config_.host_memory_budget) {
+    job->source =
+        stream::open_cube_file(request.cube_path, engine_config(request));
     job->record.mode = JobMode::kStreaming;
     job->record.counter_offered = true;
     metrics_.counter("service.counter_offers").add(1);
     RIF_LOG_DEBUG("service", "job " << id
                                     << " counter-offered as streaming ("
                                     << request.cube_path << ")");
-    reason = validate(request);
+    if (job->source == nullptr) reason = RejectReason::kBadConfig;
   }
 
-  if (reason == RejectReason::kNone &&
-      request.mode == JobMode::kStreaming) {
-    // Structural validation of the file itself: parseable header, data
-    // length matching the dims (the shared cube_io validation path). The
-    // header also gives the job its shape — for the cost-model actors —
-    // and its budgeted peak memory: queue_depth chunk buffers, NOT the
-    // cube. That is the admission-control point of Streaming mode.
-    const auto reader = hsi::ChunkedCubeReader::open(request.cube_path);
-    if (!reader) {
-      reason = RejectReason::kBadConfig;
-    } else {
-      request.config.shape = {reader->samples(), reader->lines(),
-                              reader->bands()};
-      job->record.memory_demand =
-          static_cast<std::uint64_t>(request.queue_depth) *
-          reader->chunk_bytes(std::min(request.chunk_lines,
-                                       reader->lines()));
-    }
-  } else if (reason == RejectReason::kNone &&
-             request.config.cube != nullptr) {
-    // A resident cube is the job's host working set, whole.
-    job->record.memory_demand = request.config.cube->bytes();
+  // The source's shape is the job's shape (the cost-model actors play it
+  // out) and its working set is the one number admission budgets.
+  if (job->source != nullptr) {
+    request.config.shape = job->source->shape();
+    job->record.memory_demand = job->source->working_set_bytes();
   }
-  const int bands = request.config.cube != nullptr
-                        ? request.config.cube->bands()
-                        : request.config.shape.bands;
   if (reason == RejectReason::kNone &&
-      request.config.output_components > bands) {
+      request.config.output_components > request.config.shape.bands) {
     reason = RejectReason::kBadConfig;
   }
   if (reason == RejectReason::kNone && config_.host_memory_budget > 0 &&
@@ -303,6 +304,7 @@ SubmitResult FusionService::submit(JobRequest request) {
   metrics_.counter("service.submitted").add(1);
   metrics_.counter("tenant." + request.tenant + ".submitted").add(1);
   if (reason != RejectReason::kNone) {
+    job->source.reset();
     job->record.rejected = reason;
     metrics_.counter("service.rejected").add(1);
     metrics_.counter("tenant." + request.tenant + ".rejected").add(1);
@@ -409,19 +411,15 @@ void FusionService::start_job(JobId id, const cluster::NodeFilter& alive) {
     job.flops_at_start.push_back(cluster_.node(n).flops_charged());
   }
 
-  // With a host execution pool, a Full-mode job's pixels are fused on the
-  // shared pool (execute_host_jobs, after the virtual run decides timing)
-  // and the simulated actors run CostOnly. Placement, leases and message
-  // flow are unchanged, but virtual time and flops then follow the cost
-  // model's estimates rather than the data-dependent counts a Full-mode
-  // actor run would charge — the host pool trades that fidelity for
-  // running the arithmetic once instead of twice. A Streaming job's actors
-  // are CostOnly already (validate guarantees it, and a host pool).
+  // With a host execution pool, a job's source is fused on the shared
+  // pool (execute_host_jobs, after the virtual run decides timing) and the
+  // simulated actors run CostOnly. Placement, leases and message flow are
+  // unchanged, but virtual time and flops then follow the cost model's
+  // estimates rather than the data-dependent counts a Full-mode actor run
+  // would charge — the host pool trades that fidelity for running the
+  // arithmetic once instead of twice.
   core::FusionJobConfig sim_config = job.request.config;
-  job.host_execute = exec_pool_ != nullptr &&
-                     (sim_config.mode == core::ExecutionMode::kFull ||
-                      job.request.mode == JobMode::kStreaming);
-  if (job.host_execute) {
+  if (host_executes(job)) {
     sim_config.mode = core::ExecutionMode::kCostOnly;
     sim_config.cube = nullptr;
   }
@@ -484,16 +482,21 @@ void FusionService::on_job_complete(JobId id) {
       .set(static_cast<double>(memory_in_use_));
   RIF_TRACE_COUNTER("service.memory_in_use",
                     static_cast<double>(memory_in_use_));
-  metrics_.counter("service.completed").add(1);
-  metrics_.counter("tenant." + job.record.tenant + ".completed").add(1);
-  metrics_.histogram("tenant." + job.record.tenant + ".wait_seconds")
-      .observe(job.record.wait_seconds);
-  metrics_.histogram("tenant." + job.record.tenant + ".latency_seconds")
-      .observe(job.record.wait_seconds + job.record.service_seconds);
+  // A job fused on the host pool is counted once its composite exists.
+  if (!host_executes(job)) count_completed(job.record);
   --running_;
   --outstanding_;
   publish_queue_gauges();
   dispatch();
+}
+
+void FusionService::count_completed(const JobRecord& record) {
+  metrics_.counter("service.completed").add(1);
+  metrics_.counter("tenant." + record.tenant + ".completed").add(1);
+  metrics_.histogram("tenant." + record.tenant + ".wait_seconds")
+      .observe(record.wait_seconds);
+  metrics_.histogram("tenant." + record.tenant + ".latency_seconds")
+      .observe(record.wait_seconds + record.service_seconds);
 }
 
 void FusionService::on_node_failed(cluster::NodeId node) {
@@ -527,6 +530,7 @@ void FusionService::fail_job(JobId id) {
   // so nothing keeps running inside a lease about to be reclaimed.
   runtime_->retire_job(id);
   leases_.release(id);
+  job.source.reset();
   memory_in_use_ -= job.record.memory_demand;
   metrics_.gauge("service.memory_in_use", runtime::GaugeKind::kSum)
       .set(static_cast<double>(memory_in_use_));
@@ -740,21 +744,24 @@ void FusionService::execute_host_jobs() {
   if (exec_pool_ == nullptr) return;
   std::vector<PendingJob*> ready;
   for (auto& job : jobs_) {
-    if (job->host_execute && job->record.completed) {
+    if (job->source != nullptr && job->record.completed) {
       ready.push_back(job.get());
     }
   }
   if (ready.empty()) return;
 
-  // Jobs leased onto remote workers execute over the socket protocol
-  // first, serially — the pool's event queue is shared, so two
-  // coordinators cannot drain it at once. A job whose workers all died
+  // Jobs with a resident cube leased onto remote workers execute over the
+  // socket protocol first, serially — the pool's event queue is shared, so
+  // two coordinators cannot drain it at once. A job whose workers all died
   // stays in `ready` and falls back to the host waves below.
   if (remote_pool_ != nullptr) {
     std::vector<PendingJob*> rest;
     rest.reserve(ready.size());
     for (PendingJob* job : ready) {
-      if (job->request.mode == JobMode::kStreaming || !execute_remote(*job)) {
+      if (job->record.mode == JobMode::kFull && execute_remote(*job)) {
+        job->source.reset();
+        count_completed(job->record);
+      } else {
         rest.push_back(job);
       }
     }
@@ -814,50 +821,31 @@ void FusionService::execute_host_jobs() {
           obs::JobScope job_scope(job.record.id);
           RIF_TRACE_SPAN("host_execute");
           const auto job_start = clock::now();
-          const core::FusionJobConfig& req = job.request.config;
-          const bool streamed = job.request.mode == JobMode::kStreaming;
-          stream::StreamingConfig cfg;
-          cfg.pct.screening_threshold = req.screening_threshold;
-          cfg.pct.output_components = req.output_components;
-          cfg.pct.jacobi = req.jacobi;
+          const bool streamed = job.record.mode == JobMode::kStreaming;
+          stream::StreamingConfig cfg = engine_config(job.request);
           // The job's pool budget (tiles screened at once, per chunk) is
           // the workers x tiles_per_worker the Scheduler admitted.
-          cfg.tiles_per_chunk = job.record.workers * req.tiles_per_worker;
-          std::unique_ptr<stream::ChunkSource> source;
+          cfg.tiles_per_chunk =
+              job.record.workers * job.request.config.tiles_per_worker;
           if (streamed) {
-            // Out-of-core, in bounded memory. The run's registry merges
-            // into the service's under one prefix, where concurrent jobs
-            // aggregate (counters add, peaks max) for StreamingTotals.
-            cfg.chunk_lines = job.request.chunk_lines;
-            cfg.queue_depth = job.request.queue_depth;
+            // The run's registry merges into the service's under one
+            // prefix, where concurrent jobs aggregate (counters add, peaks
+            // max) for StreamingTotals.
             cfg.metrics = &metrics_;
             cfg.metrics_prefix = "stream.";
-            if (job.request.autotune) {
-              runtime::AutotuneConfig tune;
-              tune.initial_chunk_lines = 0;  // start from the tenant's value
-              // The clamp the tenant already agreed to: the demand the
-              // Scheduler admitted. Tuning may reshape chunks vs depth but
-              // never outgrow the admitted footprint.
-              tune.memory_budget = job.record.memory_demand;
-              cfg.autotune = tune;
-            }
-            source = stream::open_cube_file(job.request.cube_path, cfg);
-          } else {
-            source = std::make_unique<stream::CubeChunkSource>(*req.cube);
           }
           // A remote job that fell back runs at the shard count its
           // attempt fixed; every other job at one shard.
-          std::optional<stream::StreamingResult> r;
-          if (source != nullptr) {
-            r = stream::fuse_chunks(*source, *exec_pool_, cfg,
-                                    std::max(1, job.record.remote_workers));
-          }
+          std::optional<stream::StreamingResult> r =
+              stream::fuse_chunks(*job.source, *exec_pool_, cfg,
+                                  std::max(1, job.record.remote_workers));
+          // Frees a file source's chunk buffers before the next wave.
+          job.source.reset();
           job.record.host_seconds = seconds_between(job_start, clock::now());
           if (!r) {
             // The virtual run is already over: a file lost since submit, a
-            // disk error or a degenerate scene fails this job alone. Its
-            // virtual completion was already counted; the counters cannot
-            // take that back, so they add the failure on top.
+            // disk error or a degenerate scene fails this job alone. It
+            // was never counted completed.
             RIF_LOG_WARN("service",
                          "job " << job.record.id << " failed on the host"
                                 << (streamed ? " streaming " +
@@ -879,6 +867,7 @@ void FusionService::execute_host_jobs() {
           out.unique_set_size = r->unique_set_size;
           out.screen_comparisons = r->screen_comparisons;
           out.merge_comparisons = r->merge_comparisons;
+          count_completed(job.record);
         });
   }
 

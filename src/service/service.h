@@ -14,27 +14,38 @@
 // The pipeline per job:
 //
 //   submit()  -> structural validation. Impossible requests (more workers
-//                than the pool will ever have, malformed configs) are
-//                refused with a typed RejectReason instead of queuing
-//                forever.
+//                than the pool will ever have, malformed configs, a cube
+//                file that fails to open) are refused with a typed
+//                RejectReason instead of queuing forever. submit() also
+//                builds the job's source once (stream::ChunkSource): the
+//                resident cube, or the cube file a Streaming job names.
+//                Its shape is the job's shape and its working set the
+//                job's memory demand, the one number admission budgets.
 //   arrival   -> the request enters the JobQueue at its virtual arrival
 //                time: strict priority classes (high / normal / batch),
 //                FIFO within a class; a bounded queue rejects overflow
 //                with RejectReason::kQueueFull.
 //   admission -> the Scheduler picks the next queued job that fits the
-//                free worker capacity (AdmissionPolicy::kFirstFit or
-//                kSmallestFirst — see scheduler.h); the LeaseBook grants
+//                free worker capacity and memory budget
+//                (AdmissionPolicy::kFirstFit, kSmallestFirst or kAdaptive —
+//                see scheduler.h); the LeaseBook grants
 //                the job an exclusive lease on `workers` nodes, so
 //                concurrent jobs always run on disjoint worker sets.
 //   execution -> a FusionJobInstance spawns the job's actor topology on the
 //                leased nodes (manager on the head node), keyed by job id
 //                in the shared runtime; regeneration of failed replicas is
-//                confined to the job's leased nodes.
+//                confined to the job's leased nodes. With a host pool the
+//                actors run CostOnly and, after the virtual run, the job's
+//                source is fused on the pool (stream::fuse_chunks), or
+//                over remote workers for a resident cube leased onto them.
 //   completion-> the manager's completion callback fires at virtual
 //                completion time: the job's record takes its wait,
 //                service time and the flops charged on its leased nodes,
 //                the lease is released, and the scheduler immediately
-//                tries to admit more queued work.
+//                tries to admit more queued work. The registry counts the
+//                job completed once its composite exists: at virtual
+//                completion when the actors fused it, after host or
+//                remote execution otherwise.
 //
 // ## Report mapping
 //
@@ -77,10 +88,12 @@
 //   the grantable pool when (if) it is repaired.
 // * With AdmissionPolicy::kAdaptive the service becomes feedback-driven:
 //   under memory pressure (free budget <= half) the Scheduler prefers
-//   streaming jobs, and a Full-mode submission whose cube outruns the
-//   budget is COUNTER-OFFERED as Streaming over its cube_path (consent =
-//   the tenant attached one) instead of rejected kOverMemoryBudget; the
-//   conversion is flagged in SubmitResult/JobRecord::counter_offered.
+//   streaming jobs, and a Full-mode submission whose resident source's
+//   working set outruns the budget is COUNTER-OFFERED instead of rejected
+//   kOverMemoryBudget: its source becomes the file at its cube_path
+//   (consent = the tenant attached one), streamed in queue_depth chunk
+//   buffers, and the job runs Streaming. The conversion is flagged in
+//   SubmitResult/JobRecord::counter_offered.
 // * Observability is registry-backed: one runtime::MetricsRegistry spans
 //   the service (per-tenant admission counters and latency histograms,
 //   host-pool series, every streamed run's merged stage/queue series);
@@ -134,24 +147,25 @@ struct ServiceConfig {
   /// Queued-job bound; arrivals beyond it are rejected. 0 = unbounded.
   std::size_t max_queue_length = 0;
 
-  /// Host threads for REAL execution of admitted Full-mode jobs on one
-  /// shared ThreadPool (0 = off: Full-mode pixels flow through the
-  /// simulated actors instead). When on, each admitted Full-mode job's
-  /// cube is fused with the shared-memory engine (stream::fuse_chunks over
-  /// the resident cube, at one covariance shard or the shard count of a
-  /// remote attempt it fell back from); its parallelism budget — the
-  /// number of tiles it may occupy the pool with — is workers *
-  /// tiles_per_worker, where `workers` is what the Scheduler actually
-  /// admitted. Jobs execute concurrently as nested parallel work on the
-  /// one pool, which the help-while-waiting ThreadPool makes deadlock-free.
+  /// Host threads for REAL execution of admitted jobs on one shared
+  /// ThreadPool (0 = off: Full-mode pixels flow through the simulated
+  /// actors instead, and Streaming jobs are refused). When on, each
+  /// admitted job's source — resident cube or streamed file — is fused with
+  /// the shared-memory engine (stream::fuse_chunks, at one covariance shard
+  /// or the shard count of a remote attempt it fell back from); its
+  /// parallelism budget — the number of tiles it may occupy the pool with
+  /// — is workers * tiles_per_worker, where `workers` is what the
+  /// Scheduler actually admitted. Jobs execute concurrently as nested
+  /// parallel work on the one pool, which the help-while-waiting
+  /// ThreadPool makes deadlock-free.
   int execution_threads = 0;
 
   /// Host-memory budget (bytes) for the peak working sets of concurrently
   /// admitted jobs. The Scheduler admits a job only when its demand — the
-  /// whole cube for a Full-mode host job, queue_depth chunk buffers for a
-  /// Streaming job — fits the unspent budget, so co-tenants cannot
-  /// collectively blow the host's RAM; a job whose demand exceeds the
-  /// budget outright is rejected kOverMemoryBudget at submission.
+  /// working set of its source: the whole cube when resident, queue_depth
+  /// chunk buffers when streamed — fits the unspent budget, so co-tenants
+  /// cannot collectively blow the host's RAM; a job whose demand exceeds
+  /// the budget outright is rejected kOverMemoryBudget at submission.
   /// 0 = unbudgeted (memory is not part of admission).
   std::uint64_t host_memory_budget = 0;
 
@@ -240,7 +254,7 @@ struct ServiceConfig {
 
 /// Usage of the shared host execution pool over the host-execution phase
 /// (populated only when ServiceConfig::execution_threads > 0 and at least
-/// one Full-mode job host-executed). Busy/idle split execution-thread
+/// one job host-executed). Busy/idle split execution-thread
 /// time: a thread is idle while parked waiting for work — including a
 /// nested helper that ran out of queued tiles — and busy otherwise.
 struct HostPoolStats {
@@ -378,7 +392,6 @@ class FusionService {
 
   // --- introspection (tests, benches) --------------------------------------
   [[nodiscard]] int worker_nodes() const { return config_.worker_nodes; }
-  [[nodiscard]] std::size_t queued_jobs() const { return queue_.size(); }
   [[nodiscard]] int running_jobs() const { return running_; }
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] scp::Runtime& runtime() { return *runtime_; }
@@ -410,14 +423,16 @@ class FusionService {
   struct PendingJob {
     JobRequest request;
     JobRecord record;
+    /// Where the job's pixels come from, built once at submit: the
+    /// resident cube, or the cube file a Streaming (or counter-offered)
+    /// job streams. Null for a CostOnly job. Its shape and working set are
+    /// the job's shape and memory_demand. Released once the job's
+    /// composite is computed or the job fails.
+    std::unique_ptr<stream::ChunkSource> source;
     std::unique_ptr<core::FusionJobInstance> instance;
     /// flops_charged() of each leased node at admission, for per-job
     /// attribution (leases are exclusive, so the delta is exact).
     std::vector<double> flops_at_start;
-    /// Full-mode or Streaming job whose composite is computed on the
-    /// shared host pool, from the resident cube or request.cube_path (the
-    /// simulated actors then run CostOnly for timing/placement).
-    bool host_execute = false;
     /// Open virtual spans on the job's trace track ("queue_wait" /
     /// "execute"), so build_report can close a stranded job's spans at the
     /// deadline — the exported trace must always be balanced.
@@ -432,8 +447,18 @@ class FusionService {
   void start_job(JobId id, const cluster::NodeFilter& alive);
   void on_job_complete(JobId id);
   void fail_job(JobId id);
-  /// Fuse every completed host_execute job's cube on the shared pool (all
-  /// jobs concurrently, each within its admitted worker budget).
+  /// A job with a source is fused on the host pool when there is one (the
+  /// simulated actors then run CostOnly for timing and placement);
+  /// otherwise its actors fuse the pixels.
+  [[nodiscard]] bool host_executes(const PendingJob& job) const {
+    return job.source != nullptr && exec_pool_ != nullptr;
+  }
+  /// Add a job to the registry's completed counters and latency histograms,
+  /// once its composite exists.
+  void count_completed(const JobRecord& record);
+  /// Fuse every virtually completed job's source on the shared pool (all
+  /// jobs concurrently, each within its admitted worker budget), after a
+  /// remote attempt for resident jobs leased onto remote workers.
   void execute_host_jobs();
   /// Open the socket transport and lease connected workers into the
   /// cluster/LeaseBook (run() preamble; no-op when remote_workers == 0).

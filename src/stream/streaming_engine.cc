@@ -147,15 +147,19 @@ class FileChunkSource final : public ChunkSource {
     // configured chunk_lines when 0); fixed runs keep the configured
     // geometry for the whole run (the atomic is then never written again).
     const int lines = reader_.lines();
+    working_set_ = static_cast<std::uint64_t>(config.queue_depth) *
+                   reader_.chunk_bytes(std::min(config.chunk_lines, lines));
     if (config.autotune.has_value()) {
-      const int start = config.autotune->initial_chunk_lines > 0
-                            ? config.autotune->initial_chunk_lines
-                            : config.chunk_lines;
-      tuner_.emplace(*config.autotune, std::min(start, lines),
-                     config.queue_depth,
-                     static_cast<std::uint64_t>(reader_.samples()) *
-                         reader_.bands() * sizeof(float));
-      memory_budget_ = config.autotune->memory_budget;
+      // Tuning reshapes chunks against depth but never outgrows the clamp,
+      // which is then the working set.
+      runtime::AutotuneConfig tune = *config.autotune;
+      if (tune.memory_budget == 0) tune.memory_budget = working_set_;
+      working_set_ = tune.memory_budget;
+      memory_budget_ = tune.memory_budget;
+      const int start = tune.initial_chunk_lines > 0 ? tune.initial_chunk_lines
+                                                     : config.chunk_lines;
+      tuner_.emplace(tune, std::min(start, lines), config.queue_depth,
+                     reader_.chunk_bytes(1));
     }
     chunk_lines_.store(tuner_ ? tuner_->chunk_lines()
                               : std::min(config.chunk_lines, lines));
@@ -173,6 +177,10 @@ class FileChunkSource final : public ChunkSource {
 
   [[nodiscard]] hsi::CubeShape shape() const override {
     return {reader_.samples(), reader_.lines(), reader_.bands()};
+  }
+
+  [[nodiscard]] std::uint64_t working_set_bytes() const override {
+    return working_set_;
   }
 
   [[nodiscard]] runtime::AutotuneReport autotune() const override {
@@ -396,7 +404,9 @@ class FileChunkSource final : public ChunkSource {
 
   hsi::ChunkedCubeReader reader_;
   std::optional<runtime::ChunkAutotuner> tuner_;
-  /// Cap on live_buffer_bytes_ (the tuner's clamp); 0 = none. Every growth
+  std::uint64_t working_set_ = 0;
+  /// Cap on live_buffer_bytes_ (the tuner's clamp); 0 for fixed geometry,
+  /// whose queue_depth buffers cannot outgrow it anyway. Every growth
   /// is claimed against it by compare-and-swap before memory is allocated,
   /// so the cap holds by construction — even when the chunk_lines a reader
   /// fill loaded is wider than what the consumer has since published and

@@ -157,18 +157,25 @@ class ChunkSource {
   ChunkSource& operator=(const ChunkSource&) = delete;
   virtual ~ChunkSource() = default;
   [[nodiscard]] virtual hsi::CubeShape shape() const = 0;
+  /// Peak host bytes of the source's pixels while a run reads it: the
+  /// number a memory budget admits a job against.
+  [[nodiscard]] virtual std::uint64_t working_set_bytes() const = 0;
   virtual bool pass(runtime::MetricsRegistry& run,
                     const std::function<double(const ChunkView&)>& consume) = 0;
   /// Tuned trajectory of the run (enabled == false for fixed geometry).
   [[nodiscard]] virtual runtime::AutotuneReport autotune() const { return {}; }
 };
 
-/// A resident cube as one zero-copy chunk per pass.
+/// A resident cube as one zero-copy chunk per pass: its working set is the
+/// cube, one chunk at depth 1.
 class CubeChunkSource final : public ChunkSource {
  public:
   explicit CubeChunkSource(const hsi::ImageCube& cube) : cube_(cube) {}
   [[nodiscard]] hsi::CubeShape shape() const override {
     return {cube_.width(), cube_.height(), cube_.bands()};
+  }
+  [[nodiscard]] std::uint64_t working_set_bytes() const override {
+    return cube_.bytes();
   }
   bool pass(runtime::MetricsRegistry& /*run*/,
             const std::function<double(const ChunkView&)>& consume) override {
@@ -181,7 +188,10 @@ class CubeChunkSource final : public ChunkSource {
 };
 
 /// The file at `<cube_path>` (+ `.hdr`) as a chunk source streamed at
-/// config's chunk_lines, queue_depth and autotune. nullptr, with a logged
+/// config's chunk_lines, queue_depth and autotune. Its working set is
+/// queue_depth chunks of min(chunk_lines, lines) lines; an autotuned source
+/// is clamped to AutotuneConfig::memory_budget, or to that same working set
+/// when the budget is 0, and reports its clamp. nullptr, with a logged
 /// error, on out-of-bounds geometry or a file that fails open/validation.
 std::unique_ptr<ChunkSource> open_cube_file(const std::string& cube_path,
                                             const StreamingConfig& config);

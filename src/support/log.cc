@@ -99,8 +99,7 @@ Logger& Logger::instance() {
 }
 
 double Logger::now_seconds() const {
-  return clock_ ? clock_()
-                : static_cast<double>(steady_now_ns() - start_ns_) / 1e9;
+  return static_cast<double>(steady_now_ns() - start_ns_) / 1e9;
 }
 
 void Logger::set_sink(LogRing* ring) {
@@ -125,13 +124,9 @@ void Logger::write(LogLevel level, const std::string& component,
   } else {
     line = message;
   }
-  // Virtual seconds when the simulation drives the clock; wall seconds
-  // since logger construction otherwise. Either way every line has a
-  // timestamp a timeline tool can align against.
-  const double t = clock_
-                       ? clock_()
-                       : static_cast<double>(steady_now_ns() - start_ns_) /
-                             1e9;
+  // Wall seconds since logger construction: a timestamp a timeline tool
+  // can align against.
+  const double t = now_seconds();
   std::fprintf(stderr, "[%12.6fs] %-5s %-12s %s\n", t, name,
                component.c_str(), line.c_str());
 

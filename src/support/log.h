@@ -111,9 +111,6 @@ class Logger {
   void set_level(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
 
-  /// Install a source for virtual timestamps (seconds). Pass nullptr to clear.
-  void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
-
   void write(LogLevel level, const std::string& component,
              const std::string& message);
 
@@ -131,15 +128,14 @@ class Logger {
     return sink_.load(std::memory_order_relaxed) != nullptr;
   }
 
-  /// The timestamp a record emitted now would carry (the stderr axis):
-  /// virtual seconds under a sim clock, wall seconds since construction
-  /// otherwise. The ops plane stamps shipped worker records with it.
+  /// The timestamp a record emitted now would carry (the stderr axis): wall
+  /// seconds since construction. The ops plane stamps shipped worker
+  /// records with it.
   [[nodiscard]] double now_seconds() const;
 
  private:
   Logger();
   LogLevel level_ = LogLevel::kWarn;
-  std::function<double()> clock_;
   std::uint64_t start_ns_ = 0;  ///< steady clock at construction (wall axis)
   /// Relaxed-load fast path; sink_mu_ orders append against (un)install.
   std::atomic<LogRing*> sink_{nullptr};

@@ -8,7 +8,8 @@
 // reads out of bounds (the ASan leg checks the second half). A fixed seed
 // and budget keep the run deterministic and short. The later cases pin the
 // shard-message shape checks, feed the coordinator's merge members of
-// extreme magnitude, and mutate cube headers through the .hdr parser.
+// extreme magnitude, and mutate cube headers through the .hdr parser, a
+// worker's telemetry batch and an encoded covariance accumulator.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,6 +17,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -557,6 +559,138 @@ TEST(FuzzTest, CubeHeaderMutantsNeverAbortOrWrapTheDataSize) {
   // The budget reached both outcomes.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(refused, 0);
+}
+
+TEST(FuzzTest, TelemetryBodyMutantsNeverAbortAndReencodeExactly) {
+  // A worker's kTelemetry batch crosses the socket trust boundary. Mutants
+  // of clean batches go through TelemetryBody::try_decode; one it accepts
+  // holds exactly what its bytes say, so encoding it again gives them back.
+  const auto batch = [](std::int64_t job, int spans, int logs) {
+    scp::TelemetryBody b;
+    b.job_id = job;
+    b.flush_index = static_cast<std::uint64_t>(spans + logs);
+    const char phases[] = {'X', 'i', 'C', 'B', 'E'};
+    for (int i = 0; i < spans; ++i) {
+      scp::TelemetrySpan sp;
+      sp.name = i % 2 == 0 ? scp::kJobSpanName : "screen_shard";
+      sp.ts_ns = 1000u * static_cast<std::uint64_t>(i);
+      sp.dur_ns = sp.name == scp::kJobSpanName ? 500u : 0u;
+      sp.job = job;
+      sp.value = 0.25 * i;
+      sp.phase = phases[i % 5];
+      b.spans.push_back(sp);
+    }
+    b.counters = {{"worker.tiles", 7}, {"worker.shards", 3}};
+    b.gauges = {{"worker.peak_bytes", 1, 4096.0}, {"worker.load", 0, 0.5}};
+    scp::TelemetryHistogram h;
+    h.name = "worker.tile_seconds";
+    h.count = 4;
+    h.sum = 0.01;
+    h.min = 0.001;
+    h.max = 0.004;
+    h.buckets.assign(scp::kTelemetryHistogramBuckets, 0);
+    h.buckets[3] = 4;
+    b.histograms.push_back(h);
+    for (int i = 0; i < logs; ++i) {
+      scp::TelemetryLog l;
+      l.level = static_cast<std::uint8_t>(i % 5);
+      l.component = "worker";
+      l.message = i % 2 == 0 ? "" : "tile requeued";
+      l.job = job;
+      l.ts_ns = 77u * static_cast<std::uint64_t>(i);
+      b.logs.push_back(l);
+    }
+    return b.encode();
+  };
+  const std::vector<std::vector<std::uint8_t>> seeds = {
+      batch(-1, 0, 0), batch(3, 5, 2), batch(12, 2, 5)};
+  Rng rng(0x7e1e);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const auto mutant =
+          mutate(rng, seeds[k], seeds[(k + 1 + i) % seeds.size()]);
+      const auto body = scp::TelemetryBody::try_decode(mutant);
+      if (!body) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(body->encode(), mutant);
+    }
+  }
+  // The budget reached both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(FuzzTest, CovarianceAccumulatorMutantsNeverAbortAndReencodeExactly) {
+  // A worker's covariance shard sum crosses the socket trust boundary as an
+  // encoded accumulator. One try_decode accepts has the dims() and count()
+  // its byte length and header say, and re-encodes to the same bytes.
+  const auto accumulator = [](int dims, int pixels) {
+    std::vector<double> mean(static_cast<std::size_t>(dims));
+    for (int d = 0; d < dims; ++d) mean[static_cast<std::size_t>(d)] = 0.1 * d;
+    linalg::CovarianceAccumulator acc(dims, mean);
+    std::vector<float> pixel(static_cast<std::size_t>(dims));
+    for (int p = 0; p < pixels; ++p) {
+      for (int d = 0; d < dims; ++d) {
+        pixel[static_cast<std::size_t>(d)] =
+            static_cast<float>((p * 7 + d * 3) % 11) * 0.125f;
+      }
+      acc.add(pixel);
+    }
+    return acc.encode();
+  };
+  const std::vector<std::vector<std::uint8_t>> seeds = {
+      accumulator(1, 1), accumulator(3, 4), accumulator(8, 9)};
+  const auto encoded_bytes = [](std::size_t dims) {
+    return sizeof(std::int32_t) + sizeof(std::uint64_t) +
+           sizeof(std::uint64_t) + dims * sizeof(double) +
+           sizeof(std::uint64_t) + dims * (dims + 1) / 2 * sizeof(double);
+  };
+  Rng rng(0xc0fa);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const auto mutant =
+          mutate(rng, seeds[k], seeds[(k + 1 + i) % seeds.size()]);
+      const auto acc = linalg::CovarianceAccumulator::try_decode(mutant);
+      if (!acc) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      ASSERT_GT(acc->dims(), 0);
+      ASSERT_EQ(mutant.size(),
+                encoded_bytes(static_cast<std::size_t>(acc->dims())));
+      std::uint64_t count = 0;
+      std::memcpy(&count, mutant.data() + sizeof(std::int32_t), sizeof(count));
+      ASSERT_EQ(acc->count(), count);
+      ASSERT_EQ(acc->encode(), mutant);
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(FuzzTest, CovarianceAccumulatorWithTooShortATriangleIsRefusedUnsized) {
+  // A mean of 2^17 dims in 1 MiB of payload declares a 68 GB triangle.
+  // The payload's own triangle is empty, so try_decode must refuse it
+  // before it sizes anything from dims.
+  constexpr std::int32_t kDims = 1 << 17;
+  std::vector<std::uint8_t> bytes(sizeof(kDims) + sizeof(std::uint64_t));
+  std::memcpy(bytes.data(), &kDims, sizeof(kDims));
+  const auto put_u64 = [&bytes](std::uint64_t v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(v));
+  };
+  put_u64(kDims);
+  bytes.resize(bytes.size() + kDims * sizeof(double));
+  put_u64(0);
+  EXPECT_FALSE(linalg::CovarianceAccumulator::try_decode(bytes).has_value());
 }
 
 }  // namespace

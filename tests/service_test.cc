@@ -75,6 +75,21 @@ void expect_tenants_match_records(const ServiceReport& report) {
   }
 }
 
+/// Tenant "t" ran two jobs and one failed on the host: the registry counts
+/// the other completed once, with one wait and one latency sample, and
+/// does not count the failed one.
+void expect_registry_counts_one_completion(FusionService& service) {
+  const runtime::MetricsRegistry& reg = service.metrics();
+  EXPECT_EQ(reg.counter_value("service.completed"), 1u);
+  EXPECT_EQ(reg.counter_value("tenant.t.completed"), 1u);
+  for (const char* name :
+       {"tenant.t.wait_seconds", "tenant.t.latency_seconds"}) {
+    const runtime::Histogram* h = reg.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), 1u) << name;
+  }
+}
+
 // --- Acceptance-criteria scenario -------------------------------------------
 
 TEST(ServiceTest, TwoTenantsManyJobsShareOneCluster) {
@@ -476,6 +491,9 @@ TEST(ServiceTest, HostPoolOffKeepsActorExecution) {
   // The simulated actors computed the composite, exactly as before.
   EXPECT_EQ(record_of(report, id).outcome.composite.data.size(),
             static_cast<std::size_t>(scene.cube.pixel_count()) * 3);
+  // The job still holds its resident cube as its source, so admission
+  // budgets the cube, as for a host-executed job.
+  EXPECT_EQ(record_of(report, id).memory_demand, scene.cube.bytes());
   // No host pool: utilisation report stays empty.
   EXPECT_EQ(report.host_pool.threads, 0);
   EXPECT_EQ(report.host_pool.wall_seconds, 0.0);
@@ -773,6 +791,7 @@ TEST(ServiceTest, StreamingFileLostAfterSubmitFailsTheJob) {
   expect_tenants_match_records(report);
   // The quantiles cover completed jobs only, like the tenant sums.
   EXPECT_DOUBLE_EQ(report.wait_p99, record_of(report, kept.id).wait_seconds);
+  expect_registry_counts_one_completion(service);
 
   fs::remove(path);
   fs::remove(path + ".hdr");
@@ -819,6 +838,7 @@ TEST(ServiceTest, DegenerateFullJobFailsAloneOnTheHostPool) {
   expect_tenants_match_records(report);
   EXPECT_EQ(service.metrics().counter_value("service.failed"), 1u);
   EXPECT_EQ(service.metrics().counter_value("tenant.t.failed"), 1u);
+  expect_registry_counts_one_completion(service);
 }
 
 TEST(ServiceTest, MemoryBudgetSerializesHostJobs) {
