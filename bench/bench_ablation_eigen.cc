@@ -2,10 +2,12 @@
 //
 // The paper computes the full eigen-decomposition of the band-covariance
 // matrix with an O(n^3) method and notes it does not dominate at 210
-// bands. The colour pipeline only consumes the three leading pairs, so
+// bands. The pipeline's full solve is Householder tridiagonalisation plus
+// implicit QL (linalg::jacobi_eigen, named after the paper's Jacobi cost
+// model). The colour pipeline only consumes the three leading pairs, so
 // power iteration with deflation is the natural alternative. This bench
 // measures both for real (wall clock) across band counts, checks they
-// agree, and reports the crossover the paper's remark implies.
+// agree, and reports the virtual share the paper's cost model charges.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -48,24 +50,24 @@ double time_ms(const std::function<void()>& fn, int repeats) {
 }  // namespace
 
 int main() {
-  std::printf("=== Ablation: full Jacobi vs top-3 power iteration ===\n\n");
-  Table table({"bands", "jacobi(ms)", "power3(ms)", "speedup",
+  std::printf("=== Ablation: full tridiagonal QL vs top-3 power iteration ===\n\n");
+  Table table({"bands", "full-ql(ms)", "power3(ms)", "speedup",
                "max |dlambda|/l1", "sim sequential share @P=16"});
 
   for (const int n : {32, 64, 105, 210}) {
     const linalg::Matrix cov = random_covariance(n, 40 + n);
-    linalg::EigenResult jac;
+    linalg::EigenResult full;
     linalg::PowerIterationResult pow;
     const int repeats = n <= 64 ? 20 : 5;
-    const double jac_ms =
-        time_ms([&] { jac = linalg::jacobi_eigen(cov); }, repeats);
+    const double full_ms =
+        time_ms([&] { full = linalg::jacobi_eigen(cov); }, repeats);
     const double pow_ms =
         time_ms([&] { pow = linalg::power_eigen(cov, 3); }, repeats);
 
     double max_rel = 0.0;
     for (int k = 0; k < 3; ++k) {
-      max_rel = std::max(max_rel, std::abs(pow.values[k] - jac.values[k]) /
-                                      jac.values[0]);
+      max_rel = std::max(max_rel, std::abs(pow.values[k] - full.values[k]) /
+                                      full.values[0]);
     }
 
     // Virtual-time view: fraction of a P=16 run the sequential eigen step
@@ -74,18 +76,19 @@ int main() {
         100.0 * (linalg::jacobi_flops(n, 8) / 20e6) /
         (75.0 /* approx T16 of the paper testbed */);
 
-    table.add_row({strf("%d", n), strf("%.2f", jac_ms),
-                   strf("%.2f", pow_ms), strf("%.1fx", jac_ms / pow_ms),
+    table.add_row({strf("%d", n), strf("%.2f", full_ms),
+                   strf("%.2f", pow_ms), strf("%.1fx", full_ms / pow_ms),
                    strf("%.1e", max_rel), strf("%.1f%%", virtual_share)});
   }
   table.print();
 
   std::printf(
       "\nexpected: the two agree on the leading eigenvalues to high\n"
-      "precision; power iteration wins by a growing factor with band\n"
-      "count. The paper's observation that step 6 'does not dominate' at\n"
-      "210 bands holds in the virtual-share column — but only because the\n"
-      "screening work is so large; the optimization matters for smaller\n"
-      "scenes or faster kernels.\n");
+      "precision. Power iteration stays ahead of the full QL solve by a\n"
+      "roughly constant factor over these band counts (about 3x on a\n"
+      "4-vCPU x86 VM). The virtual-share column charges the paper's Jacobi cost model (8\n"
+      "sweeps at 20 Mflop/s); the paper's observation that step 6 'does\n"
+      "not dominate' at 210 bands holds there only because the screening\n"
+      "work is so large.\n");
   return 0;
 }

@@ -156,8 +156,9 @@ int main(int argc, char** argv) {
 
   // Adaptive leg: no chunk-size hint — the run starts from the engine's
   // default geometry and the ChunkAutotuner retunes it live from the stall
-  // series. The bar (asserted offline, tracked here): within 10% of the
-  // best fixed chunk size above, strictly better than the worst.
+  // series. Its wall time is printed against the best and worst fixed
+  // chunk sizes above; no bound is asserted, because on a shared VM the
+  // ratio moves by tens of percent between runs.
   runtime::MetricsRegistry adaptive_reg;
   stream::StreamingConfig adaptive_cfg;
   adaptive_cfg.autotune = runtime::AutotuneConfig{};

@@ -47,6 +47,9 @@ struct HeldTile {
 };
 
 struct WorkerState {
+  WorkerState(net::SocketClient& c, const RemoteWorkerOptions& o)
+      : client(c), options(o) {}
+
   net::SocketClient& client;
   RemoteWorkerOptions options;
   NodeId node = kNoNode;

@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "hsi/image_cube.h"
+#include "linalg/jacobi_eig.h"
 
 namespace rif::core {
 
@@ -90,8 +91,7 @@ class CostModel {
 
   /// Eigen-decomposition (step 6).
   [[nodiscard]] double eigen_flops() const {
-    const double pairs = 0.5 * bands_ * (bands_ - 1.0);
-    return p_.jacobi_sweeps * pairs * (12.0 * bands_ + 30.0);
+    return linalg::jacobi_flops(bands_, p_.jacobi_sweeps);
   }
 
   /// Transforming `pixels` original pixels (step 7).

@@ -25,8 +25,7 @@ ManagerActor::ManagerActor(FusionParams params, const hsi::ImageCube* cube,
       on_complete_(std::move(on_complete)),
       model_(params_.cost_model()),
       coord_(params_.shape, full() ? cube : nullptr, params_.total_tiles,
-             params_.screening_threshold, params_.output_components,
-             params_.jacobi, outcome) {
+             params_.screening_threshold, params_.output_components, outcome) {
   RIF_CHECK_MSG(!full() || cube != nullptr, "Full mode requires a cube");
   RIF_CHECK(static_cast<int>(params_.worker_tids.size()) == params_.workers);
 }

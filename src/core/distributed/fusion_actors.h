@@ -47,7 +47,6 @@ struct FusionParams {
   double screening_threshold = 0.05;
   int output_components = 3;
   CostModelParams cost;
-  linalg::JacobiOptions jacobi;
 
   scp::ThreadId manager_tid = 0;
   /// Worker logical thread ids, in worker order (filled by the job runner).

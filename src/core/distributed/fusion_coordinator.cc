@@ -5,6 +5,7 @@
 
 #include "core/color_map.h"
 #include "core/pct.h"
+#include "linalg/jacobi_eig.h"
 #include "linalg/matrix.h"
 #include "support/check.h"
 
@@ -15,13 +16,11 @@ FusionCoordinator::FusionCoordinator(const hsi::CubeShape& shape,
                                      int total_tiles,
                                      double screening_threshold,
                                      int output_components,
-                                     linalg::JacobiOptions jacobi,
                                      JobOutcome& outcome)
     : shape_(shape),
       cube_(cube),
       threshold_(screening_threshold),
       output_components_(output_components),
-      jacobi_(jacobi),
       outcome_(outcome),
       tiles_(hsi::partition_rows(shape, total_tiles)),
       screened_(tiles_.size(), false),
@@ -150,8 +149,7 @@ TransformMsg FusionCoordinator::transform() {
   // eigenbasis identical across timings, resends and failures.
   linalg::CovarianceAccumulator total(shape_.bands, mean_);
   for (const auto& sum : sums_) total.merge(*sum);
-  const linalg::EigenResult eig = linalg::jacobi_eigen(total.covariance(),
-                                                       jacobi_);
+  const linalg::EigenResult eig = linalg::jacobi_eigen(total.covariance());
   outcome_.eigenvalues = eig.values;
 
   TransformMsg tm;

@@ -28,7 +28,6 @@
 #include "hsi/image_cube.h"
 #include "hsi/image_io.h"
 #include "hsi/partition.h"
-#include "linalg/jacobi_eig.h"
 #include "linalg/stats.h"
 #include "support/time.h"
 
@@ -62,8 +61,7 @@ class FusionCoordinator {
   /// `outcome`, which must outlive the coordinator too.
   FusionCoordinator(const hsi::CubeShape& shape, const hsi::ImageCube* cube,
                     int total_tiles, double screening_threshold,
-                    int output_components, linalg::JacobiOptions jacobi,
-                    JobOutcome& outcome);
+                    int output_components, JobOutcome& outcome);
 
   [[nodiscard]] int tile_count() const {
     return static_cast<int>(tiles_.size());
@@ -116,7 +114,6 @@ class FusionCoordinator {
   const hsi::ImageCube* cube_;
   double threshold_;
   int output_components_;
-  linalg::JacobiOptions jacobi_;
   JobOutcome& outcome_;
   std::vector<hsi::Tile> tiles_;
 

@@ -40,7 +40,6 @@ FusionJobInstance::FusionJobInstance(const FusionJobConfig& config)
   params_.screening_threshold = config_.screening_threshold;
   params_.output_components = config_.output_components;
   params_.cost = config_.cost;
-  params_.jacobi = config_.jacobi;
 }
 
 FusionTopology FusionJobInstance::spawn(

@@ -42,7 +42,6 @@ struct FusionJobConfig {
   double screening_threshold = 0.05;
   int output_components = 3;
   CostModelParams cost;
-  linalg::JacobiOptions jacobi;
 
   NetworkKind network = NetworkKind::kLan;
   net::LanConfig lan;

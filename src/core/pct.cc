@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/jacobi_eig.h"
 #include "linalg/kernels.h"
 #include "linalg/stats.h"
 #include "support/check.h"
@@ -160,10 +161,9 @@ PctResult fuse(const hsi::ImageCube& cube, const PctConfig& config) {
   const linalg::Matrix cov = cov_acc.covariance();
 
   // Step 6: eigen-decomposition, sorted descending.
-  linalg::EigenResult eig = linalg::jacobi_eigen(cov, config.jacobi);
+  linalg::EigenResult eig = linalg::jacobi_eigen(cov);
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;
-  result.jacobi_sweeps = eig.sweeps;
 
   // Steps 7-8: transform every original pixel and colour-map it.
   const linalg::Matrix t =

@@ -20,7 +20,6 @@
 #include "core/spectral_angle.h"
 #include "hsi/image_cube.h"
 #include "hsi/image_io.h"
-#include "linalg/jacobi_eig.h"
 #include "linalg/matrix.h"
 
 namespace rif::core {
@@ -30,7 +29,6 @@ struct PctConfig {
   double screening_threshold = 0.05;
   /// Number of leading principal components to compute (>= 3 for colour).
   int output_components = 3;
-  linalg::JacobiOptions jacobi;
 };
 
 struct PctResult {
@@ -45,7 +43,6 @@ struct PctResult {
   /// Angle tests spent merging per-tile sets (0 when nothing was merged,
   /// e.g. the sequential pipeline's single part).
   std::uint64_t merge_comparisons = 0;
-  int jacobi_sweeps = 0;
 };
 
 /// Run the full pipeline on a cube.

@@ -339,12 +339,13 @@ void SocketServer::stop() {
   }
   wake();
   if (thread_.joinable()) thread_.join();
-  // Best-effort flush of whatever is still queued, then close everything.
+  // Best-effort flush of whatever is still queued, then close everything:
+  // a session whose flush fails is destroyed below all the same.
   std::vector<SessionId> ids;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, s] : sessions_) {
-      flush(s);
+      (void)flush(s);
       ids.push_back(id);
     }
   }

@@ -26,7 +26,7 @@ struct Coordinator {
       : pool(pool_in),
         p(p_in),
         fusion(shape, p.cube, p.total_tiles, p.screening_threshold,
-               p.output_components, p.jacobi, out) {}
+               p.output_components, out) {}
 
   cluster::RemoteWorkerPool& pool;
   const RemoteExecParams& p;

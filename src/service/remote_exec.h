@@ -30,7 +30,6 @@
 #include "cluster/remote_pool.h"
 #include "core/distributed/fusion_coordinator.h"
 #include "hsi/image_cube.h"
-#include "linalg/jacobi_eig.h"
 #include "runtime/metrics.h"
 
 namespace rif::service {
@@ -40,7 +39,6 @@ struct RemoteExecParams {
   int total_tiles = 1;
   double screening_threshold = 0.05;
   int output_components = 3;
-  linalg::JacobiOptions jacobi;
   std::int64_t job_id = 0;
   /// Per-JOB wall deadline: give up (caller falls back to the host
   /// engine) this long after the job starts, whatever else is happening.

@@ -59,7 +59,6 @@ stream::StreamingConfig engine_config(const JobRequest& request) {
   stream::StreamingConfig cfg;
   cfg.pct.screening_threshold = request.config.screening_threshold;
   cfg.pct.output_components = request.config.output_components;
-  cfg.pct.jacobi = request.config.jacobi;
   cfg.chunk_lines = request.chunk_lines;
   cfg.queue_depth = request.queue_depth;
   if (request.autotune) {
@@ -677,7 +676,6 @@ bool FusionService::execute_remote(PendingJob& job) {
   params.total_tiles = job.record.workers * req.tiles_per_worker;
   params.screening_threshold = req.screening_threshold;
   params.output_components = req.output_components;
-  params.jacobi = req.jacobi;
   params.job_id = job.record.id;
   params.deadline_seconds = config_.remote_job_deadline_seconds;
   params.shard_deadline_seconds = config_.remote_shard_deadline_seconds;

@@ -511,12 +511,10 @@ std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
   linalg::EigenResult eig;
   {
     RIF_TRACE_SPAN_JOB("stream_eigen", trace_job);
-    eig = linalg::jacobi_eigen(fused.covariance(result.mean, cov_shards, pool),
-                               config.pct.jacobi);
+    eig = linalg::jacobi_eigen(fused.covariance(result.mean, cov_shards, pool));
   }
   result.eigenvalues = eig.values;
   result.eigenvectors = eig.vectors;
-  result.jacobi_sweeps = eig.sweeps;
 
   // --- pass 2: blocked transform + colour map --------------------------------
   const linalg::Matrix t =

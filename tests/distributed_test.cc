@@ -127,7 +127,7 @@ TEST(FusionCoordinatorTest,
   JobOutcome out;
   FusionCoordinator coord({scene.cube.width(), scene.cube.height(), bands},
                           &scene.cube, tiles, pct.screening_threshold,
-                          pct.output_components, pct.jacobi, out);
+                          pct.output_components, out);
   ASSERT_EQ(coord.tile_count(), tiles);
 
   std::vector<TileAssignMsg> assigned;

@@ -472,7 +472,7 @@ TEST(FuzzTest, ExtremeMagnitudeMembersMergeExactly) {
   };
   const hsi::ImageCube cube(kBands, 2, kBands);
   core::JobOutcome outcome;
-  core::FusionCoordinator coord({kBands, 2, kBands}, &cube, 2, 0.05, 3, {},
+  core::FusionCoordinator coord({kBands, 2, kBands}, &cube, 2, 0.05, 3,
                                 outcome);
   ASSERT_EQ(coord.tile_count(), 2);
   // Tile 0 keeps A (1e30) and D (1e-30); tile 1 offers a copy of A, a new

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
+#include "core/spectral_angle.h"
+#include "hsi/scene.h"
 #include "linalg/jacobi_eig.h"
 #include "linalg/matrix.h"
 #include "linalg/stats.h"
@@ -20,6 +26,98 @@ Matrix random_spd(int n, std::uint64_t seed) {
   Matrix spd = a.transposed() * a;
   for (int i = 0; i < n; ++i) spd(i, i) += n;
   return spd;
+}
+
+// Cyclic Jacobi, the step-6 solver before tridiagonal QL, kept as the
+// independent oracle for the scene-level agreement test.
+EigenResult jacobi_oracle(const Matrix& input) {
+  const int n = input.rows();
+  Matrix a(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) a(i, j) = 0.5 * (input(i, j) + input(j, i));
+  }
+  Matrix v = Matrix::identity(n);
+  const double stop = 1e-12 * std::max(a.frobenius_norm(), 1e-300);
+  int sweep = 0;
+  for (; sweep < 100; ++sweep) {
+    if (a.max_off_diagonal() <= stop) break;
+    for (int p = 0; p < n - 1; ++p) {
+      for (int q = p + 1; q < n; ++q) {
+        const double apq = a(p, q);
+        if (std::abs(apq) <= stop * 1e-3) continue;
+        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
+        const double t = (theta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
+        const double c = 1.0 / std::sqrt(t * t + 1.0);
+        const double s = t * c;
+        for (int k = 0; k < n; ++k) {
+          const double akp = a(k, p);
+          const double akq = a(k, q);
+          a(k, p) = c * akp - s * akq;
+          a(k, q) = s * akp + c * akq;
+        }
+        for (int k = 0; k < n; ++k) {
+          const double apk = a(p, k);
+          const double aqk = a(q, k);
+          a(p, k) = c * apk - s * aqk;
+          a(q, k) = s * apk + c * aqk;
+        }
+        for (int k = 0; k < n; ++k) {
+          const double vkp = v(k, p);
+          const double vkq = v(k, q);
+          v(k, p) = c * vkp - s * vkq;
+          v(k, q) = s * vkp + c * vkq;
+        }
+      }
+    }
+  }
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&a](int i, int j) { return a(i, i) > a(j, j); });
+  EigenResult result;
+  result.values.resize(n);
+  result.vectors = Matrix(n, n);
+  result.sweeps = sweep;
+  for (int out = 0; out < n; ++out) {
+    const int src = order[out];
+    result.values[out] = a(src, src);
+    double maxmag = 0.0;
+    double sign = 1.0;
+    for (int k = 0; k < n; ++k) {
+      if (std::abs(v(k, src)) > maxmag) {
+        maxmag = std::abs(v(k, src));
+        sign = v(k, src) >= 0.0 ? 1.0 : -1.0;
+      }
+    }
+    for (int k = 0; k < n; ++k) result.vectors(k, out) = sign * v(k, src);
+  }
+  return result;
+}
+
+double column_dot(const Matrix& a, int ca, const Matrix& b, int cb) {
+  double dot = 0.0;
+  for (int k = 0; k < a.rows(); ++k) dot += a(k, ca) * b(k, cb);
+  return dot;
+}
+
+/// Covariance of the spectral unique set of a generated scene, built as the
+/// sequential pipeline builds it (paper steps 1-5).
+Matrix scene_covariance(std::uint64_t seed, std::size_t* members) {
+  hsi::SceneConfig sc;
+  sc.width = 320;
+  sc.height = 320;
+  sc.bands = 105;
+  sc.seed = seed;
+  const hsi::Scene scene = hsi::generate_scene(sc);
+  const core::UniqueSet unique = core::screen_range(
+      scene.cube, 0, scene.cube.pixel_count(), 0.05);
+  *members = unique.size();
+  MeanAccumulator mean_acc(sc.bands);
+  for (std::size_t i = 0; i < unique.size(); ++i) mean_acc.add(unique.member(i));
+  CovarianceAccumulator cov(sc.bands, mean_acc.mean());
+  cov.add_rows(unique.flat().data(), unique.size());
+  return cov.covariance();
 }
 
 // --- Matrix ------------------------------------------------------------------
@@ -162,7 +260,132 @@ TEST_P(JacobiPropertyTest, TraceEqualsSumOfValues) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, JacobiPropertyTest,
-                         ::testing::Values(2, 3, 5, 8, 16, 32, 64));
+                         ::testing::Values(2, 3, 5, 8, 16, 32, 64, 105, 210));
+
+TEST(JacobiTest, OneByOne) {
+  const EigenResult r = jacobi_eigen(Matrix({{-4.0}}));
+  ASSERT_EQ(r.values.size(), 1u);
+  EXPECT_EQ(r.values[0], -4.0);
+  EXPECT_EQ(r.vectors(0, 0), 1.0);
+}
+
+TEST(JacobiTest, ZeroMatrix) {
+  const int n = 6;
+  const EigenResult r = jacobi_eigen(Matrix(n, n));
+  for (int i = 0; i < n; ++i) EXPECT_EQ(r.values[i], 0.0);
+  const Matrix vtv = r.vectors.transposed() * r.vectors;
+  EXPECT_LT(relative_difference(vtv, Matrix::identity(n)), 1e-15);
+}
+
+TEST(JacobiTest, DiagonalWithTiedValues) {
+  const std::vector<double> diag = {2.0, 5.0, 2.0, 5.0, 1.0};
+  const int n = static_cast<int>(diag.size());
+  Matrix d(n, n);
+  for (int i = 0; i < n; ++i) d(i, i) = diag[i];
+  const EigenResult r = jacobi_eigen(d);
+  EXPECT_EQ(r.values, (std::vector<double>{5.0, 5.0, 2.0, 2.0, 1.0}));
+  // Each vector is a signed-positive unit axis whose diagonal entry is its
+  // eigenvalue; together they cover every axis once.
+  std::vector<int> axes;
+  for (int c = 0; c < n; ++c) {
+    int axis = -1;
+    for (int k = 0; k < n; ++k) {
+      if (r.vectors(k, c) != 0.0) {
+        EXPECT_EQ(axis, -1) << "column " << c << " is not an axis";
+        axis = k;
+      }
+    }
+    ASSERT_GE(axis, 0);
+    EXPECT_EQ(r.vectors(axis, c), 1.0);
+    EXPECT_EQ(diag[axis], r.values[c]);
+    axes.push_back(axis);
+  }
+  std::sort(axes.begin(), axes.end());
+  EXPECT_EQ(axes, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(JacobiTest, ThreeMemberCovarianceIn105Bands) {
+  // The smallest unique set that is not degenerate has three members; its
+  // centred covariance has rank 2 and 103 zero eigenvalues.
+  const int n = 105;
+  Rng rng(77);
+  std::vector<float> members(3 * n);
+  for (auto& x : members) x = static_cast<float>(rng.uniform(0.0, 1.0));
+  MeanAccumulator mean_acc(n);
+  for (int m = 0; m < 3; ++m) {
+    mean_acc.add(std::span<const float>(members.data() + m * n, n));
+  }
+  CovarianceAccumulator acc(n, mean_acc.mean());
+  acc.add_rows(members.data(), 3);
+  const Matrix cov = acc.covariance();
+
+  const EigenResult r = jacobi_eigen(cov);
+  const EigenResult oracle = jacobi_oracle(cov);
+  ASSERT_GT(r.values[1], 0.0);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(r.values[i], oracle.values[i], 1e-10 * oracle.values[0]);
+    if (i >= 2) {
+      EXPECT_LT(std::abs(r.values[i]), 1e-12 * r.values[0]);
+    }
+  }
+  for (int c = 0; c < 2; ++c) {
+    EXPECT_GT(column_dot(r.vectors, c, oracle.vectors, c), 1.0 - 1e-10);
+  }
+  const Matrix vtv = r.vectors.transposed() * r.vectors;
+  EXPECT_LT(relative_difference(vtv, Matrix::identity(n)), 1e-12);
+}
+
+TEST(JacobiTest, RepeatedCallsGiveIdenticalBits) {
+  const Matrix a = random_spd(105, 901);
+  const EigenResult first = jacobi_eigen(a);
+  const EigenResult second = jacobi_eigen(a);
+  EXPECT_GT(first.sweeps, 0);
+  EXPECT_EQ(first.sweeps, second.sweeps);
+  EXPECT_EQ(std::memcmp(first.values.data(), second.values.data(),
+                        first.values.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(first.vectors.data(), second.vectors.data(),
+                        105 * 105 * sizeof(double)),
+            0);
+}
+
+TEST(JacobiTest, NonFiniteInputReturns) {
+  // A degenerate scene can hand the solver NaN or Inf; the capped QL loop
+  // must still end.
+  const int n = 32;
+  const JacobiOptions opts;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    Matrix a = random_spd(n, 950);
+    a(3, 7) = bad;
+    a(7, 3) = bad;
+    const EigenResult r = jacobi_eigen(a);
+    EXPECT_EQ(r.values.size(), static_cast<std::size_t>(n));
+    EXPECT_LE(r.sweeps, n * opts.max_iterations);
+  }
+}
+
+class JacobiSceneTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JacobiSceneTest, AgreesWithJacobiOracle) {
+  std::size_t members = 0;
+  const Matrix cov = scene_covariance(GetParam(), &members);
+  ASSERT_GE(members, 3u);
+  const EigenResult r = jacobi_eigen(cov);
+  const EigenResult oracle = jacobi_oracle(cov);
+  const int n = cov.rows();
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(r.values[i], oracle.values[i], 1e-10 * oracle.values[0])
+        << "eigenvalue " << i;
+  }
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_GT(column_dot(r.vectors, c, oracle.vectors, c), 1.0 - 1e-10)
+        << "eigenvector " << c;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BenchSeeds, JacobiSceneTest,
+                         ::testing::Values(1u, 1234u));
 
 TEST(JacobiTest, SlightAsymmetryTolerated) {
   Matrix a({{2, 1.0000001}, {0.9999999, 2}});

@@ -310,6 +310,19 @@ TEST_F(CostModelTest, EigenFlopsCubicInBands) {
   EXPECT_LT(large.eigen_flops() / small.eigen_flops(), 90.0);
 }
 
+TEST_F(CostModelTest, EigenFlopsIsTheJacobiCostFormula) {
+  // The CostOnly figures charge step 6 through eigen_flops(); pin it to
+  // linalg::jacobi_flops and to the formula's value so they stay identical.
+  for (const int bands : {32, 105, 210}) {
+    const CostModel model(params_, bands, 3);
+    EXPECT_EQ(model.eigen_flops(),
+              linalg::jacobi_flops(bands, params_.jacobi_sweeps));
+    const double pairs = 0.5 * bands * (bands - 1.0);
+    EXPECT_EQ(model.eigen_flops(),
+              params_.jacobi_sweeps * pairs * (12.0 * bands + 30.0));
+  }
+}
+
 TEST_F(CostModelTest, FlopsPerComparisonTracksBands) {
   CostModel narrow(params_, 10, 3);
   CostModel wide(params_, 210, 3);
