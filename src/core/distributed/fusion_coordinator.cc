@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/color_map.h"
 #include "core/pct.h"
-#include "linalg/jacobi_eig.h"
-#include "linalg/matrix.h"
 #include "support/check.h"
 
 namespace rif::core {
@@ -107,22 +104,16 @@ std::vector<CovShardMsg> FusionCoordinator::size_shards(std::int64_t members,
 std::vector<CovShardMsg> FusionCoordinator::covariance_shards(int count) {
   RIF_CHECK(screening_done() && sums_.empty());
   outcome_.unique_set_size = merged_->size();
-  linalg::MeanAccumulator acc(shape_.bands);
-  for (std::size_t i = 0; i < merged_->size(); ++i) {
-    acc.add(merged_->member(i));
-  }
-  mean_ = acc.mean();
+  mean_ = merged_->mean();
 
   std::vector<CovShardMsg> shards =
       size_shards(static_cast<std::int64_t>(merged_->size()), count);
-  std::size_t next = 0;
+  // Members are contiguous in the merged set: each shard is one range.
+  const float* next = merged_->flat().data();
   for (CovShardMsg& shard : shards) {
     shard.mean = mean_;
-    shard.vectors.reserve(shard.shard_count * shape_.bands);
-    for (std::uint64_t i = 0; i < shard.shard_count; ++i) {
-      const auto m = merged_->member(next++);
-      shard.vectors.insert(shard.vectors.end(), m.begin(), m.end());
-    }
+    shard.vectors.assign(next, next + shard.shard_count * shape_.bands);
+    next += shard.shard_count * shape_.bands;
     shard_sizes_.push_back(shard.shard_count);
   }
   sums_.resize(shards.size());
@@ -147,22 +138,11 @@ TransformMsg FusionCoordinator::transform() {
   RIF_CHECK(covariance_done());
   // Shard-index order, whoever computed each sum: this is what keeps the
   // eigenbasis identical across timings, resends and failures.
-  linalg::CovarianceAccumulator total(shape_.bands, mean_);
-  for (const auto& sum : sums_) total.merge(*sum);
-  const linalg::EigenResult eig = linalg::jacobi_eigen(total.covariance());
-  outcome_.eigenvalues = eig.values;
-
-  TransformMsg tm;
-  tm.components = output_components_;
-  tm.bands = shape_.bands;
-  const linalg::Matrix t = transform_matrix(eig.vectors, output_components_);
-  tm.matrix.assign(t.data(), t.data() + t.rows() * t.cols());
-  tm.mean = mean_;
-  for (const auto& s : scales_from_eigenvalues(eig.values)) {
-    tm.scale_mean.push_back(s.mean);
-    tm.scale_gain.push_back(s.gain);
-  }
-  return tm;
+  std::vector<linalg::CovarianceAccumulator> sums;
+  for (const auto& sum : sums_) sums.push_back(*sum);
+  const BarrierResult barrier = manager_barrier(sums, output_components_);
+  outcome_.eigenvalues = barrier.eigen.values;
+  return TransformMsg::from(barrier.projection);
 }
 
 bool FusionCoordinator::accept_color(const ColorTileMsg& color) {

@@ -7,11 +7,12 @@
 // liveness and resends; the coordinator owns the arithmetic and its order.
 // It partitions the cube into row tiles, packs tile assignments, merges the
 // per-tile unique sets strictly in tile order (step 2), computes the mean
-// and the covariance shards (steps 3-4), merges the shard sums strictly in
-// shard order and eigen-decomposes (steps 5-6), and places colour tiles by
-// its own partition. Those fixed orders make the composite a pure function
-// of the tile and shard counts, so sim, socket and fuse_parallel agree byte
-// for byte.
+// and the covariance shards (steps 3-4), hands the shard sums in shard
+// order to core::manager_barrier (steps 5-6 and the transform, the barrier
+// stream::fuse_chunks runs too), and places colour tiles by its own
+// partition. Those fixed orders make the composite a pure function of the
+// tile and shard counts, so sim, socket and fuse_parallel agree byte for
+// byte.
 //
 // Every intake validates its message before touching any state: a refused
 // message leaves no trace, so a transport can drop it and re-send the work.
@@ -99,8 +100,9 @@ class FusionCoordinator {
     return !sums_.empty() && sums_received_ == static_cast<int>(sums_.size());
   }
 
-  /// Steps 5-6, once covariance_done(): merge the sums in shard order,
-  /// eigen-decompose, record the eigenvalues and build the transform.
+  /// Steps 5-6, once covariance_done(): core::manager_barrier over the
+  /// sums in shard order; records the eigenvalues and returns the
+  /// projection as the workers' transform.
   [[nodiscard]] TransformMsg transform();
 
   /// Steps 7-8 results: place one colour tile. Refused when the index is

@@ -8,11 +8,13 @@
 // have had.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "core/pct.h"
 #include "hsi/partition.h"
 #include "scp/types.h"
 #include "support/serialize.h"
@@ -223,6 +225,33 @@ struct TransformMsg {
   std::vector<double> mean;
   std::vector<double> scale_mean;  ///< per-component colour scales
   std::vector<double> scale_gain;
+
+  /// The manager barrier's projection, as sent to the workers. The bias is
+  /// not sent: projection() derives it again from the matrix and the mean.
+  static TransformMsg from(const Projection& p) {
+    TransformMsg tm;
+    tm.components = p.matrix.rows();
+    tm.bands = p.matrix.cols();
+    tm.matrix.assign(p.matrix.data(),
+                     p.matrix.data() + tm.components * tm.bands);
+    tm.mean = p.mean;
+    for (const ComponentScale& s : p.scales) {
+      tm.scale_mean.push_back(s.mean);
+      tm.scale_gain.push_back(s.gain);
+    }
+    return tm;
+  }
+  /// The projection a worker colours its tiles with. Needs the shape
+  /// try_decode vets.
+  [[nodiscard]] Projection projection() const {
+    Projection p;
+    p.matrix = linalg::Matrix(components, bands);
+    std::copy(matrix.begin(), matrix.end(), p.matrix.data());
+    p.mean = mean;
+    p.bias = projection_bias(p.matrix, mean);
+    for (int c = 0; c < 3; ++c) p.scales[c] = {scale_mean[c], scale_gain[c]};
+    return p;
+  }
 
   [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
     Writer w;

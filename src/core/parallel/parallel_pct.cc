@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "hsi/partition.h"
-#include "linalg/stats.h"
 #include "obs/span_tracer.h"
 #include "stream/streaming_engine.h"
 #include "support/check.h"
@@ -98,29 +97,6 @@ void FusedScreen::fold(ThreadPool& pool) {
     merge_blocked(unique_, tile_set, pool, &merge_comparisons_);
   }
   tile_sets_.clear();
-}
-
-std::vector<double> FusedScreen::mean() const {
-  linalg::MeanAccumulator acc(unique_.bands());
-  for (std::size_t i = 0; i < unique_.size(); ++i) acc.add(unique_.member(i));
-  return acc.mean();
-}
-
-linalg::Matrix FusedScreen::covariance(const std::vector<double>& mean,
-                                       int shards, ThreadPool& pool) const {
-  const int bands = unique_.bands();
-  const auto chunks =
-      hsi::partition_range(static_cast<std::int64_t>(unique_.size()), shards);
-  std::vector<linalg::CovarianceAccumulator> accs(
-      static_cast<std::size_t>(shards),
-      linalg::CovarianceAccumulator(bands, mean));
-  pool.parallel_tasks(shards, [&](int s) {
-    accs[s].add_rows(unique_.flat().data() + chunks[s].begin * bands,
-                     static_cast<std::uint64_t>(chunks[s].size()));
-  });
-  linalg::CovarianceAccumulator total = std::move(accs.front());
-  for (int s = 1; s < shards; ++s) total.merge(accs[s]);
-  return total.covariance();
 }
 
 PctResult fuse_parallel(const hsi::ImageCube& cube, ThreadPool& pool,

@@ -9,6 +9,8 @@
 //
 // The engine is stream::fuse_chunks (stream/streaming_engine.h); this
 // header holds its screening stage and fuse_parallel, its resident driver.
+// Its barrier (steps 5-6 and the transform) is core::manager_barrier, the
+// distributed manager's own.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@
 #include "core/parallel/thread_pool.h"
 #include "core/pct.h"
 #include "core/spectral_angle.h"
-#include "linalg/matrix.h"
 
 namespace rif::core {
 
@@ -35,7 +36,7 @@ struct ParallelPctConfig {
   int cov_shards = 1;
 };
 
-/// The shared-memory engine's pass 1 and statistics: stream::fuse_chunks
+/// The shared-memory engine's pass 1: stream::fuse_chunks
 /// screens one block per chunk, which for a resident cube is the whole
 /// cube.
 ///
@@ -47,12 +48,12 @@ struct ParallelPctConfig {
 /// fold order, so the merged set and its comparison count equal the
 /// manager's sequential left fold (UniqueSet::merge) in tile order whatever
 /// the pool's thread count. Every tile goes through it, the first included.
-/// mean() and covariance() are the manager's steps 3-5 over the merged set.
+/// The merged set then feeds core::manager_barrier (core/pct.h), the one
+/// barrier the distributed manager runs too.
 ///
-/// The result depends only on the sequence of tile boundaries and the shard
-/// count: the same tiles fed as one block or as many blocks give identical
-/// bits, and so does the distributed manager at the same tile and shard
-/// counts.
+/// The merged set depends only on the sequence of tile boundaries: the same
+/// tiles fed as one block or as many blocks give identical bits, and so
+/// does the distributed manager's merge at the same tile count.
 class FusedScreen {
  public:
   FusedScreen(int bands, double screening_threshold);
@@ -67,21 +68,14 @@ class FusedScreen {
   /// unique set.
   void fold(ThreadPool& pool);
 
-  [[nodiscard]] std::size_t unique_set_size() const { return unique_.size(); }
+  /// The global unique set: every tile folded so far, in fold order.
+  [[nodiscard]] const UniqueSet& unique() const { return unique_; }
   [[nodiscard]] std::uint64_t screen_comparisons() const {
     return screen_comparisons_;
   }
   [[nodiscard]] std::uint64_t merge_comparisons() const {
     return merge_comparisons_;
   }
-  /// Mean of the merged unique set, summed in member order. Aborts if the
-  /// set is empty.
-  [[nodiscard]] std::vector<double> mean() const;
-  /// Covariance of the merged unique set about `mean`: `shards` contiguous
-  /// member ranges (hsi::partition_range) summed concurrently on `pool`,
-  /// then merged in shard order.
-  [[nodiscard]] linalg::Matrix covariance(const std::vector<double>& mean,
-                                          int shards, ThreadPool& pool) const;
 
  private:
   UniqueSet unique_;

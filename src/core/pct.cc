@@ -3,28 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/jacobi_eig.h"
 #include "linalg/kernels.h"
-#include "linalg/stats.h"
 #include "support/check.h"
 
 namespace rif::core {
-
-namespace {
-
-/// One bias entry per transform row: bias[c] = row_c . mean. The single
-/// definition keeps the projection arithmetic identical everywhere.
-void bias_into(const linalg::Matrix& transform,
-               const std::vector<double>& mean, double* bias) {
-  for (int c = 0; c < transform.rows(); ++c) {
-    const double* row = transform.row(c);
-    double acc = 0.0;
-    for (int b = 0; b < transform.cols(); ++b) acc += row[b] * mean[b];
-    bias[c] = acc;
-  }
-}
-
-}  // namespace
 
 linalg::Matrix transform_matrix(const linalg::Matrix& eigenvectors,
                                 int output_components) {
@@ -42,8 +24,14 @@ linalg::Matrix transform_matrix(const linalg::Matrix& eigenvectors,
 std::vector<double> projection_bias(const linalg::Matrix& transform,
                                     const std::vector<double>& mean) {
   RIF_CHECK(static_cast<int>(mean.size()) == transform.cols());
+  // One bias entry per transform row: bias[c] = row_c . mean.
   std::vector<double> bias(static_cast<std::size_t>(transform.rows()));
-  bias_into(transform, mean, bias.data());
+  for (int c = 0; c < transform.rows(); ++c) {
+    const double* row = transform.row(c);
+    double acc = 0.0;
+    for (int b = 0; b < transform.cols(); ++b) acc += row[b] * mean[b];
+    bias[c] = acc;
+  }
   return bias;
 }
 
@@ -59,21 +47,6 @@ void project_pixels(const linalg::Matrix& transform,
   }
 }
 
-void transform_pixel(const linalg::Matrix& transform,
-                     const std::vector<double>& mean,
-                     std::span<const float> pixel, std::span<float> out) {
-  const int bands = transform.cols();
-  const int comps = transform.rows();
-  RIF_DCHECK(static_cast<int>(pixel.size()) == bands);
-  RIF_DCHECK(static_cast<int>(mean.size()) == bands);
-  RIF_DCHECK(static_cast<int>(out.size()) == comps);
-  static thread_local std::vector<double> bias;
-  bias.resize(static_cast<std::size_t>(comps));
-  bias_into(transform, mean, bias.data());
-  linalg::kernels::project(transform.data(), comps, bands, bias.data(),
-                           pixel.data(), out.data());
-}
-
 std::array<ComponentScale, 3> scales_from_eigenvalues(
     const std::vector<double>& eigenvalues) {
   RIF_CHECK(eigenvalues.size() >= 3);
@@ -85,6 +58,43 @@ std::array<ComponentScale, 3> scales_from_eigenvalues(
   return scales;
 }
 
+BarrierResult manager_barrier(
+    std::span<const linalg::CovarianceAccumulator> shard_sums,
+    int output_components) {
+  RIF_CHECK(!shard_sums.empty());
+  linalg::CovarianceAccumulator total = shard_sums.front();
+  for (const auto& sum : shard_sums.subspan(1)) total.merge(sum);
+  BarrierResult out;
+  out.eigen = linalg::jacobi_eigen(total.covariance());
+  Projection& p = out.projection;
+  p.matrix = transform_matrix(out.eigen.vectors, output_components);
+  p.mean = total.mean();
+  p.bias = projection_bias(p.matrix, p.mean);
+  p.scales = scales_from_eigenvalues(out.eigen.values);
+  return out;
+}
+
+void transform_and_map_chunk(const float* pixels, std::int64_t count,
+                             const Projection& projection, float* planes,
+                             std::uint8_t* rgb) {
+  const int comps = projection.matrix.rows();
+  const int bands = projection.matrix.cols();
+  constexpr std::int64_t kBlock = 128;
+  // Components of one block, unless they go straight to `planes`.
+  std::vector<float> block(planes == nullptr ? comps * kBlock : 0);
+  for (std::int64_t p0 = 0; p0 < count; p0 += kBlock) {
+    const std::int64_t n = std::min(kBlock, count - p0);
+    float* comp = planes != nullptr ? planes + p0 * comps : block.data();
+    project_pixels(projection.matrix, projection.bias, pixels + p0 * bands, n,
+                   comp);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const float* px = comp + k * comps;
+      const auto mapped = map_pixel({px[0], px[1], px[2]}, projection.scales);
+      std::copy(mapped.begin(), mapped.end(), rgb + (p0 + k) * 3);
+    }
+  }
+}
+
 void transform_and_map_range(const hsi::ImageCube& cube,
                              const linalg::Matrix& transform,
                              const std::vector<double>& mean,
@@ -92,47 +102,20 @@ void transform_and_map_range(const hsi::ImageCube& cube,
                              std::vector<std::vector<float>>& planes,
                              hsi::RgbImage& composite, std::int64_t lo,
                              std::int64_t hi) {
+  const Projection projection{transform, mean,
+                              projection_bias(transform, mean), scales};
   const int comps = transform.rows();
-  const std::vector<double> bias = projection_bias(transform, mean);
   // The chunk kernel over cache-sized runs of pixels, whose pixel-major
   // components are then scattered to the planes while still hot.
   constexpr std::int64_t kBlock = 128;
   std::vector<float> comp(static_cast<std::size_t>(comps) * kBlock);
   for (std::int64_t p0 = lo; p0 < hi; p0 += kBlock) {
     const std::int64_t n = std::min(kBlock, hi - p0);
-    transform_and_map_chunk(cube.pixel(p0).data(), n, transform, bias, scales,
-                            comp.data(), composite, p0);
+    transform_and_map_chunk(cube.pixel(p0).data(), n, projection, comp.data(),
+                            composite.data.data() + p0 * 3);
     for (std::int64_t k = 0; k < n; ++k) {
       const auto p = static_cast<std::size_t>(p0 + k);
       for (int c = 0; c < comps; ++c) planes[c][p] = comp[k * comps + c];
-    }
-  }
-}
-
-void transform_and_map_chunk(const float* pixels, std::int64_t count,
-                             const linalg::Matrix& transform,
-                             const std::vector<double>& bias,
-                             const std::array<ComponentScale, 3>& scales,
-                             float* plane_chunk, hsi::RgbImage& composite,
-                             std::int64_t out_offset) {
-  const int comps = transform.rows();
-  const int bands = transform.cols();
-  constexpr std::int64_t kBlock = 128;
-  std::vector<float> comp(static_cast<std::size_t>(comps) * kBlock);
-  for (std::int64_t p0 = 0; p0 < count; p0 += kBlock) {
-    const std::int64_t n = std::min(kBlock, count - p0);
-    project_pixels(transform, bias, pixels + p0 * bands, n, comp.data());
-    if (plane_chunk != nullptr) {
-      std::copy_n(comp.data(), static_cast<std::size_t>(n) * comps,
-                  plane_chunk + p0 * comps);
-    }
-    for (std::int64_t k = 0; k < n; ++k) {
-      const float* px = comp.data() + k * comps;
-      const auto p = static_cast<std::size_t>(out_offset + p0 + k);
-      const auto rgb = map_pixel({px[0], px[1], px[2]}, scales);
-      composite.data[p * 3 + 0] = rgb[0];
-      composite.data[p * 3 + 1] = rgb[1];
-      composite.data[p * 3 + 2] = rgb[2];
     }
   }
 }

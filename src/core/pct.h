@@ -14,13 +14,16 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/color_map.h"
 #include "core/spectral_angle.h"
 #include "hsi/image_cube.h"
 #include "hsi/image_io.h"
+#include "linalg/jacobi_eig.h"
 #include "linalg/matrix.h"
+#include "linalg/stats.h"
 
 namespace rif::core {
 
@@ -53,13 +56,6 @@ PctResult fuse(const hsi::ImageCube& cube, const PctConfig& config = {});
 linalg::Matrix transform_matrix(const linalg::Matrix& eigenvectors,
                                 int output_components);
 
-/// Transform one pixel into `out` (size = transform.rows()). Recomputes
-/// the projection bias on every call — fine for one-off probes; loops
-/// should hoist it via projection_bias() + project_pixels().
-void transform_pixel(const linalg::Matrix& transform,
-                     const std::vector<double>& mean,
-                     std::span<const float> pixel, std::span<float> out);
-
 /// Per-component mean offsets for the bias-form projection
 ///   component c = row_c . x − (row_c . mean),
 /// hoisted out of the per-pixel loop. Every engine (sequential, shared
@@ -81,20 +77,41 @@ void project_pixels(const linalg::Matrix& transform,
 std::array<ComponentScale, 3> scales_from_eigenvalues(
     const std::vector<double>& eigenvalues);
 
+/// The transform every colour pass applies (steps 7-8): component c of a
+/// pixel x is  matrix row_c . x − bias[c], and the first three components
+/// are colour-mapped through `scales`.
+struct Projection {
+  linalg::Matrix matrix;      ///< transform_matrix of the eigenvectors
+  std::vector<double> mean;   ///< the unique-set mean (step 3)
+  std::vector<double> bias;   ///< projection_bias(matrix, mean)
+  std::array<ComponentScale, 3> scales{};
+};
+
+struct BarrierResult {
+  linalg::EigenResult eigen;  ///< all bands, sorted descending
+  Projection projection;
+};
+
+/// Steps 5-6 and the transform: the manager barrier of every engine but the
+/// sequential reference (the fused engine's fuse_chunks and the distributed
+/// FusionCoordinator). Merges the covariance shard sums strictly in shard
+/// order, eigen-decomposes the averaged covariance and builds the truncated
+/// projection about the sums' common mean. The fixed order fixes the
+/// rounding, so equal shard sums give equal bits whoever computed them.
+BarrierResult manager_barrier(
+    std::span<const linalg::CovarianceAccumulator> shard_sums,
+    int output_components);
+
 /// Steps 7-8 over `count` contiguous BIP pixels held in a caller buffer:
-/// the one transform kernel, behind every shared-memory engine.
-/// `pixels` is count x transform.cols() floats; the colour-mapped bytes
-/// land at flat pixel offset `out_offset` of `composite`. When
-/// `plane_chunk` is non-null it receives the raw components pixel-major
-/// (count x transform.rows(), the project_pixels layout) so callers can
-/// sink component planes chunk by chunk instead of materializing them.
-/// Ranges are disjoint, so parallel callers need no synchronisation.
+/// the one colour-map loop, behind every engine. `pixels` is count x bands
+/// floats; the colour-mapped bytes land at `rgb` (count x 3). When
+/// `planes` is non-null it receives the raw components pixel-major
+/// (count x components, the project_pixels layout) so callers can sink
+/// component planes chunk by chunk instead of materializing them. Ranges
+/// are disjoint, so parallel callers need no synchronisation.
 void transform_and_map_chunk(const float* pixels, std::int64_t count,
-                             const linalg::Matrix& transform,
-                             const std::vector<double>& bias,
-                             const std::array<ComponentScale, 3>& scales,
-                             float* plane_chunk, hsi::RgbImage& composite,
-                             std::int64_t out_offset);
+                             const Projection& projection, float* planes,
+                             std::uint8_t* rgb);
 
 /// transform_and_map_chunk over the flat pixel range [lo, hi) of a
 /// resident cube, scattering the components into `planes` (one plane per

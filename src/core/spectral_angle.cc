@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "linalg/kernels.h"
+#include "linalg/stats.h"
 #include "support/check.h"
 
 namespace rif::core {
@@ -39,6 +40,12 @@ UniqueSet::UniqueSet(int bands, double threshold_radians)
 std::span<const float> UniqueSet::member(std::size_t i) const {
   RIF_DCHECK(i < count_);
   return {data_.data() + i * bands_, static_cast<std::size_t>(bands_)};
+}
+
+std::vector<double> UniqueSet::mean() const {
+  linalg::MeanAccumulator acc(bands_);
+  for (std::size_t i = 0; i < count_; ++i) acc.add(member(i));
+  return acc.mean();
 }
 
 void UniqueSet::pack_member(std::span<const float> pixel) {

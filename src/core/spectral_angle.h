@@ -74,6 +74,9 @@ class UniqueSet {
   [[nodiscard]] std::span<const float> member(std::size_t i) const;
   /// Flat member storage (size() * bands floats), for shipping in messages.
   [[nodiscard]] const std::vector<float>& flat() const { return data_; }
+  /// The set's mean (paper step 3), summed in member order. Aborts if the
+  /// set is empty.
+  [[nodiscard]] std::vector<double> mean() const;
 
   /// Rebuild a set from flat storage (received from a worker). Members are
   /// taken as-is (already mutually distinct under the source's threshold).

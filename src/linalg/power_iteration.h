@@ -1,10 +1,10 @@
 // Top-k symmetric eigenpairs by power iteration with deflation.
 //
 // The colour pipeline only needs the three leading principal components
-// (paper step 8), so the full O(n^3) Jacobi sweep (step 6) is more than
-// required. Power iteration computes the leading pairs in O(k n^2 iters)
-// — an ablation of the paper's design choice, benchmarked in
-// bench_ablation_eigen.
+// (paper step 8), so the full O(n^3) eigen-solve of step 6 (tridiagonal
+// QL, linalg::jacobi_eigen) is more than required. Power iteration
+// computes the leading pairs in O(k n^2 iters) — an ablation of the
+// paper's design choice, benchmarked in bench_ablation_eigen.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #include "obs/ops_server.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 
 #include "net/frame.h"
 #include "obs/chrome_trace.h"
@@ -33,14 +33,14 @@ std::string fmt_seconds(double t) {
 /// different protocol (or an attack) and the session is closed. Plain
 /// whitespace is tolerated so a human driving the socket by hand (trailing
 /// newline from a line-buffered client) is not treated as hostile.
-bool printable_ascii(const std::vector<std::uint8_t>& bytes) {
+bool printable_ascii(std::span<const std::uint8_t> bytes) {
   for (std::uint8_t b : bytes) {
     if ((b < 0x20 || b > 0x7e) && std::isspace(b) == 0) return false;
   }
   return true;
 }
 
-std::string trimmed(const std::vector<std::uint8_t>& bytes) {
+std::string trimmed(std::span<const std::uint8_t> bytes) {
   std::size_t begin = 0;
   std::size_t end = bytes.size();
   while (begin < end && std::isspace(bytes[begin]) != 0) ++begin;
@@ -50,6 +50,31 @@ std::string trimmed(const std::vector<std::uint8_t>& bytes) {
 }
 
 }  // namespace
+
+std::optional<OpsRequest> parse_ops_request(
+    std::span<const std::uint8_t> frame, const OpsServerConfig& config) {
+  if (frame.size() > config.max_request_bytes || !printable_ascii(frame)) {
+    return std::nullopt;
+  }
+  using Command = OpsRequest::Command;
+  const std::string text = trimmed(frame);
+  if (text == "status") return OpsRequest{Command::kStatus};
+  if (text == "metrics") return OpsRequest{Command::kMetrics};
+  if (text == "subscribe-metrics") {
+    return OpsRequest{Command::kSubscribeMetrics};
+  }
+  if (text == "flamegraph") return OpsRequest{Command::kFlamegraph};
+  if (text == "logs") {
+    return OpsRequest{Command::kLogs, config.default_log_tail};
+  }
+  if (text.rfind("logs ", 0) != 0) return std::nullopt;
+  // from_chars takes digits only — no sign, no blank, no wrap-around.
+  std::size_t count = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data() + 5, end, count);
+  if (ec != std::errc() || ptr != end || count == 0) return std::nullopt;
+  return OpsRequest{Command::kLogs, count};
+}
 
 std::string log_record_json(const LogRecord& record) {
   std::string out = "{\"t\":";
@@ -130,67 +155,41 @@ void OpsServer::reject(net::SessionId session) {
 
 void OpsServer::on_frame(net::SessionId session,
                          std::vector<std::uint8_t> frame) {
-  if (frame.size() > config_.max_request_bytes || !printable_ascii(frame)) {
+  const std::optional<OpsRequest> request = parse_ops_request(frame, config_);
+  if (!request) {
     reject(session);
     return;
   }
-  const std::string command = trimmed(frame);
   requests_.fetch_add(1, std::memory_order_relaxed);
-
-  if (command == "status") {
-    reply(session, providers_.status_json
-                       ? providers_.status_json()
-                       : std::string("{\"error\":\"status unavailable\"}"));
-    return;
-  }
-  if (command == "metrics") {
-    reply(session, providers_.metrics_json
-                       ? providers_.metrics_json()
-                       : std::string("{\"error\":\"metrics unavailable\"}"));
-    return;
-  }
-  if (command == "flamegraph") {
-    reply(session,
-          providers_.flamegraph_json
-              ? providers_.flamegraph_json()
-              : std::string("{\"error\":\"flamegraph unavailable\"}"));
-    return;
-  }
-  if (command == "subscribe-metrics") {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      subscribers_.insert(session);
-    }
-    reply(session, "{\"subscribed\":true}");
-    return;
-  }
-  if (command == "logs" || command.rfind("logs ", 0) == 0) {
-    if (providers_.log_ring == nullptr) {
-      reply(session, "{\"error\":\"logs unavailable\"}");
-      return;
-    }
-    std::size_t n = config_.default_log_tail;
-    if (command.size() > 5) {
-      char* end = nullptr;
-      const unsigned long parsed =
-          std::strtoul(command.c_str() + 5, &end, 10);
-      if (end == nullptr || *end != '\0' || parsed == 0) {
-        reject(session);
-        return;
+  const auto answer = [&](const std::function<std::string()>& provider,
+                          const std::string& what) {
+    reply(session, provider ? provider()
+                            : "{\"error\":\"" + what + " unavailable\"}");
+  };
+  switch (request->command) {
+    case OpsRequest::Command::kStatus:
+      return answer(providers_.status_json, "status");
+    case OpsRequest::Command::kMetrics:
+      return answer(providers_.metrics_json, "metrics");
+    case OpsRequest::Command::kFlamegraph:
+      return answer(providers_.flamegraph_json, "flamegraph");
+    case OpsRequest::Command::kSubscribeMetrics:
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        subscribers_.insert(session);
       }
-      n = static_cast<std::size_t>(parsed);
+      return reply(session, "{\"subscribed\":true}");
+    case OpsRequest::Command::kLogs: {
+      if (providers_.log_ring == nullptr) return answer(nullptr, "logs");
+      std::string body;
+      for (const LogRecord& record :
+           providers_.log_ring->tail(request->count)) {
+        body += log_record_json(record);
+        body += '\n';
+      }
+      return reply(session, body);
     }
-    std::string body;
-    for (const LogRecord& record : providers_.log_ring->tail(n)) {
-      body += log_record_json(record);
-      body += '\n';
-    }
-    reply(session, body);
-    return;
   }
-  // Unknown vocabulary: not a read-only introspection request.
-  requests_.fetch_sub(1, std::memory_order_relaxed);
-  reject(session);
 }
 
 void OpsServer::on_closed(net::SessionId session) {

@@ -36,18 +36,21 @@
 //                         Worker-shipped records carry their node id.
 //
 // Trust boundary: the listener is read-only and session-isolated. An
-// unknown, oversized, or non-text request closes THAT session (counted as
-// a bad request); a corrupt RIF1 frame poisons only its own session's
-// assembler (net/frame.h) and the SocketServer closes it — either way the
-// service and every other subscriber keep running, asserted under seeded
-// wire faults in tests/ops_test.cc.
+// unknown, oversized, or non-text request, or a `logs` count that is not a
+// positive decimal number, closes THAT session (counted as a bad
+// request); a corrupt RIF1 frame poisons only its own session's assembler
+// (net/frame.h) and the SocketServer closes it — either way the service
+// and every other subscriber keep running, asserted under seeded wire
+// faults in tests/ops_test.cc.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +77,23 @@ struct OpsServerConfig {
 /// One shipped-or-local log record as a single-line JSON object — the line
 /// shape of the `logs` response.
 std::string log_record_json(const LogRecord& record);
+
+/// One request of the vocabulary above.
+struct OpsRequest {
+  enum class Command { kStatus, kMetrics, kSubscribeMetrics, kFlamegraph,
+                       kLogs };
+  Command command = Command::kStatus;
+  /// Records a `logs` request asks for: its count, else the default tail.
+  std::size_t count = 0;
+};
+
+/// Parse one request frame. Nullopt — the session is closed — when the
+/// frame is longer than `config.max_request_bytes`, holds a byte that is
+/// neither printable ASCII nor whitespace, names no command, or gives
+/// `logs` a count that is not a positive decimal number in range ("logs -5",
+/// "logs +5", "logs 0" and a count past SIZE_MAX are all refused).
+std::optional<OpsRequest> parse_ops_request(
+    std::span<const std::uint8_t> frame, const OpsServerConfig& config);
 
 class OpsServer {
  public:

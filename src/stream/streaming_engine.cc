@@ -9,7 +9,7 @@
 #include "core/parallel/parallel_pct.h"
 #include "hsi/chunked_reader.h"
 #include "hsi/partition.h"
-#include "linalg/jacobi_eig.h"
+#include "linalg/stats.h"
 #include "obs/span_tracer.h"
 #include "runtime/chunk_geometry.h"
 #include "stream/bounded_queue.h"
@@ -495,7 +495,8 @@ std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
   }
   result.screen_comparisons = fused.screen_comparisons();
   result.merge_comparisons = fused.merge_comparisons();
-  result.unique_set_size = fused.unique_set_size();
+  const core::UniqueSet& unique = fused.unique();
+  result.unique_set_size = unique.size();
   // A degenerate scene is a property of the INPUT, not a program bug: fail
   // the run (caller sees nullopt and reports it) instead of aborting a
   // service that may have other jobs in flight.
@@ -506,22 +507,29 @@ std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
     return std::nullopt;
   }
 
-  // --- barrier: statistics + eigen-solve -------------------------------------
-  result.mean = fused.mean();
-  linalg::EigenResult eig;
+  // --- barrier: mean, `cov_shards` covariance sums, eigen-solve --------------
+  result.mean = unique.mean();
+  core::BarrierResult barrier;
   {
     RIF_TRACE_SPAN_JOB("stream_eigen", trace_job);
-    eig = linalg::jacobi_eigen(fused.covariance(result.mean, cov_shards, pool));
+    // Contiguous member ranges, as the distributed manager shards them,
+    // summed concurrently; the barrier merges them in shard order.
+    const auto ranges = hsi::partition_range(
+        static_cast<std::int64_t>(unique.size()), cov_shards);
+    std::vector<linalg::CovarianceAccumulator> sums(
+        ranges.size(), linalg::CovarianceAccumulator(B, result.mean));
+    pool.parallel_tasks(static_cast<int>(sums.size()), [&](int s) {
+      sums[s].add_rows(unique.flat().data() + ranges[s].begin * B,
+                       static_cast<std::uint64_t>(ranges[s].size()));
+    });
+    barrier = core::manager_barrier(sums, config.pct.output_components);
   }
-  result.eigenvalues = eig.values;
-  result.eigenvectors = eig.vectors;
+  result.eigenvalues = barrier.eigen.values;
+  result.eigenvectors = barrier.eigen.vectors;
 
   // --- pass 2: blocked transform + colour map --------------------------------
-  const linalg::Matrix t =
-      core::transform_matrix(eig.vectors, config.pct.output_components);
-  const std::vector<double> bias = core::projection_bias(t, result.mean);
-  const auto scales = core::scales_from_eigenvalues(eig.values);
-  const int comps = t.rows();
+  const core::Projection& projection = barrier.projection;
+  const int comps = projection.matrix.rows();
   result.composite = hsi::RgbImage(W, shape.height);
   std::vector<float> plane_chunk;  // one chunk of components, when sunk
   {
@@ -542,9 +550,9 @@ std::optional<StreamingResult> fuse_chunks(ChunkSource& source,
       pool.parallel_tasks(static_cast<int>(tiles.size()), [&](int i) {
         const std::int64_t lo = tiles[i].first_flat_index();
         core::transform_and_map_chunk(
-            chunk.pixels + lo * B, tiles[i].pixels(), t, bias, scales,
+            chunk.pixels + lo * B, tiles[i].pixels(), projection,
             planes != nullptr ? planes + lo * comps : nullptr,
-            result.composite, first_flat + lo);
+            result.composite.data.data() + (first_flat + lo) * 3);
       });
       if (config.plane_sink) {
         config.plane_sink(first_flat, count, comps, planes);

@@ -8,9 +8,12 @@
 //   pass 1  per chunk, core::FusedScreen: the chunk is sub-tiled across the
 //           pool, each sub-tile screened into its unique set, then folded
 //           in chunk order;
-//   barrier mean and `cov_shards` covariance of the merged unique set (held
-//           in memory), Jacobi eigen-solve. A unique set of fewer than 3
-//           members fails the run: it is a property of the input;
+//   barrier mean and `cov_shards` covariance sums of the merged unique set
+//           (held in memory), then core::manager_barrier: the shard-order
+//           merge, the tridiagonal-QL eigen-solve and the projection, the
+//           same function the distributed manager runs. A unique set of
+//           fewer than 3 members fails the run: it is a property of the
+//           input;
 //   pass 2  per chunk, blocked SIMD transform + colour map over the same
 //           sub-tiles: composite bytes land in place, component planes go
 //           to an optional sink.

@@ -9,7 +9,8 @@
 // and budget keep the run deterministic and short. The later cases pin the
 // shard-message shape checks, feed the coordinator's merge members of
 // extreme magnitude, and mutate cube headers through the .hdr parser, a
-// worker's telemetry batch and an encoded covariance accumulator.
+// worker's telemetry batch, an encoded covariance accumulator and the ops
+// plane's request text.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -34,6 +35,7 @@
 #include "linalg/stats.h"
 #include "net/frame.h"
 #include "net/socket_transport.h"
+#include "obs/ops_server.h"
 #include "scp/wire.h"
 #include "support/rng.h"
 
@@ -618,6 +620,51 @@ TEST(FuzzTest, TelemetryBodyMutantsNeverAbortAndReencodeExactly) {
       }
       ++accepted;
       ASSERT_EQ(body->encode(), mutant);
+    }
+  }
+  // The budget reached both outcomes.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(refused, 0);
+}
+
+TEST(FuzzTest, OpsRequestMutantsNeverAbortAndParseToACommand) {
+  // The ops plane's request parser is the other socket trust boundary.
+  // Mutants of the five commands, counted and not, go through
+  // parse_ops_request: one it accepts is one of the five, and a `logs`
+  // request asks for at least one record.
+  const obs::OpsServerConfig config;
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const std::string t :
+       {"status", "metrics\n", "subscribe-metrics", "flamegraph", "logs",
+        "logs 2", "logs 512\r\n", "logs 18446744073709551615"}) {
+    seeds.emplace_back(t.begin(), t.end());
+  }
+  using Command = obs::OpsRequest::Command;
+  Rng rng(0x0b5);
+  int accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < kBudget; ++i) {
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const auto mutant =
+          mutate(rng, seeds[k], seeds[(k + 1 + i) % seeds.size()]);
+      const auto request = obs::parse_ops_request(mutant, config);
+      if (!request) {
+        ++refused;
+        continue;
+      }
+      ++accepted;
+      switch (request->command) {
+        case Command::kStatus:
+        case Command::kMetrics:
+        case Command::kSubscribeMetrics:
+        case Command::kFlamegraph:
+          break;
+        case Command::kLogs:
+          ASSERT_GE(request->count, 1u);
+          break;
+        default:
+          FAIL() << "not a command: " << static_cast<int>(request->command);
+      }
     }
   }
   // The budget reached both outcomes.

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "core/cost_model.h"
 #include "core/distributed/messages.h"
+#include "core/pct.h"
+#include "hsi/partition.h"
 #include "linalg/stats.h"
+#include "support/rng.h"
 #include "support/serialize.h"
 
 namespace rif::core {
@@ -71,6 +78,47 @@ TEST(MessagesTest, TransformRoundTrip) {
   EXPECT_EQ(back.bands, 4);
   EXPECT_EQ(back.matrix, msg.matrix);
   EXPECT_EQ(back.scale_gain, msg.scale_gain);
+}
+
+/// Whether `a` and `b` hold the same bits, element for element.
+template <typename T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+TEST(MessagesTest, BarrierProjectionSurvivesTheWireBitForBit) {
+  // The manager sends the barrier's projection as a TransformMsg; the
+  // worker's projection() must be the one the manager holds, bias included.
+  constexpr int kBands = 7;
+  constexpr int kMembers = 41;
+  Rng rng(23);
+  std::vector<float> members(static_cast<std::size_t>(kMembers) * kBands);
+  for (float& v : members) v = static_cast<float>(rng.uniform(0.1, 2.0));
+  linalg::MeanAccumulator mean_acc(kBands);
+  for (int m = 0; m < kMembers; ++m) {
+    mean_acc.add({members.data() + m * kBands, kBands});
+  }
+  const std::vector<double> mean = mean_acc.mean();
+  std::vector<linalg::CovarianceAccumulator> sums;
+  for (const auto& range : hsi::partition_range(kMembers, 3)) {
+    sums.emplace_back(kBands, mean);
+    sums.back().add_rows(members.data() + range.begin * kBands,
+                         static_cast<std::uint64_t>(range.size()));
+  }
+  const Projection sent = manager_barrier(sums, 4).projection;
+
+  const auto msg = TransformMsg::try_decode(TransformMsg::from(sent).encode(0));
+  ASSERT_TRUE(msg.has_value());
+  const Projection got = msg->projection();
+  ASSERT_EQ(got.matrix.rows(), 4);
+  ASSERT_EQ(got.matrix.cols(), kBands);
+  const std::size_t cells = 4 * kBands;
+  EXPECT_TRUE(same_bits<double>({got.matrix.data(), cells},
+                                {sent.matrix.data(), cells}));
+  EXPECT_TRUE(same_bits<double>(got.mean, sent.mean));
+  EXPECT_TRUE(same_bits<double>(got.bias, sent.bias));
+  EXPECT_TRUE(same_bits<ComponentScale>(got.scales, sent.scales));
 }
 
 TEST(MessagesTest, ColorTileRoundTrip) {

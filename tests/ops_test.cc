@@ -279,6 +279,29 @@ TEST(OpsServerTest, SlowSubscriberLosesFramesNotTheSession) {
   slow.close();
 }
 
+TEST(OpsServerTest, ParserTakesOnlyPositiveDecimalLogCounts) {
+  const obs::OpsServerConfig config;
+  const auto parse = [&](const std::string& text) {
+    const std::vector<std::uint8_t> frame(text.begin(), text.end());
+    return obs::parse_ops_request(frame, config);
+  };
+  for (const char* bad :
+       {"logs -5", "logs +5", "logs 0", "logs  5", "logs 5x", "logs 0x10",
+        "logs 99999999999999999999999", "log", "statuses"}) {
+    EXPECT_FALSE(parse(bad).has_value()) << bad;
+  }
+  const auto tail = parse("logs 007\n");
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(tail->command, obs::OpsRequest::Command::kLogs);
+  EXPECT_EQ(tail->count, 7u);
+  const auto fallback = parse(" logs ");
+  ASSERT_TRUE(fallback.has_value());
+  EXPECT_EQ(fallback->count, config.default_log_tail);
+  ASSERT_TRUE(parse("flamegraph").has_value());
+  EXPECT_EQ(parse("flamegraph")->command,
+            obs::OpsRequest::Command::kFlamegraph);
+}
+
 // --- hostile input: session isolation ----------------------------------------
 
 TEST(OpsServerTest, HostileAndCorruptFramesCloseOnlyTheirSession) {
@@ -305,6 +328,16 @@ TEST(OpsServerTest, HostileAndCorruptFramesCloseOnlyTheirSession) {
     net::SocketClient bad;
     ASSERT_TRUE(bad.connect_tcp("127.0.0.1", fx.server.port()));
     ASSERT_TRUE(send_text(bad, "drop-tables"));
+    std::vector<std::uint8_t> frame;
+    EXPECT_FALSE(bad.read_frame(frame));
+    bad.close();
+  }
+  // A `logs` count that is not a positive decimal number is malformed:
+  // "-5" must close the session, not wrap around to a huge tail.
+  {
+    net::SocketClient bad;
+    ASSERT_TRUE(bad.connect_tcp("127.0.0.1", fx.server.port()));
+    ASSERT_TRUE(send_text(bad, "logs -5"));
     std::vector<std::uint8_t> frame;
     EXPECT_FALSE(bad.read_frame(frame));
     bad.close();
@@ -342,7 +375,7 @@ TEST(OpsServerTest, HostileAndCorruptFramesCloseOnlyTheirSession) {
     ::close(fd);
   }
 
-  EXPECT_GE(fx.server.bad_requests(), 3u);
+  EXPECT_GE(fx.server.bad_requests(), 4u);
   // The surviving subscriber still gets pushes, and new sessions still get
   // answers: the service never died and never wedged.
   fx.server.publish_metrics_sample("{\"t\":1}");

@@ -229,10 +229,11 @@ TEST(PctPipelineTest, TransformedUniqueSetDecorrelated) {
   const linalg::Matrix t = transform_matrix(r.eigenvectors, k);
   std::vector<std::vector<double>> comps(k,
                                          std::vector<double>(unique.size()));
-  std::vector<float> out(k);
+  std::vector<float> out(unique.size() * k);
+  project_pixels(t, projection_bias(t, r.mean), unique.flat().data(),
+                 static_cast<std::int64_t>(unique.size()), out.data());
   for (std::size_t i = 0; i < unique.size(); ++i) {
-    transform_pixel(t, r.mean, unique.member(i), out);
-    for (int c = 0; c < k; ++c) comps[c][i] = out[c];
+    for (int c = 0; c < k; ++c) comps[c][i] = out[i * k + c];
   }
   for (int a = 0; a < k; ++a) {
     for (int b = a + 1; b < k; ++b) {
@@ -256,12 +257,13 @@ TEST(PctPipelineTest, ComponentVarianceMatchesEigenvalue) {
                                         scene.cube.pixel_count(),
                                         config.screening_threshold);
   const linalg::Matrix t = transform_matrix(r.eigenvectors, 3);
-  std::vector<float> out(3);
+  std::vector<float> out(unique.size() * 3);
+  project_pixels(t, projection_bias(t, r.mean), unique.flat().data(),
+                 static_cast<std::int64_t>(unique.size()), out.data());
   double sum = 0.0, sum2 = 0.0;
   for (std::size_t i = 0; i < unique.size(); ++i) {
-    transform_pixel(t, r.mean, unique.member(i), out);
-    sum += out[0];
-    sum2 += static_cast<double>(out[0]) * out[0];
+    sum += out[i * 3];
+    sum2 += static_cast<double>(out[i * 3]) * out[i * 3];
   }
   const double n = static_cast<double>(unique.size());
   const double var = sum2 / n - (sum / n) * (sum / n);
