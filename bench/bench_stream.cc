@@ -40,7 +40,6 @@
 #include "obs/flamegraph.h"
 #include "obs/span_tracer.h"
 #include "obs/trace_check.h"
-#include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 #include "service/service.h"
 #include "stream/streaming_engine.h"
@@ -125,11 +124,14 @@ int main(int argc, char** argv) {
 
   // Streamed runs first: VmHWM is monotone, and the streamed phases are
   // the ones whose memory ceiling the numbers must vouch for.
+  // The 16-line run's registry is the METRICS_stream.json snapshot.
   core::ThreadPool pool(threads);
   std::vector<StreamRow> rows;
+  runtime::MetricsRegistry snapshot_reg;
   for (const int chunk_lines : chunk_sizes) {
     stream::StreamingConfig cfg;
     cfg.chunk_lines = chunk_lines;
+    if (chunk_lines == 16) cfg.metrics = &snapshot_reg;
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = stream::fuse_streaming(path, pool, cfg);
     const double wall = seconds_since(t0);
@@ -153,30 +155,6 @@ int main(int argc, char** argv) {
         row.stats.reader_stall_seconds * 1e3,
         row.stats.compute_stall_seconds * 1e3);
   }
-
-  // Adaptive leg: no chunk-size hint — the run starts from the engine's
-  // default geometry and the ChunkAutotuner retunes it live from the stall
-  // series. Its wall time is printed against the best and worst fixed
-  // chunk sizes above; no bound is asserted, because on a shared VM the
-  // ratio moves by tens of percent between runs.
-  runtime::MetricsRegistry adaptive_reg;
-  stream::StreamingConfig adaptive_cfg;
-  adaptive_cfg.autotune = runtime::AutotuneConfig{};
-  adaptive_cfg.metrics = &adaptive_reg;
-  const auto ta = std::chrono::steady_clock::now();
-  const auto adaptive = stream::fuse_streaming(path, pool, adaptive_cfg);
-  const double adaptive_ms = seconds_since(ta) * 1e3;
-  if (!adaptive) {
-    std::printf("adaptive streaming run failed\n");
-    return 1;
-  }
-  const auto& tuned = adaptive->autotune;
-  std::printf(
-      "  streamed adaptive:        %7.1f ms  chunk %d -> %d lines, depth "
-      "%d -> %d, %zu decisions\n",
-      adaptive_ms, tuned.initial_chunk_lines, tuned.final_chunk_lines,
-      tuned.initial_queue_depth, tuned.final_queue_depth,
-      tuned.trajectory.size());
 
   // --- Traced legs: the observability acceptance artifacts ------------------
   // First the tracing-overhead probe: best-of-3 untraced vs best-of-3 traced
@@ -414,17 +392,8 @@ int main(int argc, char** argv) {
                          return a.wall_ms < b.wall_ms;
                        })
           ->wall_ms;
-  const double worst_stream_ms =
-      std::max_element(rows.begin(), rows.end(),
-                       [](const StreamRow& a, const StreamRow& b) {
-                         return a.wall_ms < b.wall_ms;
-                       })
-          ->wall_ms;
   std::printf("  best streamed vs load-then-fuse: %.2fx\n",
               total_s * 1e3 / best_stream_ms);
-  std::printf(
-      "  adaptive vs best fixed: %.2fx  vs worst fixed: %.2fx\n",
-      best_stream_ms / adaptive_ms, worst_stream_ms / adaptive_ms);
 
   std::FILE* out = std::fopen("BENCH_stream.json", "w");
   if (out == nullptr) {
@@ -459,31 +428,6 @@ int main(int argc, char** argv) {
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  // The adaptive leg and its tuned trajectory: chunk_lines/queue_depth
-  // after every controller decision, plus the stall fractions that drove
-  // it — the "how did it get there" record the acceptance bar asks for.
-  std::fprintf(out,
-               "  \"adaptive\": {\"wall_ms\": %.3f, "
-               "\"initial_chunk_lines\": %d, \"final_chunk_lines\": %d, "
-               "\"initial_queue_depth\": %d, \"final_queue_depth\": %d, "
-               "\"peak_buffer_bytes\": %llu,\n    \"trajectory\": [\n",
-               adaptive_ms, tuned.initial_chunk_lines,
-               tuned.final_chunk_lines, tuned.initial_queue_depth,
-               tuned.final_queue_depth,
-               static_cast<unsigned long long>(
-                   adaptive->stats.peak_buffer_bytes));
-  for (std::size_t i = 0; i < tuned.trajectory.size(); ++i) {
-    const auto& d = tuned.trajectory[i];
-    std::fprintf(out,
-                 "      {\"chunk\": %d, \"direction\": %d, "
-                 "\"chunk_lines\": %d, \"queue_depth\": %d, "
-                 "\"reader_stall_frac\": %.4f, "
-                 "\"compute_stall_frac\": %.4f}%s\n",
-                 d.chunk_index, d.direction, d.chunk_lines, d.queue_depth,
-                 d.reader_stall_frac, d.compute_stall_frac,
-                 i + 1 < tuned.trajectory.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]},\n");
   // The observability legs: tracing overhead ratio (best-of-3 vs best-of-3)
   // and the traced service run's artifact stats.
   std::fprintf(out,
@@ -500,21 +444,17 @@ int main(int argc, char** argv) {
                "%.3f, \"peak_rss_bytes\": %llu},\n",
                total_s * 1e3, load_s * 1e3,
                static_cast<unsigned long long>(rss_loaded));
-  std::fprintf(out, "  \"best_streamed_speedup\": %.3f,\n",
+  std::fprintf(out, "  \"best_streamed_speedup\": %.3f\n",
                total_s * 1e3 / best_stream_ms);
-  std::fprintf(out, "  \"adaptive_vs_best_fixed\": %.3f,\n",
-               best_stream_ms / adaptive_ms);
-  std::fprintf(out, "  \"adaptive_vs_worst_fixed\": %.3f\n",
-               worst_stream_ms / adaptive_ms);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_stream.json\n");
 
-  // Registry snapshot of the adaptive run (queue stalls, per-chunk stage
+  // Registry snapshot of the 16-line run (queue stalls, per-chunk stage
   // latency histograms) — the dashboard-shaped artifact CI uploads.
   std::FILE* metrics_out = std::fopen("METRICS_stream.json", "w");
   if (metrics_out != nullptr) {
-    const std::string snapshot = adaptive_reg.to_json();
+    const std::string snapshot = snapshot_reg.to_json();
     std::fwrite(snapshot.data(), 1, snapshot.size(), metrics_out);
     std::fclose(metrics_out);
     std::printf("wrote METRICS_stream.json\n");

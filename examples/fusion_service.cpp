@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
   for (const auto& r : report.jobs) {
     std::string nodes;
     for (const auto n : r.leased_nodes) {
-      nodes += (nodes.empty() ? "" : ",") + std::to_string(n);
+      if (!nodes.empty()) nodes += ',';
+      nodes += std::to_string(n);
     }
     const char* state = r.completed ? "done"
                         : r.failed  ? "failed"

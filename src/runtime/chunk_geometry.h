@@ -6,9 +6,9 @@
 // queue_depth < 3 while the engine CHECK-aborted, and neither bounded the
 // knobs from above — a huge chunk_lines silently asked the reader for a
 // near-whole-cube buffer, defeating the bounded-memory contract. Both
-// callers (and the ChunkAutotuner's clamps) now share these bounds, so a
-// bad request fails the same way everywhere: a clear error string instead
-// of a crash or an absurd allocation.
+// callers now share these bounds, so a bad request fails the same way
+// everywhere: a clear error string instead of a crash or an absurd
+// allocation.
 #pragma once
 
 namespace rif::runtime {

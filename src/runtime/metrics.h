@@ -1,10 +1,10 @@
-// Metrics registry of the adaptive runtime control plane.
+// Metrics registry of the runtime.
 //
-// Everything the control plane reacts to — queue stalls, per-chunk stage
+// Everything the runtime reports — queue stalls, per-chunk stage
 // latencies, pool busy/idle, per-tenant admission outcomes — flows through
-// one MetricsRegistry of named series, so "observe" and "react" share a
-// vocabulary: the ChunkAutotuner reads the same stall series a dashboard
-// would, and the JSON snapshot exporter is the registry walked once.
+// one MetricsRegistry of named series, so every reader shares one
+// vocabulary: the per-job stats views, the ops plane's scraper and the
+// JSON snapshot exporter all read the same series.
 //
 // Three series kinds, all hot-path-cheap (one relaxed atomic op per
 // update, no locks after creation):

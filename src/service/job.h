@@ -109,11 +109,6 @@ struct JobRequest {
   /// Streaming mode: chunk buffers in flight (>= 3); with chunk_lines this
   /// sets the working set of the job's source, its budgeted peak memory.
   int queue_depth = 4;
-  /// Streaming mode: let the runtime's ChunkAutotuner retune
-  /// chunk_lines/queue_depth during the run, clamped to the working set of
-  /// the job's source, its ADMITTED memory demand, so tuning never
-  /// outgrows what the Scheduler let in.
-  bool autotune = false;
 };
 
 struct SubmitResult {

@@ -51,21 +51,15 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
       q * static_cast<double>(sorted.size() - 1) + 0.5)];
 }
 
-/// The engine settings of `request`. The file source reads chunk_lines,
-/// queue_depth and autotune when it is opened; fuse_chunks reads pct. An
-/// autotuned file source is clamped to its working set, which is the
-/// demand the Scheduler admits, so tuning never outgrows it.
+/// The engine settings of `request`. The file source reads chunk_lines and
+/// queue_depth when it is opened, and its working set is the demand the
+/// Scheduler admits; fuse_chunks reads pct.
 stream::StreamingConfig engine_config(const JobRequest& request) {
   stream::StreamingConfig cfg;
   cfg.pct.screening_threshold = request.config.screening_threshold;
   cfg.pct.output_components = request.config.output_components;
   cfg.chunk_lines = request.chunk_lines;
   cfg.queue_depth = request.queue_depth;
-  if (request.autotune) {
-    runtime::AutotuneConfig tune;
-    tune.initial_chunk_lines = 0;  // start from the tenant's value
-    cfg.autotune = tune;
-  }
   return cfg;
 }
 

@@ -49,13 +49,12 @@
 #include "core/parallel/thread_pool.h"
 #include "core/pct.h"
 #include "hsi/image_cube.h"
-#include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 
 namespace rif::stream {
 
 /// The engine reads pct, tiles_per_chunk, plane_sink and metrics; the file
-/// source reads chunk_lines, queue_depth and autotune.
+/// source reads chunk_lines and queue_depth, fixed for the whole run.
 struct StreamingConfig {
   core::PctConfig pct;
 
@@ -63,8 +62,7 @@ struct StreamingConfig {
   /// and of memory budgeting: peak buffer memory is
   /// queue_depth x chunk_lines x samples x bands x 4 bytes. Bounds shared
   /// with submit-time validation (runtime/chunk_geometry.h); out-of-bounds
-  /// values fail the run with a logged error. With `autotune` set this is
-  /// only the starting point.
+  /// values fail the run with a logged error.
   int chunk_lines = 64;
 
   /// Total chunk buffers in flight (>= 3): one filling at the reader, one
@@ -72,17 +70,6 @@ struct StreamingConfig {
   /// read-ahead. This bounds the engine's buffer footprint — backpressure
   /// from the full queue throttles the reader when compute falls behind.
   int queue_depth = 4;
-
-  /// Adaptive chunk geometry: when set, a runtime::ChunkAutotuner retunes
-  /// chunk_lines BETWEEN CHUNKS of pass 1 from the live stall series
-  /// (grow while reader-stalled, shrink while compute-stalled, hysteresis
-  /// and memory clamp — see runtime/autotuner.h) and queue_depth at the
-  /// pass boundary; pass 2 runs at the converged geometry. The tuned
-  /// trajectory lands in StreamingResult::autotune. Chunk boundaries then
-  /// differ from any fixed-geometry run, so the unique set matches no
-  /// in-memory tiling — the composite is still a valid fusion within the
-  /// usual cross-tiling variation.
-  std::optional<runtime::AutotuneConfig> autotune;
 
   /// Optional long-lived registry (e.g. the FusionService's): the run's
   /// private series are folded in under `metrics_prefix` when the run
@@ -118,12 +105,11 @@ struct StreamingConfig {
 struct StreamingStats {
   int chunks = 0;                 ///< chunks consumed in pass 1
   std::uint64_t bytes_read = 0;   ///< file bytes read (both passes)
-  /// Largest BIP chunk read — the full-size buffer for fixed geometry,
-  /// the widest tuned chunk for autotuned runs.
-  std::uint64_t chunk_bytes = 0;
+  std::uint64_t chunk_bytes = 0;  ///< largest BIP chunk read (a full chunk)
   /// High-water of live chunk-buffer bytes — the engine's whole variable
   /// footprint besides the unique set and the output image. Bounded by
-  /// queue_depth x chunk_bytes by construction.
+  /// queue_depth x chunk_bytes by construction, and equal to it when the
+  /// file holds at least queue_depth chunks.
   std::uint64_t peak_buffer_bytes = 0;
   double read_seconds = 0.0;     ///< reader thread inside read_lines
   double reader_stall_seconds = 0.0;   ///< reader blocked (backpressure)
@@ -136,9 +122,6 @@ struct StreamingStats {
 /// planes go to StreamingConfig::plane_sink instead.
 struct StreamingResult : core::PctResult {
   StreamingStats stats;
-  /// Tuned trajectory of this run (enabled == false when the run used
-  /// fixed geometry).
-  runtime::AutotuneReport autotune;
 };
 
 /// Whole image lines of a cube in BIP order, valid during one consume call.
@@ -149,10 +132,9 @@ struct ChunkView {
 };
 
 /// Where the engine's chunks come from. Each pass feeds the whole cube,
-/// line 0 to the last, through `consume` on the calling thread; `consume`
-/// returns the compute seconds it spent on the chunk (the autotuner's
-/// feedback). The engine makes two passes per run and gives each the run's
-/// private registry for the source's own series. False on an I/O error.
+/// line 0 to the last, through `consume` on the calling thread. The engine
+/// makes two passes per run and gives each the run's private registry for
+/// the source's own series. False on an I/O error.
 class ChunkSource {
  public:
   ChunkSource() = default;
@@ -164,9 +146,7 @@ class ChunkSource {
   /// number a memory budget admits a job against.
   [[nodiscard]] virtual std::uint64_t working_set_bytes() const = 0;
   virtual bool pass(runtime::MetricsRegistry& run,
-                    const std::function<double(const ChunkView&)>& consume) = 0;
-  /// Tuned trajectory of the run (enabled == false for fixed geometry).
-  [[nodiscard]] virtual runtime::AutotuneReport autotune() const { return {}; }
+                    const std::function<void(const ChunkView&)>& consume) = 0;
 };
 
 /// A resident cube as one zero-copy chunk per pass: its working set is the
@@ -181,7 +161,7 @@ class CubeChunkSource final : public ChunkSource {
     return cube_.bytes();
   }
   bool pass(runtime::MetricsRegistry& /*run*/,
-            const std::function<double(const ChunkView&)>& consume) override {
+            const std::function<void(const ChunkView&)>& consume) override {
     consume({0, cube_.height(), cube_.raw().data()});
     return true;
   }
@@ -191,11 +171,9 @@ class CubeChunkSource final : public ChunkSource {
 };
 
 /// The file at `<cube_path>` (+ `.hdr`) as a chunk source streamed at
-/// config's chunk_lines, queue_depth and autotune. Its working set is
-/// queue_depth chunks of min(chunk_lines, lines) lines; an autotuned source
-/// is clamped to AutotuneConfig::memory_budget, or to that same working set
-/// when the budget is 0, and reports its clamp. nullptr, with a logged
-/// error, on out-of-bounds geometry or a file that fails open/validation.
+/// config's chunk_lines and queue_depth. Its working set is queue_depth
+/// chunks of min(chunk_lines, lines) lines. nullptr, with a logged error,
+/// on out-of-bounds geometry or a file that fails open/validation.
 std::unique_ptr<ChunkSource> open_cube_file(const std::string& cube_path,
                                             const StreamingConfig& config);
 

@@ -3,6 +3,7 @@
 // monotonicity (replication never makes the run faster).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/distributed/fusion_job.h"
@@ -64,8 +65,12 @@ INSTANTIATE_TEST_SUITE_P(
           std::get<2>(info.param) == NetworkKind::kLan        ? "Lan"
           : std::get<2>(info.param) == NetworkKind::kSharedBus ? "Bus"
                                                                 : "Smp";
-      return "W" + std::to_string(std::get<0>(info.param)) + "R" +
-             std::to_string(std::get<1>(info.param)) + net;
+      std::string name = "W";
+      name += std::to_string(std::get<0>(info.param));
+      name += 'R';
+      name += std::to_string(std::get<1>(info.param));
+      name += net;
+      return name;
     });
 
 }  // namespace

@@ -1,16 +1,13 @@
-// Tests of the adaptive runtime control plane (src/runtime/): the
-// MetricsRegistry series semantics (counters, sum/max gauges, histogram
-// buckets, cross-registry merge, JSON snapshot), the shared chunk-geometry
-// bounds, the ChunkAutotuner's convergence and hysteresis on synthetic
-// stall traces (no engine, no disk, no clock — the controller is driven
-// purely by observations), and the ThreadPool metrics wiring.
+// Tests of the runtime (src/runtime/): the MetricsRegistry series
+// semantics (counters, sum/max gauges, histogram buckets, cross-registry
+// merge, JSON snapshot), the shared chunk-geometry bounds, and the
+// ThreadPool metrics wiring.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 
 #include "core/parallel/thread_pool.h"
-#include "runtime/autotuner.h"
 #include "runtime/chunk_geometry.h"
 #include "runtime/metrics.h"
 
@@ -124,142 +121,6 @@ TEST(ChunkGeometryTest, SharedBoundsAcceptAndRejectConsistently) {
   EXPECT_NE(validate_chunk_geometry(64, 0), nullptr);  // no pipeline slots
   EXPECT_NE(validate_chunk_geometry(64, 2), nullptr);
   EXPECT_NE(validate_chunk_geometry(64, kMaxQueueDepth + 1), nullptr);
-}
-
-// --- ChunkAutotuner ----------------------------------------------------------
-
-AutotuneConfig tune_config() {
-  AutotuneConfig cfg;
-  cfg.min_chunk_lines = 4;
-  cfg.max_chunk_lines = 256;
-  cfg.epoch_chunks = 2;
-  cfg.grow_factor = 2.0;
-  cfg.dead_band = 0.10;
-  return cfg;
-}
-
-/// One synthetic chunk observation. Stall seconds are the signal; the
-/// read/compute components only normalize the fractions.
-TuneObservation reader_bound() { return {0.01, 0.08, 0.0, 0.01}; }
-TuneObservation compute_bound() { return {0.01, 0.0, 0.08, 0.01}; }
-TuneObservation balanced() { return {0.04, 0.005, 0.005, 0.05}; }
-
-TEST(AutotunerTest, ReaderStalledTraceGrowsToMax) {
-  ChunkAutotuner tuner(tune_config(), 16, 4, 1000);
-  for (int i = 0; i < 20; ++i) tuner.observe(reader_bound());
-  EXPECT_EQ(tuner.chunk_lines(), 256);  // converged at the clamp
-  // Strictly monotone growth along the trajectory, one decision per epoch.
-  const auto& traj = tuner.trajectory();
-  ASSERT_EQ(traj.size(), 10u);
-  int prev = 16;
-  for (const auto& d : traj) {
-    EXPECT_GE(d.chunk_lines, prev);
-    prev = d.chunk_lines;
-  }
-}
-
-TEST(AutotunerTest, ComputeStalledTraceShrinksToMinAndDeepensQueue) {
-  ChunkAutotuner tuner(tune_config(), 64, 4, 1000);
-  for (int i = 0; i < 20; ++i) tuner.observe(compute_bound());
-  EXPECT_EQ(tuner.chunk_lines(), 4);  // converged at the floor
-  // I/O-bound: more read-ahead, budget unlimited => toward max depth.
-  EXPECT_GT(tuner.queue_depth(), 4);
-}
-
-TEST(AutotunerTest, BalancedTraceHoldsGeometry) {
-  ChunkAutotuner tuner(tune_config(), 32, 4, 1000);
-  for (int i = 0; i < 20; ++i) tuner.observe(balanced());
-  EXPECT_EQ(tuner.chunk_lines(), 32);
-  EXPECT_EQ(tuner.queue_depth(), 4);
-  for (const auto& d : tuner.trajectory()) EXPECT_EQ(d.direction, 0);
-}
-
-TEST(AutotunerTest, OscillatingTraceIsDampedByReversalHysteresis) {
-  // Alternate one reader-bound epoch with one compute-bound epoch. An
-  // undamped controller would flip direction every epoch; reversal
-  // hysteresis requires two consecutive opposing epochs, which an
-  // alternating signal never delivers — so after the first move the tuner
-  // parks instead of thrashing.
-  ChunkAutotuner tuner(tune_config(), 32, 4, 1000);
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    tuner.observe(reader_bound());
-    tuner.observe(reader_bound() );
-    tuner.observe(compute_bound());
-    tuner.observe(compute_bound());
-  }
-  int reversals = 0;
-  int last = 0;
-  for (const auto& d : tuner.trajectory()) {
-    if (d.direction != 0 && last != 0 && d.direction == -last) ++reversals;
-    if (d.direction != 0) last = d.direction;
-  }
-  // 20 epochs of perfectly alternating signal: without damping every
-  // second epoch reverses (~9 reversals); with it, each reversal needs two
-  // consecutive opposing epochs, which the alternation never provides
-  // after the initial move — allow the pathological first one only.
-  EXPECT_LE(reversals, 1);
-  EXPECT_GE(tuner.chunk_lines(), 4);
-  EXPECT_LE(tuner.chunk_lines(), 256);
-}
-
-TEST(AutotunerTest, SingleOpposingEpochDoesNotReverseAConfirmedTrend) {
-  ChunkAutotuner tuner(tune_config(), 16, 4, 1000);
-  // Establish growth.
-  tuner.observe(reader_bound());
-  tuner.observe(reader_bound());
-  const int grown = tuner.chunk_lines();
-  EXPECT_GT(grown, 16);
-  // One opposing epoch: held (pending reversal), not acted on.
-  tuner.observe(compute_bound());
-  tuner.observe(compute_bound());
-  EXPECT_EQ(tuner.chunk_lines(), grown);
-  // Second consecutive opposing epoch: the reversal is real, act.
-  tuner.observe(compute_bound());
-  tuner.observe(compute_bound());
-  EXPECT_LT(tuner.chunk_lines(), grown);
-}
-
-TEST(AutotunerTest, MemoryBudgetClampsGrowthAndTradesDepthForWidth) {
-  AutotuneConfig cfg = tune_config();
-  // 1000 B/line, depth 4 => budget affords 32 lines/chunk at full depth.
-  cfg.memory_budget = 4 * 32 * 1000;
-  ChunkAutotuner tuner(cfg, 16, 4, 1000);
-  tuner.observe(reader_bound());
-  tuner.observe(reader_bound());
-  EXPECT_EQ(tuner.chunk_lines(), 32);  // budget clamp at depth 4
-  // Further pressure trades queue depth for width instead of stalling:
-  // depth drops toward the minimum, freeing budget for wider chunks, but
-  // depth x chunk_bytes stays within the admitted budget throughout.
-  for (int i = 0; i < 10; ++i) tuner.observe(reader_bound());
-  EXPECT_GE(tuner.queue_depth(), 3);
-  EXPECT_GT(tuner.chunk_lines(), 32);
-  for (const auto& d : tuner.trajectory()) {
-    EXPECT_LE(static_cast<std::uint64_t>(d.queue_depth) *
-                  static_cast<std::uint64_t>(d.chunk_lines) * 1000u,
-              cfg.memory_budget);
-  }
-}
-
-TEST(AutotunerTest, InitialGeometryIsClampedIntoBounds) {
-  AutotuneConfig cfg = tune_config();
-  cfg.memory_budget = 3 * 8 * 1000;  // affords 8 lines at min depth
-  ChunkAutotuner tuner(cfg, 512, 9, 1000);
-  EXPECT_LE(static_cast<std::uint64_t>(tuner.queue_depth()) *
-                static_cast<std::uint64_t>(tuner.chunk_lines()) * 1000u,
-            cfg.memory_budget);
-  EXPECT_GE(tuner.chunk_lines(), 1);
-  EXPECT_GE(tuner.queue_depth(), 3);
-}
-
-TEST(AutotunerTest, ReportCarriesTrajectoryEndpoints) {
-  ChunkAutotuner tuner(tune_config(), 16, 4, 1000);
-  for (int i = 0; i < 6; ++i) tuner.observe(reader_bound());
-  const AutotuneReport report = tuner.report();
-  EXPECT_TRUE(report.enabled);
-  EXPECT_EQ(report.initial_chunk_lines, 16);
-  EXPECT_EQ(report.final_chunk_lines, tuner.chunk_lines());
-  EXPECT_GT(report.final_chunk_lines, report.initial_chunk_lines);
-  EXPECT_EQ(report.trajectory.size(), 3u);
 }
 
 // --- ThreadPool wiring -------------------------------------------------------

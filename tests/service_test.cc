@@ -1118,39 +1118,6 @@ TEST(ServiceTest, CounterOfferConvertsOverBudgetFullToStreaming) {
   fs::remove(path + ".hdr");
 }
 
-TEST(ServiceTest, AutotunedStreamingJobStaysWithinAdmittedDemand) {
-  hsi::SceneConfig scene_cfg;
-  scene_cfg.width = 32;
-  scene_cfg.height = 96;
-  scene_cfg.bands = 8;
-  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
-  const std::string path = write_scene_file(scene, "rif_svc_tuned.dat");
-
-  ServiceConfig cfg;
-  cfg.worker_nodes = 4;
-  cfg.execution_threads = 2;
-  FusionService service(cfg);
-  JobRequest r = streaming_request("tuner", 2, path, 8);
-  r.queue_depth = 4;
-  r.autotune = true;
-  const auto submit = service.submit(r);
-  ASSERT_TRUE(submit.accepted());
-  const ServiceReport report = service.run();
-  ASSERT_TRUE(report.all_completed);
-
-  const JobRecord& rec = record_of(report, submit.id);
-  ASSERT_TRUE(rec.completed);
-  // The tuner's clamp is the ADMITTED demand: however it reshaped the
-  // chunks-vs-depth split, the run never outgrew what admission budgeted.
-  EXPECT_GT(rec.stream.peak_buffer_bytes, 0u);
-  EXPECT_LE(rec.stream.peak_buffer_bytes, rec.memory_demand);
-  EXPECT_EQ(rec.outcome.composite.data.size(),
-            static_cast<std::size_t>(scene.cube.pixel_count()) * 3);
-
-  fs::remove(path);
-  fs::remove(path + ".hdr");
-}
-
 TEST(ServiceTest, ReportCarriesRegistryBackedMetricsJson) {
   hsi::SceneConfig scene_cfg;
   scene_cfg.width = 32;

@@ -20,7 +20,6 @@
 #include "hsi/chunked_reader.h"
 #include "hsi/cube_io.h"
 #include "hsi/scene.h"
-#include "runtime/autotuner.h"
 #include "runtime/metrics.h"
 #include "stream/bounded_queue.h"
 #include "stream/streaming_engine.h"
@@ -326,10 +325,9 @@ TEST(StreamingEngineTest, BufferFootprintStaysBounded) {
   const auto& stats = r->stats;
   EXPECT_EQ(stats.chunks, 12);
   EXPECT_EQ(stats.chunk_bytes, 8ull * 48 * 16 * sizeof(float));
-  // The acceptance bound: never more than queue_depth chunk buffers live,
-  // and far below the whole-cube footprint the in-memory engines need.
-  EXPECT_GT(stats.peak_buffer_bytes, 0u);
-  EXPECT_LE(stats.peak_buffer_bytes,
+  // The acceptance bound: exactly queue_depth chunk buffers live, far
+  // below the whole-cube footprint the in-memory engines need.
+  EXPECT_EQ(stats.peak_buffer_bytes,
             static_cast<std::uint64_t>(cfg.queue_depth) * stats.chunk_bytes);
   EXPECT_LT(stats.peak_buffer_bytes, scene.cube.bytes() / 2);
   // Two passes over the file.
@@ -450,50 +448,7 @@ TEST(StreamingEngineTest, DegenerateSceneFailsTheJobNotTheProcess) {
   remove_cube(path);
 }
 
-// --- adaptive runtime integration --------------------------------------------
-
-TEST(StreamingEngineTest, AutotunedRunConvergesWithinBoundsAndBudget) {
-  const auto scene = small_scene(48, 120, 12);
-  const std::string path = save_scene(scene, "rif_stream_tuned.dat");
-  stream::StreamingConfig cfg;
-  cfg.chunk_lines = 8;
-  cfg.queue_depth = 4;
-  runtime::AutotuneConfig tune;
-  tune.min_chunk_lines = 4;
-  tune.max_chunk_lines = 64;
-  tune.epoch_chunks = 2;
-  // Budget: the configured geometry's footprint — tuning may reshape the
-  // chunks-vs-depth split but must never outgrow it.
-  const std::uint64_t bytes_per_line = 48ull * 12 * sizeof(float);
-  tune.memory_budget = 4 * 8 * bytes_per_line;
-  cfg.autotune = tune;
-
-  core::ThreadPool pool(2);
-  const auto r = stream::fuse_streaming(path, pool, cfg);
-  ASSERT_TRUE(r.has_value());
-  // A valid fusion came out (tuned chunk boundaries match no fixed
-  // tiling, so only structural properties are pinned).
-  EXPECT_EQ(r->composite.data.size(),
-            static_cast<std::size_t>(scene.cube.pixel_count()) * 3);
-  EXPECT_GE(r->unique_set_size, 3u);
-  EXPECT_EQ(r->stats.bytes_read, 2 * scene.cube.bytes());
-
-  const runtime::AutotuneReport& tuned = r->autotune;
-  EXPECT_TRUE(tuned.enabled);
-  EXPECT_EQ(tuned.initial_chunk_lines, 8);
-  EXPECT_FALSE(tuned.trajectory.empty());
-  for (const auto& d : tuned.trajectory) {
-    EXPECT_GE(d.chunk_lines, 4);
-    EXPECT_LE(d.chunk_lines, 64);
-    EXPECT_GE(d.queue_depth, 3);
-    EXPECT_LE(static_cast<std::uint64_t>(d.queue_depth) * d.chunk_lines *
-                  bytes_per_line,
-              tune.memory_budget);
-  }
-  // The engine's own accounting respects the budget end to end.
-  EXPECT_LE(r->stats.peak_buffer_bytes, tune.memory_budget);
-  remove_cube(path);
-}
+// --- metrics integration ---------------------------------------------------
 
 TEST(StreamingEngineTest, RunMergesRegistryBackedSeriesIntoCallerRegistry) {
   const auto scene = small_scene(32, 30, 8);
