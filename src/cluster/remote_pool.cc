@@ -362,13 +362,6 @@ bool RemoteWorkerPool::alive(int worker) const {
          slots_[worker].alive->load();
 }
 
-bool RemoteWorkerPool::node_alive(NodeId node) const {
-  std::lock_guard lock(mu_);
-  auto it = by_node_.find(node);
-  if (it == by_node_.end()) return true;
-  return slots_[it->second].alive->load();
-}
-
 NodeId RemoteWorkerPool::node_of(int worker) const {
   std::lock_guard lock(mu_);
   RIF_CHECK(worker >= 0 && worker < static_cast<int>(slots_.size()));

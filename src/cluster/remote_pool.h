@@ -124,9 +124,6 @@ class RemoteWorkerPool {
 
   [[nodiscard]] int worker_count() const;
   [[nodiscard]] bool alive(int worker) const;
-  /// Liveness keyed by the leased NodeId; true for ids this pool never
-  /// issued so host nodes pass the filter untouched.
-  [[nodiscard]] bool node_alive(NodeId node) const;
   [[nodiscard]] NodeId node_of(int worker) const;
   [[nodiscard]] int worker_of_node(NodeId node) const;
   [[nodiscard]] int disconnects() const {

@@ -103,6 +103,15 @@ void ThreadPool::worker_loop() {
   }
 }
 
+void ThreadPool::enqueue(std::function<void()> task) {
+  {
+    std::lock_guard lock(mutex_);
+    RIF_CHECK_MSG(!stopping_, "submit on a stopping pool");
+    queue_.push_back(std::move(task));
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::parallel_tasks(int count, const std::function<void(int)>& fn) {
   RIF_CHECK(count >= 0);
   if (count == 0) return;

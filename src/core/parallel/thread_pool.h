@@ -26,9 +26,12 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/metrics.h"
@@ -53,7 +56,7 @@ class ThreadPool {
   /// Monotone; busy time over an interval is
   ///   threads * wall_interval - (idle_end - idle_start).
   /// External callers blocked in parallel_* are not execution threads and
-  /// do not count. Feeds the FusionService host-pool utilisation report.
+  /// do not count. Feeds FusionService's host_pool.* utilisation gauges.
   [[nodiscard]] double idle_seconds() const;
 
   /// Run fn(chunk_begin, chunk_end) over [0, n) split into one contiguous
@@ -67,6 +70,22 @@ class ThreadPool {
   /// helping execute queued tasks while waiting. Safe to call from inside a
   /// pool task (nested parallelism) and concurrently from many threads.
   void parallel_tasks(int count, const std::function<void(int)>& fn);
+
+  /// Queue fn() as one task and return at once, without helping: whichever
+  /// thread drains the queue next runs it (a worker, or a caller helping
+  /// inside parallel_*). The future carries fn's result or its exception.
+  /// fn may call parallel_* on this pool (nested parallelism).
+  template <typename F>
+  [[nodiscard]] std::future<std::invoke_result_t<F&>> submit(F fn) {
+    // std::function needs a copyable target, so the move-only task sits
+    // behind a shared pointer.
+    auto task =
+        std::make_shared<std::packaged_task<std::invoke_result_t<F&>()>>(
+            std::move(fn));
+    auto result = task->get_future();
+    enqueue([task] { (*task)(); });
+    return result;
+  }
 
   /// Wire the pool into a metrics registry. Creates, under `prefix`:
   ///   <prefix>tasks_executed  counter — every task run to completion
@@ -94,6 +113,8 @@ class ThreadPool {
   };
 
   void worker_loop();
+  /// Append one task that never throws and wake a parked thread.
+  void enqueue(std::function<void()> task);
   /// Pop and run the front task. `lock` is held on entry and exit,
   /// released around the task body. `helping` marks execution by a
   /// blocked parallel_* caller rather than the worker loop.

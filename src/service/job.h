@@ -141,9 +141,10 @@ struct JobRecord {
   RejectReason rejected = RejectReason::kNone;
   bool completed = false;
   /// Accepted and started, but lost before completing: to failures on the
-  /// virtual timeline, or to a host-execution failure found after virtual
-  /// completion (a streamed cube file lost mid-read, a degenerate scene).
-  /// The registry counts such a job failed only, never completed.
+  /// virtual timeline, or to an execution that failed (a streamed cube
+  /// file lost mid-read, a degenerate scene), found when the job reaches
+  /// virtual completion. The registry counts such a job failed once, never
+  /// completed.
   bool failed = false;
 
   SimTime submit_time = -1;
@@ -158,10 +159,10 @@ struct JobRecord {
   std::vector<cluster::NodeId> leased_nodes;
   /// Flops charged to the leased nodes during the job's tenure.
   double flops_charged = 0.0;
-  /// Wall-clock seconds of this job's fused run on the shared host
-  /// execution pool (0 when the job did not host-execute). Jobs run
-  /// concurrently on one pool, so these overlap and may sum past the
-  /// phase's wall time.
+  /// Wall-clock seconds of this job's real execution: its fused run on the
+  /// shared host pool, or its remote run (0 when the job did not
+  /// host-execute). Jobs holding leases at once execute concurrently, so
+  /// these overlap and may sum past the run's wall time.
   double host_seconds = 0.0;
   /// True when the composite was computed by real worker processes over
   /// the socket transport (service/remote_exec.h) rather than the host

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -49,6 +50,13 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   return sorted[static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5)];
+}
+
+/// Wall seconds from `start` to now.
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// The engine settings of `request`. The file source reads chunk_lines and
@@ -344,41 +352,46 @@ void FusionService::dispatch() {
   // Leases are only granted on live nodes: a crashed-and-unrepaired worker
   // returns to the free pool when its lease ends but is skipped over until
   // restored, so capacity loss delays jobs instead of dooming them.
-  // A remote worker whose connection dropped is as gone as a crashed sim
-  // node — the pool's atomic liveness keeps it out of new leases without
-  // the sim thread touching the poll thread's locks.
+  // Liveness is the virtual cluster's alone, so leases follow the virtual
+  // timeline only. A remote worker whose connection dropped stays
+  // leasable: a job leased onto it runs on the surviving remote workers,
+  // or on the host pool when none is left.
   const cluster::NodeFilter alive = [this](cluster::NodeId n) {
-    return cluster_.node(n).alive() &&
-           (remote_pool_ == nullptr || remote_pool_->node_alive(n));
+    return cluster_.node(n).alive();
   };
-  RIF_TRACE_SPAN("admission");
   while (true) {
-    // Recomputed per admission: start_job below spends budget.
-    const std::uint64_t free_memory =
-        config_.host_memory_budget == 0
-            ? kUnlimitedMemory
-            : config_.host_memory_budget - memory_in_use_;
-    const std::uint64_t total_memory = config_.host_memory_budget == 0
-                                           ? kUnlimitedMemory
-                                           : config_.host_memory_budget;
-    // The same demand-vs-budget signal the scraper publishes as the
-    // "service.admission_pressure" gauge, computed from the sim thread's
-    // own live values (the gauge itself may be a scrape period stale).
-    const double pressure =
-        config_.host_memory_budget == 0
-            ? 0.0
-            : static_cast<double>(queue_.total_memory_demand()) /
-                  std::max(static_cast<double>(free_memory), 1.0);
-    const JobId id = scheduler_.pick(queue_, leases_.free_nodes(alive),
-                                     free_memory, total_memory, pressure);
-    if (id == kNoJob) break;
-    const bool removed = queue_.remove(id);
-    RIF_CHECK(removed);
-    publish_queue_gauges();
-    metrics_.gauge("service.queued_memory_demand", runtime::GaugeKind::kSum)
-        .set(static_cast<double>(queue_.total_memory_demand()));
-    RIF_TRACE_COUNTER("service.queue_occupancy",
-                      static_cast<double>(queue_.size()));
+    JobId id = kNoJob;
+    {
+      // The span covers the decision only: start_job below may run a whole
+      // remote job.
+      RIF_TRACE_SPAN("admission");
+      // Recomputed per admission: start_job below spends budget.
+      const std::uint64_t free_memory =
+          config_.host_memory_budget == 0
+              ? kUnlimitedMemory
+              : config_.host_memory_budget - memory_in_use_;
+      const std::uint64_t total_memory = config_.host_memory_budget == 0
+                                             ? kUnlimitedMemory
+                                             : config_.host_memory_budget;
+      // The same demand-vs-budget signal the scraper publishes as the
+      // "service.admission_pressure" gauge, computed from the sim thread's
+      // own live values (the gauge itself may be a scrape period stale).
+      const double pressure =
+          config_.host_memory_budget == 0
+              ? 0.0
+              : static_cast<double>(queue_.total_memory_demand()) /
+                    std::max(static_cast<double>(free_memory), 1.0);
+      id = scheduler_.pick(queue_, leases_.free_nodes(alive), free_memory,
+                           total_memory, pressure);
+      if (id == kNoJob) break;
+      const bool removed = queue_.remove(id);
+      RIF_CHECK(removed);
+      publish_queue_gauges();
+      metrics_.gauge("service.queued_memory_demand", runtime::GaugeKind::kSum)
+          .set(static_cast<double>(queue_.total_memory_demand()));
+      RIF_TRACE_COUNTER("service.queue_occupancy",
+                        static_cast<double>(queue_.size()));
+    }
     start_job(id, alive);
   }
   // The periodic scraper samples on the WALL clock, but queue pressure
@@ -404,12 +417,12 @@ void FusionService::start_job(JobId id, const cluster::NodeFilter& alive) {
     job.flops_at_start.push_back(cluster_.node(n).flops_charged());
   }
 
-  // With a host execution pool, a job's source is fused on the shared
-  // pool (execute_host_jobs, after the virtual run decides timing) and the
-  // simulated actors run CostOnly. Placement, leases and message flow are
-  // unchanged, but virtual time and flops then follow the cost model's
-  // estimates rather than the data-dependent counts a Full-mode actor run
-  // would charge — the host pool trades that fidelity for running the
+  // With a host execution pool, a job's source is fused for real from
+  // this admission on (start_execution) and the simulated actors run
+  // CostOnly beside it. Placement, leases and message flow are unchanged,
+  // but virtual time and flops then follow the cost model's estimates
+  // rather than the data-dependent counts a Full-mode actor run would
+  // charge — the host pool trades that fidelity for running the
   // arithmetic once instead of twice.
   core::FusionJobConfig sim_config = job.request.config;
   if (host_executes(job)) {
@@ -442,54 +455,137 @@ void FusionService::start_job(JobId id, const cluster::NodeFilter& alive) {
   RIF_LOG_DEBUG("service", "job " << id << " admitted on "
                                   << job.record.workers << " nodes at t="
                                   << to_seconds(sim_.now()) << "s");
+  if (host_executes(job)) start_execution(job);
+}
+
+void FusionService::start_execution(PendingJob& job) {
+  // A resident cube leased onto live remote workers runs over the socket
+  // protocol here, on the service thread. Remote attempts run one at a
+  // time, because the pool's event queue is shared.
+  if (remote_pool_ != nullptr && job.record.mode == JobMode::kFull &&
+      execute_remote(job)) {
+    return;
+  }
+  // Every other job, and every remote attempt that fell back, is one task
+  // on the shared pool; its engine nests its own parallel stages inside.
+  // Its budget (tiles screened at once, per chunk) is the workers x
+  // tiles_per_worker the Scheduler admitted.
+  stream::StreamingConfig cfg = engine_config(job.request);
+  cfg.tiles_per_chunk =
+      job.record.workers * job.request.config.tiles_per_worker;
+  if (job.record.mode == JobMode::kStreaming) {
+    // The run's registry merges into the service's under one prefix, where
+    // concurrent jobs aggregate (counters add, peaks max) for
+    // StreamingTotals.
+    cfg.metrics = &metrics_;
+    cfg.metrics_prefix = "stream.";
+  }
+  // A remote job that fell back runs at the shard count its attempt fixed;
+  // every other job at one shard.
+  const int shards = std::max(1, job.record.remote_workers);
+  job.execution = exec_pool_->submit([&pool = *exec_pool_,
+                                      &source = *job.source, cfg, shards,
+                                      id = job.record.id] {
+    // Ambient attribution for the task thread: every span and log line
+    // below — including the engine's per-chunk spans, which capture it at
+    // entry and hand it to pool workers and the reader thread — carries
+    // this job's id.
+    obs::JobScope job_scope(id);
+    RIF_TRACE_SPAN("host_execute");
+    const auto start = std::chrono::steady_clock::now();
+    Execution done;
+    done.result = stream::fuse_chunks(source, pool, cfg, shards);
+    done.seconds = seconds_since(start);
+    return done;
+  });
+}
+
+FusionService::Execution FusionService::await_execution(PendingJob& job) {
+  if (!job.execution.valid()) return {};
+  Execution done = job.execution.get();
+  job.record.host_seconds = done.seconds;
+  return done;
 }
 
 void FusionService::on_job_complete(JobId id) {
   PendingJob& job = *jobs_[static_cast<std::size_t>(id)];
   RIF_CHECK(!job.record.completed && !job.record.failed);
-  job.record.completed = true;
-  job.record.finish_time = sim_.now();
-  job.record.wait_seconds =
-      to_seconds(job.record.start_time - job.record.submit_time);
-  job.record.service_seconds =
-      to_seconds(job.record.finish_time - job.record.start_time);
   for (std::size_t i = 0; i < job.record.leased_nodes.size(); ++i) {
     job.record.flops_charged +=
         cluster_.node(job.record.leased_nodes[i]).flops_charged() -
         job.flops_at_start[i];
   }
   job.record.outcome = job.instance->take_outcome();
+  if (host_executes(job)) {
+    // The actors ran CostOnly and gave the timing; the pixels are the
+    // execution's, overlaid on that shadow outcome once it has ended.
+    Execution done = await_execution(job);
+    if (!done.result) {
+      // A file lost since submit, a disk error or a degenerate scene fails
+      // this job alone. It keeps the flops its lease was charged.
+      RIF_LOG_WARN("service",
+                   "job " << id << " failed on the host"
+                          << (job.record.mode == JobMode::kStreaming
+                                  ? " streaming " + job.request.cube_path
+                                  : std::string()));
+      settle(job, /*completed=*/false);
+      return;
+    }
+    stream::StreamingResult& r = *done.result;
+    if (job.record.mode == JobMode::kStreaming) {
+      job.record.stream = r.stats;
+      metrics_.counter("stream.jobs").add(1);
+    }
+    core::JobOutcome& out = job.record.outcome;
+    out.composite = std::move(r.composite);
+    out.eigenvalues = std::move(r.eigenvalues);
+    out.unique_set_size = r.unique_set_size;
+    out.screen_comparisons = r.screen_comparisons;
+    out.merge_comparisons = r.merge_comparisons;
+  }
+  settle(job, /*completed=*/true);
+}
+
+void FusionService::settle(PendingJob& job, bool completed) {
+  const JobId id = job.record.id;
+  JobRecord& record = job.record;
+  record.completed = completed;
+  record.failed = !completed;
+  record.finish_time = sim_.now();
+  record.wait_seconds = to_seconds(record.start_time - record.submit_time);
+  record.service_seconds = to_seconds(record.finish_time - record.start_time);
   if (job.exec_span_open) {
     obs::SpanTracer::instance().virtual_end("execute", job_track(id),
                                             vt_ns(sim_.now()), id);
     job.exec_span_open = false;
   }
 
-  // Tear down the job's (quiescent) actors before the nodes change hands:
-  // a retired worker must not heartbeat — or be billed — on a node leased
-  // to the next tenant.
+  // Tear down the job's actors (quiescent, or whatever survives a loss)
+  // before the nodes change hands: a retired worker must not heartbeat —
+  // or be billed — on a node leased to the next tenant.
   runtime_->retire_job(id);
   leases_.release(id);
-  memory_in_use_ -= job.record.memory_demand;
+  job.source.reset();
+  memory_in_use_ -= record.memory_demand;
   metrics_.gauge("service.memory_in_use", runtime::GaugeKind::kSum)
       .set(static_cast<double>(memory_in_use_));
   RIF_TRACE_COUNTER("service.memory_in_use",
                     static_cast<double>(memory_in_use_));
-  // A job fused on the host pool is counted once its composite exists.
-  if (!host_executes(job)) count_completed(job.record);
+  const std::string tenant = "tenant." + record.tenant;
+  if (completed) {
+    metrics_.counter("service.completed").add(1);
+    metrics_.counter(tenant + ".completed").add(1);
+    metrics_.histogram(tenant + ".wait_seconds").observe(record.wait_seconds);
+    metrics_.histogram(tenant + ".latency_seconds")
+        .observe(record.wait_seconds + record.service_seconds);
+  } else {
+    metrics_.counter("service.failed").add(1);
+    metrics_.counter(tenant + ".failed").add(1);
+  }
   --running_;
   --outstanding_;
   publish_queue_gauges();
   dispatch();
-}
-
-void FusionService::count_completed(const JobRecord& record) {
-  metrics_.counter("service.completed").add(1);
-  metrics_.counter("tenant." + record.tenant + ".completed").add(1);
-  metrics_.histogram("tenant." + record.tenant + ".wait_seconds")
-      .observe(record.wait_seconds);
-  metrics_.histogram("tenant." + record.tenant + ".latency_seconds")
-      .observe(record.wait_seconds + record.service_seconds);
 }
 
 void FusionService::on_node_failed(cluster::NodeId node) {
@@ -507,35 +603,12 @@ void FusionService::on_node_failed(cluster::NodeId node) {
 void FusionService::fail_job(JobId id) {
   PendingJob& job = *jobs_[static_cast<std::size_t>(id)];
   if (job.record.completed || job.record.failed) return;
-  job.record.failed = true;
-  job.record.finish_time = sim_.now();
-  job.record.wait_seconds =
-      to_seconds(job.record.start_time - job.record.submit_time);
-  job.record.service_seconds =
-      to_seconds(job.record.finish_time - job.record.start_time);
-  if (job.exec_span_open) {
-    obs::SpanTracer::instance().virtual_end("execute", job_track(id),
-                                            vt_ns(sim_.now()), id);
-    job.exec_span_open = false;
-  }
-
-  // Abandon whatever survives of the job (manager, sibling worker groups)
-  // so nothing keeps running inside a lease about to be reclaimed.
-  runtime_->retire_job(id);
-  leases_.release(id);
-  job.source.reset();
-  memory_in_use_ -= job.record.memory_demand;
-  metrics_.gauge("service.memory_in_use", runtime::GaugeKind::kSum)
-      .set(static_cast<double>(memory_in_use_));
-  RIF_TRACE_COUNTER("service.memory_in_use",
-                    static_cast<double>(memory_in_use_));
-  metrics_.counter("service.failed").add(1);
-  metrics_.counter("tenant." + job.record.tenant + ".failed").add(1);
-  --running_;
-  --outstanding_;
-  publish_queue_gauges();
+  // The execution reads the source and runs inside the lease, so it ends
+  // before either is let go. Its result is dropped: a failed job has no
+  // composite.
+  (void)await_execution(job);
   RIF_LOG_WARN("service", "job " << id << " failed (replica group lost)");
-  dispatch();
+  settle(job, /*completed=*/false);
 }
 
 void FusionService::attach_remote_workers() {
@@ -584,6 +657,9 @@ ServiceReport FusionService::run() {
                                           << " host nodes, "
                                           << config_.remote_workers
                                           << " remote workers expected");
+  const auto run_start = std::chrono::steady_clock::now();
+  const double idle_before =
+      exec_pool_ != nullptr ? exec_pool_->idle_seconds() : 0.0;
   attach_remote_workers();
   publish_queue_gauges();
 
@@ -617,17 +693,24 @@ ServiceReport FusionService::run() {
     }
   }
   runtime_->start();
-  {
-    RIF_TRACE_SPAN("sim_phase");
-    while (outstanding_ > 0 && sim_.now() < config_.deadline) {
-      if (!sim_.step()) break;
-    }
+  while (outstanding_ > 0 && sim_.now() < config_.deadline) {
+    if (!sim_.step()) break;
   }
-  // Phase-boundary scrapes bracket host execution, so even a run that
-  // outraces the scrape period yields a timeline with distinct sim /
-  // host-execution / final intervals.
-  if (scraper_ != nullptr) scraper_->scrape_now();
-  execute_host_jobs();
+  // A job stranded at the deadline still executes: wait for it, so nothing
+  // runs past the report, and drop its result.
+  for (auto& job : jobs_) (void)await_execution(*job);
+  if (exec_pool_ != nullptr) {
+    // Pool usage over this run: capacity is threads x wall, and the pool
+    // reports parked (idle) execution-thread time directly.
+    const double wall = seconds_since(run_start);
+    const double capacity = wall * static_cast<double>(exec_pool_->size());
+    const double idle = std::min(
+        capacity, std::max(0.0, exec_pool_->idle_seconds() - idle_before));
+    metrics_.gauge("host_pool.busy_seconds").record(capacity - idle);
+    metrics_.gauge("host_pool.wall_seconds").record(wall);
+    metrics_.gauge("host_pool.utilization")
+        .set(capacity > 0.0 ? (capacity - idle) / capacity : 0.0);
+  }
   // Goodbye the remote workers (their processes exit) and quiesce the
   // poll thread before reporting.
   if (remote_pool_ != nullptr) remote_pool_->stop();
@@ -688,17 +771,19 @@ bool FusionService::execute_remote(PendingJob& job) {
                                       "back to the host pool");
     return false;
   }
-  core::JobOutcome& out = job.record.outcome;
-  out.composite = std::move(r.composite);
-  out.eigenvalues = std::move(r.eigenvalues);
-  out.unique_set_size = r.unique_set_size;
-  out.screen_comparisons = r.screen_comparisons;
-  out.merge_comparisons = r.merge_comparisons;
+  Execution done;
+  stream::StreamingResult& fused = done.result.emplace();
+  fused.composite = std::move(r.composite);
+  fused.eigenvalues = std::move(r.eigenvalues);
+  fused.unique_set_size = r.unique_set_size;
+  fused.screen_comparisons = r.screen_comparisons;
+  fused.merge_comparisons = r.merge_comparisons;
+  done.seconds = seconds_since(start);
+  std::promise<Execution> ended;
+  ended.set_value(std::move(done));
+  job.execution = ended.get_future();
   job.record.remote_executed = true;
   job.record.remote_requeued_tiles = r.tiles_requeued;
-  job.record.host_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   metrics_.counter("service.remote_jobs").add(1);
   // Telemetry barrier: each worker's job-end flush races our completion
   // (the spans ride the poll thread behind the last result frame). Give
@@ -730,153 +815,6 @@ bool FusionService::execute_remote(PendingJob& job) {
     }
   }
   return true;
-}
-
-void FusionService::execute_host_jobs() {
-  if (exec_pool_ == nullptr) return;
-  std::vector<PendingJob*> ready;
-  for (auto& job : jobs_) {
-    if (job->source != nullptr && job->record.completed) {
-      ready.push_back(job.get());
-    }
-  }
-  if (ready.empty()) return;
-
-  // Jobs with a resident cube leased onto remote workers execute over the
-  // socket protocol first, serially — the pool's event queue is shared, so
-  // two coordinators cannot drain it at once. A job whose workers all died
-  // stays in `ready` and falls back to the host waves below.
-  if (remote_pool_ != nullptr) {
-    std::vector<PendingJob*> rest;
-    rest.reserve(ready.size());
-    for (PendingJob* job : ready) {
-      if (job->record.mode == JobMode::kFull && execute_remote(*job)) {
-        job->source.reset();
-        count_completed(job->record);
-      } else {
-        rest.push_back(job);
-      }
-    }
-    ready = std::move(rest);
-    if (ready.empty()) return;
-  }
-
-  // Jobs fan out onto the ONE shared pool; each job's engine nests its
-  // own parallel stages inside its task. The per-job budget (tiles it can
-  // occupy the pool with) is derived from what the Scheduler admitted:
-  // leased workers x tiles_per_worker.
-  //
-  // The host-memory budget must hold HERE, not just on the virtual
-  // timeline: admission serializes virtual concurrency, but host
-  // execution happens after the whole virtual run, so two jobs that never
-  // overlapped virtually would still have their working sets live at the
-  // same wall-clock moment. Partition the ready jobs into waves whose
-  // summed demand fits the budget (first-fit in job order; every single
-  // job fits alone — over-budget demands were rejected at submit) and run
-  // the waves back to back.
-  std::vector<std::vector<PendingJob*>> waves;
-  if (config_.host_memory_budget == 0) {
-    waves.push_back(std::move(ready));
-  } else {
-    std::vector<std::uint64_t> wave_demand;
-    for (PendingJob* job : ready) {
-      const std::uint64_t demand = job->record.memory_demand;
-      std::size_t w = 0;
-      while (w < waves.size() &&
-             wave_demand[w] + demand > config_.host_memory_budget) {
-        ++w;
-      }
-      if (w == waves.size()) {
-        waves.emplace_back();
-        wave_demand.push_back(0);
-      }
-      waves[w].push_back(job);
-      wave_demand[w] += demand;
-    }
-  }
-
-  using clock = std::chrono::steady_clock;
-  const auto seconds_between = [](clock::time_point a, clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-  const double idle_before = exec_pool_->idle_seconds();
-  const auto phase_start = clock::now();
-  RIF_TRACE_SPAN("host_execution");
-  for (const auto& wave : waves) {
-    exec_pool_->parallel_tasks(
-        static_cast<int>(wave.size()), [&](int k) {
-          PendingJob& job = *wave[static_cast<std::size_t>(k)];
-          // Ambient attribution for the task thread: every span and log
-          // line below — including the engines' per-chunk/per-tile spans,
-          // which capture it at entry and hand it to pool workers and the
-          // reader thread — carries this job's id.
-          obs::JobScope job_scope(job.record.id);
-          RIF_TRACE_SPAN("host_execute");
-          const auto job_start = clock::now();
-          const bool streamed = job.record.mode == JobMode::kStreaming;
-          stream::StreamingConfig cfg = engine_config(job.request);
-          // The job's pool budget (tiles screened at once, per chunk) is
-          // the workers x tiles_per_worker the Scheduler admitted.
-          cfg.tiles_per_chunk =
-              job.record.workers * job.request.config.tiles_per_worker;
-          if (streamed) {
-            // The run's registry merges into the service's under one
-            // prefix, where concurrent jobs aggregate (counters add, peaks
-            // max) for StreamingTotals.
-            cfg.metrics = &metrics_;
-            cfg.metrics_prefix = "stream.";
-          }
-          // A remote job that fell back runs at the shard count its
-          // attempt fixed; every other job at one shard.
-          std::optional<stream::StreamingResult> r =
-              stream::fuse_chunks(*job.source, *exec_pool_, cfg,
-                                  std::max(1, job.record.remote_workers));
-          // Frees a file source's chunk buffers before the next wave.
-          job.source.reset();
-          job.record.host_seconds = seconds_between(job_start, clock::now());
-          if (!r) {
-            // The virtual run is already over: a file lost since submit, a
-            // disk error or a degenerate scene fails this job alone. It
-            // was never counted completed.
-            RIF_LOG_WARN("service",
-                         "job " << job.record.id << " failed on the host"
-                                << (streamed ? " streaming " +
-                                                   job.request.cube_path
-                                             : std::string()));
-            job.record.completed = false;
-            job.record.failed = true;
-            metrics_.counter("service.failed").add(1);
-            metrics_.counter("tenant." + job.record.tenant + ".failed").add(1);
-            return;
-          }
-          if (streamed) {
-            job.record.stream = r->stats;
-            metrics_.counter("stream.jobs").add(1);
-          }
-          core::JobOutcome& out = job.record.outcome;
-          out.composite = std::move(r->composite);
-          out.eigenvalues = std::move(r->eigenvalues);
-          out.unique_set_size = r->unique_set_size;
-          out.screen_comparisons = r->screen_comparisons;
-          out.merge_comparisons = r->merge_comparisons;
-          count_completed(job.record);
-        });
-  }
-
-  // Busy/idle accounting over the phase: pool capacity is threads * wall,
-  // and the pool reports parked (idle) execution-thread time directly.
-  host_stats_.threads = exec_pool_->size();
-  host_stats_.wall_seconds = seconds_between(phase_start, clock::now());
-  const double capacity =
-      host_stats_.wall_seconds * static_cast<double>(host_stats_.threads);
-  host_stats_.idle_seconds = std::min(
-      capacity, std::max(0.0, exec_pool_->idle_seconds() - idle_before));
-  host_stats_.busy_seconds = capacity - host_stats_.idle_seconds;
-  host_stats_.utilization =
-      capacity > 0.0 ? host_stats_.busy_seconds / capacity : 0.0;
-  metrics_.gauge("host_pool.busy_seconds").record(host_stats_.busy_seconds);
-  metrics_.gauge("host_pool.wall_seconds").record(host_stats_.wall_seconds);
-  metrics_.gauge("host_pool.utilization").set(host_stats_.utilization);
 }
 
 void FusionService::publish_queue_gauges() {
@@ -1041,8 +979,8 @@ ServiceReport FusionService::build_report() {
   for (auto& [name, acc] : tenants) report.tenants.push_back(std::move(acc));
 
   // Streaming totals are a VIEW over the service registry: every streamed
-  // run merged its series under "stream." in execute_host_jobs, so the
-  // report just reads them back (zeros when no streamed job ran).
+  // run merged its series under "stream." as it executed, so the report
+  // just reads them back (zeros when no streamed job ran).
   report.streaming.jobs =
       static_cast<int>(metrics_.counter_value("stream.jobs"));
   report.streaming.bytes_read = metrics_.counter_value("stream.bytes_read");
@@ -1053,7 +991,6 @@ ServiceReport FusionService::build_report() {
   report.streaming.compute_stall_seconds =
       metrics_.gauge_value("stream.compute_stall_seconds");
 
-  report.host_pool = host_stats_;
   report.simd_backend = linalg::kernels::backend();
   report.metrics_json = metrics_.to_json();
   if (scraper_ != nullptr) {

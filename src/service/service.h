@@ -35,17 +35,22 @@
 //                leased nodes (manager on the head node), keyed by job id
 //                in the shared runtime; regeneration of failed replicas is
 //                confined to the job's leased nodes. With a host pool the
-//                actors run CostOnly and, after the virtual run, the job's
-//                source is fused on the pool (stream::fuse_chunks), or
-//                over remote workers for a resident cube leased onto them.
+//                actors run CostOnly and the job's source is fused for
+//                real from admission on, inside the lease: a resident cube
+//                leased onto live remote workers runs over them, on the
+//                service thread; every other job, and every remote attempt
+//                that fell back, is one stream::fuse_chunks task on the
+//                pool.
 //   completion-> the manager's completion callback fires at virtual
-//                completion time: the job's record takes its wait,
-//                service time and the flops charged on its leased nodes,
-//                the lease is released, and the scheduler immediately
-//                tries to admit more queued work. The registry counts the
-//                job completed once its composite exists: at virtual
-//                completion when the actors fused it, after host or
-//                remote execution otherwise.
+//                completion time. The service waits for the job's
+//                execution, then the record takes its wait, service time,
+//                the flops charged on its leased nodes and the execution's
+//                pixels over the actors' shadow outcome. A job whose
+//                execution failed is recorded failed there instead. Only
+//                then are the lease and the memory released, and the
+//                scheduler immediately tries to admit more queued work, so
+//                the memory budget holds for real executions too. The
+//                registry counts each job completed or failed once, here.
 //
 // ## Report mapping
 //
@@ -85,7 +90,10 @@
 //   zombie heartbeats or regenerations land on re-leased nodes and the
 //   per-job flops attribution stays exact.
 // * Leases are granted on live nodes only; a crashed worker node rejoins
-//   the grantable pool when (if) it is repaired.
+//   the grantable pool when (if) it is repaired. Liveness is the virtual
+//   cluster's, so leases follow the virtual timeline alone: a remote
+//   worker whose connection dropped stays leasable, and a job leased onto
+//   it runs on its surviving remote workers or falls back to the host.
 // * With AdmissionPolicy::kAdaptive the service becomes feedback-driven:
 //   under memory pressure (free budget <= half) the Scheduler prefers
 //   streaming jobs, and a Full-mode submission whose resident source's
@@ -104,8 +112,10 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -152,12 +162,13 @@ struct ServiceConfig {
   /// actors instead, and Streaming jobs are refused). When on, each
   /// admitted job's source — resident cube or streamed file — is fused with
   /// the shared-memory engine (stream::fuse_chunks, at one covariance shard
-  /// or the shard count of a remote attempt it fell back from); its
-  /// parallelism budget — the number of tiles it may occupy the pool with
-  /// — is workers * tiles_per_worker, where `workers` is what the
-  /// Scheduler actually admitted. Jobs execute concurrently as nested
-  /// parallel work on the one pool, which the help-while-waiting
-  /// ThreadPool makes deadlock-free.
+  /// or the shard count of a remote attempt it fell back from) as one pool
+  /// task, submitted at admission; its parallelism budget — the number of
+  /// tiles it may occupy the pool with — is workers * tiles_per_worker,
+  /// where `workers` is what the Scheduler actually admitted. Jobs holding
+  /// leases at once execute concurrently as nested parallel work on
+  /// exactly these threads (the service thread does not help), which the
+  /// help-while-waiting ThreadPool makes deadlock-free.
   int execution_threads = 0;
 
   /// Host-memory budget (bytes) for the peak working sets of concurrently
@@ -252,19 +263,6 @@ struct ServiceConfig {
   std::size_t ops_log_ring = 1024;
 };
 
-/// Usage of the shared host execution pool over the host-execution phase
-/// (populated only when ServiceConfig::execution_threads > 0 and at least
-/// one job host-executed). Busy/idle split execution-thread
-/// time: a thread is idle while parked waiting for work — including a
-/// nested helper that ran out of queued tiles — and busy otherwise.
-struct HostPoolStats {
-  int threads = 0;
-  double wall_seconds = 0.0;  ///< wall span of the host-execution phase
-  double busy_seconds = 0.0;  ///< threads * wall - idle
-  double idle_seconds = 0.0;  ///< execution-thread time parked in-phase
-  double utilization = 0.0;   ///< busy / (threads * wall); 0 when unused
-};
-
 /// Aggregated streaming-pipeline counters over the service's completed
 /// Streaming-mode jobs (see stream::StreamingStats for the per-job view).
 struct StreamingTotals {
@@ -280,9 +278,10 @@ struct StreamingTotals {
 /// One tenant's row of the report, summed from its JobRecords: every
 /// submitted job lands in exactly one of completed / rejected / failed
 /// (or none, if it was stranded at the deadline). Flops are charged for
-/// every job that reached virtual completion — a job whose host execution
-/// failed afterwards still occupied its leased nodes — while the wait and
-/// service sums, like the report's quantiles, cover completed jobs only.
+/// every job that reached virtual completion — a job whose execution
+/// failed is recorded failed there, but still occupied its leased nodes —
+/// while the wait and service sums, like the report's quantiles, cover
+/// completed jobs only.
 struct TenantAccount {
   std::string tenant;
   std::uint64_t jobs_submitted = 0;
@@ -318,8 +317,6 @@ struct ServiceReport {
 
   scp::ProtocolStats protocol;  ///< service-wide (shared substrate)
   net::NetworkStats network;
-  /// Host-pool busy/idle accounting (ROADMAP: host-pool utilisation).
-  HostPoolStats host_pool;
   /// Streaming-pipeline totals (zeros when no Streaming job ran). A view
   /// over the service metrics registry — the per-job engines merge their
   /// run registries into it, and this is the walk of those series.
@@ -420,15 +417,26 @@ class FusionService {
   [[nodiscard]] LogRing* log_ring() { return log_ring_.get(); }
 
  private:
+  /// What a job's execution hands the service thread, which alone writes
+  /// the JobRecord.
+  struct Execution {
+    std::optional<stream::StreamingResult> result;  ///< nullopt = failed
+    double seconds = 0.0;  ///< wall time of the run
+  };
+
   struct PendingJob {
     JobRequest request;
     JobRecord record;
     /// Where the job's pixels come from, built once at submit: the
     /// resident cube, or the cube file a Streaming (or counter-offered)
     /// job streams. Null for a CostOnly job. Its shape and working set are
-    /// the job's shape and memory_demand. Released once the job's
-    /// composite is computed or the job fails.
+    /// the job's shape and memory_demand. Released when the job completes
+    /// or fails, after its execution has ended.
     std::unique_ptr<stream::ChunkSource> source;
+    /// The host-executed job's execution, started at admission: a pool
+    /// task, or an already-ended remote run. Invalid before admission and
+    /// once the service thread has taken its result.
+    std::future<Execution> execution;
     std::unique_ptr<core::FusionJobInstance> instance;
     /// flops_charged() of each leased node at admission, for per-job
     /// attribution (leases are exclusive, so the delta is exact).
@@ -445,26 +453,30 @@ class FusionService {
   void on_node_failed(cluster::NodeId node);
   void dispatch();
   void start_job(JobId id, const cluster::NodeFilter& alive);
+  /// Start the admitted host-executed job's execution (see
+  /// ServiceConfig::execution_threads and remote_workers).
+  void start_execution(PendingJob& job);
+  /// Wait for the job's execution, if one is in flight, and record its
+  /// wall time. Returns an empty Execution when none is.
+  Execution await_execution(PendingJob& job);
   void on_job_complete(JobId id);
   void fail_job(JobId id);
-  /// A job with a source is fused on the host pool when there is one (the
-  /// simulated actors then run CostOnly for timing and placement);
-  /// otherwise its actors fuse the pixels.
+  /// End a started job, once its execution has ended: record it completed
+  /// or failed, retire its actors, release its lease, source and memory,
+  /// count it in the registry, and admit more work.
+  void settle(PendingJob& job, bool completed);
+  /// A job with a source is executed for real when there is a host pool
+  /// (remotely or on the pool; the simulated actors then run CostOnly for
+  /// timing and placement); otherwise its actors fuse the pixels.
   [[nodiscard]] bool host_executes(const PendingJob& job) const {
     return job.source != nullptr && exec_pool_ != nullptr;
   }
-  /// Add a job to the registry's completed counters and latency histograms,
-  /// once its composite exists.
-  void count_completed(const JobRecord& record);
-  /// Fuse every virtually completed job's source on the shared pool (all
-  /// jobs concurrently, each within its admitted worker budget), after a
-  /// remote attempt for resident jobs leased onto remote workers.
-  void execute_host_jobs();
   /// Open the socket transport and lease connected workers into the
   /// cluster/LeaseBook (run() preamble; no-op when remote_workers == 0).
   void attach_remote_workers();
-  /// Execute one admitted job over its leased remote workers; false means
-  /// the caller should fall back to the host pool.
+  /// Execute one admitted job over its leased remote workers, leaving the
+  /// ended run in job.execution; false means the caller should fall back
+  /// to the host pool.
   [[nodiscard]] bool execute_remote(PendingJob& job);
   [[nodiscard]] ServiceReport build_report();
   /// Status document for the ops endpoint. Runs on the ops poll thread, so
@@ -494,7 +506,6 @@ class FusionService {
   cluster::LeaseBook leases_;
   JobQueue queue_;
   Scheduler scheduler_;
-  std::unique_ptr<core::ThreadPool> exec_pool_;  ///< when execution_threads>0
   /// Background registry sampler, live during run() (see
   /// ServiceConfig::scrape_period_seconds). Its derive hook publishes the
   /// admission-pressure gauge every scrape.
@@ -518,8 +529,11 @@ class FusionService {
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   std::vector<cluster::NodeId> remote_nodes_;  ///< leased-in remote node ids
-  HostPoolStats host_stats_;  ///< filled by execute_host_jobs()
   std::vector<std::unique_ptr<PendingJob>> jobs_;
+  /// When execution_threads > 0. Declared after jobs_, so it is destroyed
+  /// first: its threads finish every queued execution before the sources
+  /// those read go away, even when run() leaves by an exception.
+  std::unique_ptr<core::ThreadPool> exec_pool_;
 
   int running_ = 0;        ///< jobs currently holding leases
   int outstanding_ = 0;    ///< accepted jobs not yet completed/failed

@@ -343,7 +343,6 @@ TEST(SupervisionTest, PartitionedWorkerIsEvictedAsHung) {
   EXPECT_EQ(pool.evictions(), 1);
   EXPECT_EQ(pool.disconnects(), 1);  // evictions are a subset of disconnects
   EXPECT_FALSE(pool.alive(0));
-  EXPECT_FALSE(pool.node_alive(100));
   EXPECT_EQ(metrics.counter_value("remote.evictions"), 1u);
   EXPECT_GE(metrics.counter_value("remote.faults.partition_in"), 1u);
   pool.stop();

@@ -449,23 +449,24 @@ TEST(ServiceTest, FullModeJobsExecuteOnSharedHostPool) {
     EXPECT_GT(rec.host_seconds, 0.0) << "job " << id;
   }
 
-  // Host-pool utilisation. (busy is capacity - idle by construction, so
-  // assert the independently measured quantities instead.) Whether a pool
-  // worker or the helping caller runs a job's task depends on scheduling,
-  // so busy time may be all the caller's; the task counter is not: every
-  // task is counted, whichever thread runs it.
-  const HostPoolStats& pool = report.host_pool;
-  EXPECT_EQ(pool.threads, cfg.execution_threads);
-  EXPECT_GT(pool.wall_seconds, 0.0);
-  EXPECT_GE(service.metrics().counter_value("host_pool.tasks_executed"), 3u);
-  EXPECT_GE(pool.busy_seconds, 0.0);
-  EXPECT_GE(pool.idle_seconds, 0.0);
-  EXPECT_LE(pool.idle_seconds, pool.wall_seconds * pool.threads);
-  EXPECT_GE(pool.utilization, 0.0);
-  EXPECT_LE(pool.utilization, 1.0);
-  // Every job's fused run happened inside the host-execution phase.
+  // Host-pool utilisation over run(), from the registry gauges. (busy is
+  // capacity - idle by construction, so assert the independently measured
+  // quantities instead.) Which pool thread runs a job's task depends on
+  // scheduling; the task counter does not: every task is counted,
+  // whichever thread runs it.
+  const runtime::MetricsRegistry& reg = service.metrics();
+  const double wall = reg.gauge_value("host_pool.wall_seconds");
+  const double busy = reg.gauge_value("host_pool.busy_seconds");
+  const double utilization = reg.gauge_value("host_pool.utilization");
+  EXPECT_GT(wall, 0.0);
+  EXPECT_GE(reg.counter_value("host_pool.tasks_executed"), 3u);
+  EXPECT_GE(busy, 0.0);
+  EXPECT_LE(busy, wall * cfg.execution_threads);
+  EXPECT_GE(utilization, 0.0);
+  EXPECT_LE(utilization, 1.0);
+  // Every job's fused run happened inside run().
   for (const JobId id : {a, b, c}) {
-    EXPECT_LE(record_of(report, id).host_seconds, pool.wall_seconds + 1e-6);
+    EXPECT_LE(record_of(report, id).host_seconds, wall + 1e-6);
   }
 }
 
@@ -494,10 +495,11 @@ TEST(ServiceTest, HostPoolOffKeepsActorExecution) {
   // The job still holds its resident cube as its source, so admission
   // budgets the cube, as for a host-executed job.
   EXPECT_EQ(record_of(report, id).memory_demand, scene.cube.bytes());
-  // No host pool: utilisation report stays empty.
-  EXPECT_EQ(report.host_pool.threads, 0);
-  EXPECT_EQ(report.host_pool.wall_seconds, 0.0);
-  EXPECT_EQ(report.host_pool.utilization, 0.0);
+  // No host pool: no utilisation gauges.
+  const runtime::MetricsRegistry& reg = service.metrics();
+  EXPECT_EQ(reg.find_gauge("host_pool.wall_seconds"), nullptr);
+  EXPECT_EQ(reg.find_gauge("host_pool.busy_seconds"), nullptr);
+  EXPECT_EQ(reg.find_gauge("host_pool.utilization"), nullptr);
   EXPECT_EQ(record_of(report, id).host_seconds, 0.0);
 }
 
@@ -839,6 +841,90 @@ TEST(ServiceTest, DegenerateFullJobFailsAloneOnTheHostPool) {
   EXPECT_EQ(service.metrics().counter_value("service.failed"), 1u);
   EXPECT_EQ(service.metrics().counter_value("tenant.t.failed"), 1u);
   expect_registry_counts_one_completion(service);
+}
+
+/// A Full-mode request over `cube` from tenant "t": host-executed on a
+/// service with a pool.
+JobRequest host_request(const hsi::ImageCube& cube, int workers,
+                        SimTime arrival = 0) {
+  JobRequest r = request("t", workers, Priority::kNormal, arrival);
+  r.config.mode = core::ExecutionMode::kFull;
+  r.config.shape = {cube.width(), cube.height(), cube.bands()};
+  r.config.cube = &cube;
+  return r;
+}
+
+TEST(ServiceTest, HostJobFailedOnTheVirtualTimelineWhileItExecutes) {
+  // A leased node crashes while the job's shadow actors run. On a
+  // non-resilient runtime that fails the job at the crash instant; its
+  // execution, started at admission, ends before the lease and the memory
+  // are released, and its result is dropped.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 32;
+  scene_cfg.height = 32;
+  scene_cfg.bands = 8;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+
+  ServiceConfig cfg;  // default runtime: not resilient
+  cfg.worker_nodes = 2;
+  cfg.execution_threads = 1;
+  cfg.failures = {{from_millis(1), 1, -1}};
+  FusionService service(cfg);
+  const JobId doomed = service.submit(host_request(scene.cube, 2)).id;
+  const JobId next =
+      service.submit(host_request(scene.cube, 1, from_millis(2))).id;
+  const ServiceReport report = service.run();
+
+  const JobRecord& rec = record_of(report, doomed);
+  EXPECT_TRUE(rec.failed);
+  EXPECT_FALSE(rec.completed);
+  EXPECT_EQ(rec.finish_time, from_millis(1));
+  EXPECT_TRUE(rec.outcome.composite.data.empty());
+  EXPECT_GT(rec.host_seconds, 0.0);  // its execution ran and was waited for
+  EXPECT_EQ(report.jobs_failed, 1);
+  const runtime::MetricsRegistry& reg = service.metrics();
+  EXPECT_EQ(reg.counter_value("service.failed"), 1u);
+  EXPECT_EQ(reg.counter_value("tenant.t.failed"), 1u);
+  EXPECT_EQ(reg.gauge_value("service.memory_in_use"), 0.0);
+  // The surviving node takes the next job, which completes with pixels.
+  const JobRecord& later = record_of(report, next);
+  EXPECT_TRUE(later.completed);
+  EXPECT_EQ(later.leased_nodes, (std::vector<cluster::NodeId>{2}));
+  EXPECT_EQ(later.outcome.composite.data.size(),
+            static_cast<std::size_t>(scene.cube.pixel_count()) * 3);
+  expect_tenants_match_records(report);
+  expect_registry_counts_one_completion(service);
+}
+
+TEST(ServiceTest, HostJobStrandedAtTheDeadline) {
+  // The deadline falls inside the job's virtual run. run() still waits for
+  // the execution it started at admission, and the job is neither
+  // completed nor failed.
+  hsi::SceneConfig scene_cfg;
+  scene_cfg.width = 32;
+  scene_cfg.height = 32;
+  scene_cfg.bands = 8;
+  const hsi::Scene scene = hsi::generate_scene(scene_cfg);
+
+  ServiceConfig cfg;
+  cfg.worker_nodes = 2;
+  cfg.execution_threads = 1;
+  cfg.deadline = from_millis(1);
+  FusionService service(cfg);
+  const JobId id = service.submit(host_request(scene.cube, 2)).id;
+  const ServiceReport report = service.run();
+
+  const JobRecord& rec = record_of(report, id);
+  EXPECT_EQ(rec.start_time, 0);
+  EXPECT_FALSE(rec.completed);
+  EXPECT_FALSE(rec.failed);
+  EXPECT_FALSE(report.all_completed);
+  EXPECT_EQ(report.jobs_completed, 0);
+  EXPECT_EQ(report.jobs_failed, 0);
+  EXPECT_GT(rec.host_seconds, 0.0);  // its execution ran and was waited for
+  EXPECT_TRUE(rec.outcome.composite.data.empty());
+  EXPECT_EQ(service.metrics().counter_value("service.completed"), 0u);
+  EXPECT_EQ(service.metrics().counter_value("service.failed"), 0u);
 }
 
 TEST(ServiceTest, MemoryBudgetSerializesHostJobs) {
@@ -1239,8 +1325,8 @@ TEST(ServiceTest, ScrapedTimelineAndPressureHistoryLandInReport) {
   const ServiceReport report = service.run();
   ASSERT_TRUE(report.all_completed);
 
-  // The embedded timeline parses and carries the guaranteed phase-boundary
-  // scrapes (start, post-sim, stop) at minimum.
+  // The embedded timeline parses and carries the guaranteed scrapes (start,
+  // the pressured admission, stop) at minimum.
   obs::JsonValue doc;
   std::string err;
   ASSERT_TRUE(obs::parse_json(report.metrics_timeline_json, doc, err)) << err;

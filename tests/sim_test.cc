@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "sim/simulation.h"
-#include "sim/timer.h"
 #include "sim/trace.h"
 
 namespace rif::sim {
@@ -119,40 +118,6 @@ TEST(SimulationTest, PendingCountTracksQueue) {
   EXPECT_EQ(sim.events_pending(), 1u);
   sim.run();
   EXPECT_EQ(sim.events_pending(), 0u);
-}
-
-TEST(PeriodicTimerTest, FiresRepeatedly) {
-  Simulation sim;
-  int fires = 0;
-  PeriodicTimer timer(sim, from_millis(10), [&] { ++fires; });
-  timer.start();
-  sim.run_until(from_millis(55));
-  EXPECT_EQ(fires, 5);
-}
-
-TEST(PeriodicTimerTest, StopHalts) {
-  Simulation sim;
-  int fires = 0;
-  PeriodicTimer timer(sim, from_millis(10), [&] {
-    if (++fires == 3) timer.stop();
-  });
-  timer.start();
-  sim.run();
-  EXPECT_EQ(fires, 3);
-}
-
-TEST(PeriodicTimerTest, RestartRearms) {
-  Simulation sim;
-  int fires = 0;
-  PeriodicTimer timer(sim, from_millis(10), [&] { ++fires; });
-  timer.start();
-  sim.run_until(from_millis(25));
-  timer.stop();
-  sim.run_until(from_millis(100));
-  EXPECT_EQ(fires, 2);
-  timer.start();
-  sim.run_until(from_millis(125));
-  EXPECT_EQ(fires, 4);
 }
 
 TEST(TraceTest, CountsByKind) {
