@@ -1,5 +1,7 @@
 // Microbench: framed round-trips over a socketpair and an ops-endpoint
-// status probe over loopback TCP.
+// status probe over loopback TCP. Frames travel in FrameBytes, as on the
+// remote worker plane: the multi-MB case runs the frame assembler's large
+// payload path (uninitialised, huge-page-advised receive buffers).
 //
 // These are the per-hop socket costs every remote-execution message pays
 // on top of the sim transport's free virtual delivery. The envelope codec
@@ -11,10 +13,10 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/socket_transport.h"
 #include "obs/ops_server.h"
+#include "support/frame_bytes.h"
 #include "support/table.h"
 
 using namespace rif;
@@ -37,7 +39,7 @@ double socketpair_rtt(std::size_t payload_bytes, int repeats) {
   std::thread echo([fd = sv[1]] {
     net::SocketClient peer;
     peer.adopt(fd);
-    std::vector<std::uint8_t> frame;
+    FrameBytes frame;
     while (peer.read_frame(frame)) {
       if (!peer.send_frame(frame)) break;
     }
@@ -46,8 +48,8 @@ double socketpair_rtt(std::size_t payload_bytes, int repeats) {
 
   net::SocketClient client;
   client.adopt(sv[0]);
-  std::vector<std::uint8_t> payload(payload_bytes, 0x7E);
-  std::vector<std::uint8_t> reply;
+  const FrameBytes payload(payload_bytes, 0x7E);
+  FrameBytes reply;
   const auto start = Clock::now();
   for (int i = 0; i < repeats; ++i) {
     if (!client.send_frame(payload) || !client.read_frame(reply)) {
@@ -80,8 +82,8 @@ double ops_request_rtt(int repeats) {
     std::fprintf(stderr, "ops connect failed\n");
     std::abort();
   }
-  const std::vector<std::uint8_t> request = {'s', 't', 'a', 't', 'u', 's'};
-  std::vector<std::uint8_t> reply;
+  const FrameBytes request = {'s', 't', 'a', 't', 'u', 's'};
+  FrameBytes reply;
   const auto start = Clock::now();
   for (int i = 0; i < repeats; ++i) {
     if (!client.send_frame(request) || !client.read_frame(reply)) {

@@ -1,10 +1,11 @@
 // Shared configuration for the figure-reproduction benches.
 //
-// The "paper testbed" factory encodes the calibration documented in
-// EXPERIMENTS.md: 16 Sun 300 MHz workstations (sustained ~20 Mflop/s on
-// these kernels), 100BaseT with 1999-era effective bandwidth and software
-// overheads, and the spectral statistics of a HYDICE foliage collect
-// (unique sets saturating in the low thousands).
+// The "paper testbed" factory below encodes the calibration, whose values
+// are the defaults of NodeConfig, LanConfig and core::CostModelParams
+// (src/core/cost_model.h): 16 Sun 300 MHz workstations (sustained
+// ~20 Mflop/s on these kernels), 100BaseT with 1999-era effective
+// bandwidth and software overheads, and the spectral statistics of a
+// HYDICE foliage collect (unique sets saturating in the low thousands).
 #pragma once
 
 #include <string>

@@ -63,7 +63,7 @@ void RemoteWorkerPool::set_telemetry_sink(
 void RemoteWorkerPool::start(NodeId first_node_id) {
   first_node_ = first_node_id;
   started_ = true;
-  auto frame_cb = [this](net::SessionId s, std::vector<std::uint8_t> f) {
+  auto frame_cb = [this](net::SessionId s, FrameBytes f) {
     on_frame(s, std::move(f));
   };
   auto closed_cb = [this](net::SessionId s) { on_closed(s); };
@@ -86,8 +86,7 @@ void RemoteWorkerPool::start(NodeId first_node_id) {
   }
 }
 
-bool RemoteWorkerPool::route_send(net::SessionId session,
-                                  std::vector<std::uint8_t> bytes) {
+bool RemoteWorkerPool::route_send(net::SessionId session, FrameBytes bytes) {
   if (faults_ != nullptr) return faults_->send(session, std::move(bytes));
   return server_.send(session, std::move(bytes));
 }
@@ -170,7 +169,7 @@ void RemoteWorkerPool::send_timed_ping(net::SessionId session, NodeId node) {
       while (pending.size() > 32) pending.erase(pending.begin());
     }
   }
-  route_send(session, env.encode());
+  route_send(session, env.encode<FrameBytes>());
 }
 
 void RemoteWorkerPool::spawn_local_worker() {
@@ -202,8 +201,7 @@ void RemoteWorkerPool::kick(int worker) {
   server_.close_session(session);
 }
 
-void RemoteWorkerPool::on_frame(net::SessionId session,
-                                std::vector<std::uint8_t> frame) {
+void RemoteWorkerPool::on_frame(net::SessionId session, FrameBytes frame) {
   // Trust boundary: anything can connect to the listener, so a malformed
   // envelope drops the session instead of aborting the poll thread. The
   // envelope keeps the frame, so its body is never copied on the way to
@@ -242,7 +240,7 @@ void RemoteWorkerPool::on_frame(net::SessionId session,
     const NodeId node = slot.node;
     slots_.push_back(std::move(slot));
     lock.unlock();
-    route_send(session, welcome.encode());
+    route_send(session, welcome.encode<FrameBytes>());
     // Clock-alignment burst: a handful of seq-tagged pings right at lease
     // time, so the median offset estimate exists before the first job's
     // telemetry arrives (supervision pings keep refining it later).
@@ -375,10 +373,10 @@ int RemoteWorkerPool::worker_of_node(NodeId node) const {
 }
 
 bool RemoteWorkerPool::send(int worker, const scp::WireEnvelope& env) {
-  return send(worker, env.encode());
+  return send(worker, env.encode<FrameBytes>());
 }
 
-bool RemoteWorkerPool::send(int worker, std::vector<std::uint8_t> encoded) {
+bool RemoteWorkerPool::send(int worker, FrameBytes encoded) {
   net::SessionId session = net::kNoSession;
   {
     std::lock_guard lock(mu_);
@@ -410,7 +408,7 @@ void RemoteWorkerPool::shutdown_workers() {
       if (s.alive->exchange(false)) open.push_back(s.session);
     }
   }
-  const std::vector<std::uint8_t> frame = bye.encode();
+  const FrameBytes frame = bye.encode<FrameBytes>();
   for (net::SessionId s : open) {
     server_.send(s, frame);
     server_.close_session(s);

@@ -148,7 +148,7 @@ class RemoteWorkerPool {
   /// Frame and queue one envelope to a worker. False if it is gone.
   bool send(int worker, const scp::WireEnvelope& env);
   /// Queue one already-encoded envelope; the buffer moves to the socket.
-  bool send(int worker, std::vector<std::uint8_t> encoded);
+  bool send(int worker, FrameBytes encoded);
 
   /// Wait up to `timeout_seconds` for the next frame or disconnect.
   std::optional<Event> poll_event(double timeout_seconds);
@@ -174,12 +174,12 @@ class RemoteWorkerPool {
     std::vector<std::int64_t> clock_offsets;
   };
 
-  void on_frame(net::SessionId session, std::vector<std::uint8_t> frame);
+  void on_frame(net::SessionId session, FrameBytes frame);
   void on_closed(net::SessionId session);
   void supervision_loop();
   /// Route one framed envelope to a session — through the fault layer
   /// when one is installed.
-  bool route_send(net::SessionId session, std::vector<std::uint8_t> bytes);
+  bool route_send(net::SessionId session, FrameBytes bytes);
   /// Send one seq-tagged kPing and record its send stamp for the
   /// ping-echo clock estimator. Takes mu_ briefly; call unlocked.
   void send_timed_ping(net::SessionId session, NodeId node);

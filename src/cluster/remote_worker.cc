@@ -39,10 +39,11 @@ constexpr std::size_t kMaxPendingSpans = 8192;
 constexpr const char* kShippedHistograms[] = {
     "screen_seconds", "cov_seconds", "color_seconds"};
 
-/// One tile the worker has screened and keeps resident for the colour pass.
+/// One tile the worker has screened and keeps resident for the colour
+/// pass. Its pixels stay where they arrived, in the kTileAssign frame.
 struct HeldTile {
-  core::WireTile tile;
-  std::vector<float> data;
+  scp::WireEnvelope frame;  ///< owns the bytes `view` points into
+  core::TileView view;
   bool colored = false;
 };
 
@@ -86,20 +87,27 @@ struct WorkerState {
     pending_logs.push_back(std::move(l));
   }
 
-  [[nodiscard]] bool send_app(scp::Message msg) {
+  /// A kApp envelope to the coordinator, tagged with the job.
+  [[nodiscard]] scp::WireEnvelope app_envelope(std::uint32_t type) const {
     scp::WireEnvelope env;
     env.kind = scp::FrameKind::kApp;
     env.src_node = node;
     env.dst_node = 0;
     if (job) env.seq = static_cast<std::uint64_t>(job->job_id);  // job tag
-    env.msg_type = msg.type;
-    env.declared = msg.declared_bytes;
-    env.payload = std::move(msg.payload);
-    return client.send_frame(env.encode());
+    env.msg_type = type;
+    return env;
+  }
+
+  /// A reply, its body written straight into the envelope buffer.
+  template <typename Msg>
+  [[nodiscard]] bool send_app(std::uint32_t type, const Msg& msg) {
+    return client.send_frame(app_envelope(type).encode_with<FrameBytes>(
+        msg.body_bytes(), [&](FrameWriter& body) { msg.write(body); }));
   }
 
   [[nodiscard]] bool request_work() {
-    return send_app(scp::Message{core::kRequestWork, {}, 0});
+    return client.send_frame(
+        app_envelope(core::kRequestWork).encode<FrameBytes>());
   }
 
   // --- telemetry recording -------------------------------------------------
@@ -191,7 +199,7 @@ struct WorkerState {
         env.seq = static_cast<std::uint64_t>(body.job_id);
       }
       env.payload = body.encode();
-      if (!client.send_frame(env.encode())) return false;
+      if (!client.send_frame(env.encode<FrameBytes>())) return false;
       ++stats.telemetry_flushes;
       metrics.counter("telemetry_flushes").add();
     } while (sent < pending_spans.size());
@@ -203,13 +211,13 @@ struct WorkerState {
 
   [[nodiscard]] bool color_and_send(HeldTile& held) {
     const std::uint64_t t0 = steady_ns();
-    core::ColorTileMsg color =
-        core::color_shard(held.tile, held.data.data(), *transform);
+    const core::ColorTileMsg color =
+        core::color_shard(held.view.tile, held.view.pixels.data(), *transform);
     held.colored = true;
     ++stats.tiles_colored;
     metrics.counter("tiles_colored").add();
     record_span("remote.color_shard", t0, "color_seconds");
-    return send_app(color.encode(0));
+    return send_app(core::kColorTile, color);
   }
 
   /// Corrupt body on a well-formed envelope: the frame is garbage but the
@@ -217,30 +225,28 @@ struct WorkerState {
   /// re-sends whatever it was carrying. (Contrast with an undecodable
   /// ENVELOPE, where framing itself can no longer be trusted and the serve
   /// loop disconnects.)
-  [[nodiscard]] bool on_app(const scp::WireEnvelope& env) {
-    // Bodies decode in place from the frame: a tile's pixels are copied
-    // once, from the frame into the tile buffer the worker keeps.
+  [[nodiscard]] bool on_app(scp::WireEnvelope env) {
+    // Bodies decode in place from the frame. A tile is never copied: the
+    // worker keeps its frame, and screens and colours the pixels in it.
     switch (env.msg_type) {
       case core::kTileAssign: {
-        auto decoded = core::TileAssignMsg::try_decode(env.body());
+        const auto view = core::TileAssignMsg::try_view(env.body());
         // A tile of another band count, or whose pixels do not fill its
         // geometry, is dropped like an undecodable body.
-        if (!decoded || !decoded->fills(job->bands)) return true;
-        core::TileAssignMsg assign = std::move(*decoded);
+        if (!view || !view->fills(job->bands)) return true;
         // Ask for the next tile before computing this one — same
         // overlap idiom as the sim WorkerActor.
         if (!request_work()) return false;
+        HeldTile& held = tiles[view->tile.index];
+        held = {std::move(env), *view, false};  // the view moves with it
         const std::uint64_t t0 = steady_ns();
-        core::ScreenResultMsg result = core::screen_shard(
-            assign.tile, assign.data.data(), job->screening_threshold);
+        const core::ScreenResultMsg result =
+            core::screen_shard(held.view.tile, held.view.pixels.data(),
+                               job->screening_threshold);
         ++stats.tiles_screened;
         metrics.counter("tiles_screened").add();
         record_span("remote.screen_shard", t0, "screen_seconds");
-        HeldTile& held = tiles[assign.tile.index];
-        held.tile = assign.tile;
-        held.data = std::move(assign.data);
-        held.colored = false;
-        if (!send_app(result.encode(0))) return false;
+        if (!send_app(core::kScreenResult, result)) return false;
         // A tile reassigned after the transform went out is coloured
         // immediately; nobody will send kTransform again.
         if (transform && !color_and_send(held)) return false;
@@ -259,7 +265,7 @@ struct WorkerState {
         ++stats.shards_summed;
         metrics.counter("shards_summed").add();
         record_span("remote.cov_shard_sum", t0, "cov_seconds");
-        return send_app(sum.encode(0));
+        return send_app(core::kCovSum, sum);
       }
       case core::kTransform: {
         auto decoded = core::TransformMsg::try_decode(env.body());
@@ -303,13 +309,13 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
   scp::WireEnvelope hello;
   hello.kind = scp::FrameKind::kHello;
   hello.payload = scp::HelloBody{}.encode();
-  if (!client.send_frame(hello.encode())) return st.stats;
+  if (!client.send_frame(hello.encode<FrameBytes>())) return st.stats;
 
-  std::vector<std::uint8_t> frame;
+  FrameBytes frame;
   while (client.read_frame(frame)) {
     // The service end of this socket is a peer process: a malformed frame
     // means a broken or hostile peer, so disconnect rather than abort.
-    const std::optional<scp::WireEnvelope> decoded =
+    std::optional<scp::WireEnvelope> decoded =
         scp::WireEnvelope::try_decode(std::move(frame));
     if (!decoded) return st.stats;
     const scp::WireEnvelope& env = *decoded;
@@ -347,7 +353,7 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
         // Drop frames tagged with another job's id (coordinator fell back
         // or moved on while this one was in flight).
         if (env.seq != static_cast<std::uint64_t>(st.job->job_id)) break;
-        if (!st.on_app(env)) return st.stats;
+        if (!st.on_app(std::move(*decoded))) return st.stats;
         break;
       case scp::FrameKind::kJobEnd:
         // Record the whole-job span and force-flush before forgetting the
@@ -378,7 +384,7 @@ RemoteWorkerStats serve_remote_worker(net::SocketClient& client,
         rif::Writer w;
         w.put(steady_ns());
         pong.payload = std::move(w).take();
-        if (!client.send_frame(pong.encode())) return st.stats;
+        if (!client.send_frame(pong.encode<FrameBytes>())) return st.stats;
         ++st.stats.pings_answered;
         st.metrics.counter("pings_answered").add();
         break;

@@ -12,8 +12,9 @@
 //    duplicate vectors for the manager's sequential merge).
 //
 // The saturating unique-set law  K_tile(px) = K_sat (1 - exp(-px / px0))
-// and the early-exit merge cost are calibration knobs, documented in
-// EXPERIMENTS.md alongside the values used for each figure.
+// and the early-exit merge cost are calibration knobs: CostModelParams
+// below, whose defaults every figure bench runs through
+// bench/bench_util.h's paper_testbed().
 #pragma once
 
 #include <cmath>

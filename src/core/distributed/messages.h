@@ -49,56 +49,103 @@ struct WireTile {
   [[nodiscard]] std::int64_t pixels() const {
     return static_cast<std::int64_t>(rows) * width;
   }
+  /// Whether `floats` values are exactly this tile's pixels at `bands`
+  /// bands, the tile's own band count: what a worker checks before
+  /// screening a tile off the wire. Divided, not multiplied, so a hostile
+  /// geometry cannot wrap around.
+  [[nodiscard]] bool filled_by(std::size_t floats, int bands) const {
+    const std::int64_t px = pixels();
+    return bands > 0 && this->bands == bands && px >= 0 &&
+           floats % static_cast<std::size_t>(bands) == 0 &&
+           floats / static_cast<std::size_t>(bands) ==
+               static_cast<std::uint64_t>(px);
+  }
+};
+
+/// The body of a message, encoded as an application Message.
+template <typename Msg>
+[[nodiscard]] scp::Message encode_message(std::uint32_t type, const Msg& msg,
+                                          std::uint64_t declared) {
+  Writer w;
+  w.reserve(msg.body_bytes());
+  msg.write(w);
+  return {type, std::move(w).take(), declared};
+}
+
+/// A kTileAssign body read in place: the tile, and its pixels where they
+/// lie in the frame that carried them.
+struct TileView {
+  WireTile tile;
+  std::span<const float> pixels;
+
+  [[nodiscard]] bool fills(int bands) const {
+    return tile.filled_by(pixels.size(), bands);
+  }
 };
 
 struct TileAssignMsg {
   WireTile tile;
   std::vector<float> data;  ///< empty in CostOnly mode
 
-  /// Whether `data` holds exactly the tile's pixels at `bands` bands, the
-  /// tile's own band count: what a worker checks before screening a tile
-  /// off the wire. Divided, not multiplied, so a hostile geometry cannot
-  /// wrap around.
-  [[nodiscard]] bool fills(int bands) const {
-    const std::int64_t pixels = tile.pixels();
-    return bands > 0 && tile.bands == bands && pixels >= 0 &&
-           data.size() % static_cast<std::size_t>(bands) == 0 &&
-           data.size() / static_cast<std::size_t>(bands) ==
-               static_cast<std::uint64_t>(pixels);
-  }
   /// Body bytes for a tile of `floats` pixel values.
   static std::size_t body_bytes(std::size_t floats) {
     return sizeof(WireTile) + sizeof(std::uint64_t) + floats * sizeof(float);
   }
+  [[nodiscard]] std::size_t body_bytes() const {
+    return body_bytes(data.size());
+  }
   /// Writes the body for `tile` with its pixels straight into `w` — on the
   /// socket plane, into the envelope buffer, the pixels' one copy.
-  static void write(Writer& w, const WireTile& tile,
+  template <typename Bytes>
+  static void write(BasicWriter<Bytes>& w, const WireTile& tile,
                     std::span<const float> pixels) {
     w.put(tile);
     w.put_span(pixels);
   }
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
     write(w, tile, data);
-    return {kTileAssign, std::move(w).take(), declared};
   }
-  /// Non-aborting decode for payloads off the socket plane: nullopt on a
-  /// truncated, corrupt, or oversized body. The span overloads decode in
-  /// place from the frame that carried the body. decode() keeps the
-  /// aborting contract for the sim plane, whose payloads never leave the
-  /// process.
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kTileAssign, *this, declared);
+  }
+  /// Non-aborting in-place decode for bodies off the socket plane: the
+  /// tile and a view of its pixels inside `body`, which must outlive the
+  /// view. nullopt on a truncated body, a pixel count that disagrees with
+  /// the bytes that follow it, a ragged float tail, or pixels not aligned
+  /// for float.
+  static std::optional<TileView> try_view(std::span<const std::uint8_t> body) {
+    Reader r(body);
+    TileView out;
+    std::uint64_t count = 0;
+    if (!r.try_get(out.tile) || !r.try_get(count)) return std::nullopt;
+    const std::span<const std::uint8_t> bytes = body.last(r.remaining());
+    if (bytes.size() % sizeof(float) != 0 ||
+        bytes.size() / sizeof(float) != count) {
+      return std::nullopt;
+    }
+    if (count == 0) return out;
+    // The floats are read where they lie: a frame is an array of unsigned
+    // char, which may hold objects of any implicit-lifetime type, and the
+    // char stores that filled it alias them. They need float alignment.
+    if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(float) != 0) {
+      return std::nullopt;
+    }
+    out.pixels = {reinterpret_cast<const float*>(bytes.data()),
+                  static_cast<std::size_t>(count)};
+    return out;
+  }
+  /// try_view() with the pixels copied out. decode() keeps the aborting
+  /// contract for the sim plane, whose payloads never leave the process.
   static std::optional<TileAssignMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);
   }
   static std::optional<TileAssignMsg> try_decode(
       std::span<const std::uint8_t> body) {
-    Reader r(body);
-    TileAssignMsg out;
-    if (!r.try_get(out.tile) || !r.try_get_vector(out.data) ||
-        !r.exhausted()) {
-      return std::nullopt;
-    }
-    return out;
+    const std::optional<TileView> view = try_view(body);
+    if (!view) return std::nullopt;
+    return TileAssignMsg{view->tile,
+                         {view->pixels.begin(), view->pixels.end()}};
   }
   static TileAssignMsg decode(const scp::Message& m) {
     auto out = try_decode(m);
@@ -107,19 +154,32 @@ struct TileAssignMsg {
   }
 };
 
+/// The worker replies and the coordinator's shard and transform messages
+/// below write their bodies with write(), sized by body_bytes(), straight
+/// into whatever buffer the caller encodes: an envelope's on the socket
+/// plane, a Message's through encode() on the sim plane. try_decode() is
+/// the non-aborting decode for bodies off the socket plane (nullopt on a
+/// truncated, corrupt or oversized body); decode() aborts, for the sim
+/// plane.
 struct ScreenResultMsg {
   WireTile tile;
   std::uint64_t unique_count = 0;   ///< vectors found (model value in CostOnly)
   std::uint64_t comparisons = 0;    ///< screening comparisons performed
   std::vector<float> vectors;       ///< unique vectors; empty in CostOnly
 
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
+  [[nodiscard]] std::size_t body_bytes() const {
+    return sizeof(WireTile) + 3 * sizeof(std::uint64_t) +
+           vectors.size() * sizeof(float);
+  }
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
     w.put(tile);
-    w.put<std::uint64_t>(unique_count);
-    w.put<std::uint64_t>(comparisons);
+    w.put(unique_count);
+    w.put(comparisons);
     w.put_span(std::span<const float>(vectors));
-    return {kScreenResult, std::move(w).take(), declared};
+  }
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kScreenResult, *this, declared);
   }
   static std::optional<ScreenResultMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);
@@ -149,13 +209,19 @@ struct CovShardMsg {
   std::vector<double> mean;       ///< unique-set mean (step 3 output);
                                   ///< empty in CostOnly
 
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
-    w.put<std::uint64_t>(shard_index);
-    w.put<std::uint64_t>(shard_count);
+  [[nodiscard]] std::size_t body_bytes() const {
+    return 4 * sizeof(std::uint64_t) + vectors.size() * sizeof(float) +
+           mean.size() * sizeof(double);
+  }
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
+    w.put(shard_index);
+    w.put(shard_count);
     w.put_span(std::span<const float>(vectors));
     w.put_span(std::span<const double>(mean));
-    return {kCovShard, std::move(w).take(), declared};
+  }
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kCovShard, *this, declared);
   }
   static std::optional<CovShardMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);
@@ -192,11 +258,16 @@ struct CovSumMsg {
                                   ///< rather than by per-worker FIFO position
   std::vector<std::uint8_t> accumulator;  ///< CovarianceAccumulator::encode()
 
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
-    w.put<std::uint64_t>(shard_index);
+  [[nodiscard]] std::size_t body_bytes() const {
+    return 2 * sizeof(std::uint64_t) + accumulator.size();
+  }
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
+    w.put(shard_index);
     w.put_span(std::span<const std::uint8_t>(accumulator));
-    return {kCovSum, std::move(w).take(), declared};
+  }
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kCovSum, *this, declared);
   }
   static std::optional<CovSumMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);
@@ -253,15 +324,23 @@ struct TransformMsg {
     return p;
   }
 
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
+  [[nodiscard]] std::size_t body_bytes() const {
+    return 2 * sizeof(std::int32_t) + 4 * sizeof(std::uint64_t) +
+           (matrix.size() + mean.size() + scale_mean.size() +
+            scale_gain.size()) *
+               sizeof(double);
+  }
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
     w.put(components);
     w.put(bands);
     w.put_span(std::span<const double>(matrix));
     w.put_span(std::span<const double>(mean));
     w.put_span(std::span<const double>(scale_mean));
     w.put_span(std::span<const double>(scale_gain));
-    return {kTransform, std::move(w).take(), declared};
+  }
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kTransform, *this, declared);
   }
   static std::optional<TransformMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);
@@ -298,11 +377,16 @@ struct ColorTileMsg {
   WireTile tile;
   std::vector<std::uint8_t> rgb;  ///< rows*width*3 bytes; empty in CostOnly
 
-  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
-    Writer w;
+  [[nodiscard]] std::size_t body_bytes() const {
+    return sizeof(WireTile) + sizeof(std::uint64_t) + rgb.size();
+  }
+  template <typename Bytes>
+  void write(BasicWriter<Bytes>& w) const {
     w.put(tile);
     w.put_span(std::span<const std::uint8_t>(rgb));
-    return {kColorTile, std::move(w).take(), declared};
+  }
+  [[nodiscard]] scp::Message encode(std::uint64_t declared) const {
+    return encode_message(kColorTile, *this, declared);
   }
   static std::optional<ColorTileMsg> try_decode(const scp::Message& m) {
     return try_decode(m.payload);

@@ -117,7 +117,7 @@ void FaultInjectingTransport::start(SocketServer::FrameFn on_frame,
   on_frame_ = std::move(on_frame);
   fired_.assign(plan_.script.size(), false);
   server_.start(
-      [this](SessionId s, std::vector<std::uint8_t> f) {
+      [this](SessionId s, FrameBytes f) {
         on_frame_in(s, std::move(f));
       },
       [this, closed = std::move(on_closed)](SessionId s) {
@@ -129,10 +129,10 @@ void FaultInjectingTransport::start(SocketServer::FrameFn on_frame,
       });
 }
 
-std::vector<std::vector<std::uint8_t>> FaultInjectingTransport::run_lane(
+std::vector<FrameBytes> FaultInjectingTransport::run_lane(
     SessionState& st, Lane& lane, int ordinal, WireDirection dir,
-    std::vector<std::uint8_t> payload, bool& kill) {
-  std::vector<std::vector<std::uint8_t>> forward;
+    FrameBytes payload, bool& kill) {
+  std::vector<FrameBytes> forward;
   const std::uint64_t idx = lane.frames++;
 
   if (lane.partitioned) {
@@ -217,9 +217,9 @@ std::vector<std::vector<std::uint8_t>> FaultInjectingTransport::run_lane(
 }
 
 void FaultInjectingTransport::on_frame_in(SessionId session,
-                                          std::vector<std::uint8_t> frame) {
+                                          FrameBytes frame) {
   bool kill = false;
-  std::vector<std::vector<std::uint8_t>> forward;
+  std::vector<FrameBytes> forward;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SessionState& st = sessions_[session];
@@ -239,10 +239,9 @@ void FaultInjectingTransport::on_frame_in(SessionId session,
   }
 }
 
-bool FaultInjectingTransport::send(SessionId session,
-                                   std::vector<std::uint8_t> payload) {
+bool FaultInjectingTransport::send(SessionId session, FrameBytes payload) {
   bool kill = false;
-  std::vector<std::vector<std::uint8_t>> forward;
+  std::vector<FrameBytes> forward;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SessionState& st = sessions_[session];

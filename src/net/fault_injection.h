@@ -128,7 +128,7 @@ class FaultInjectingTransport {
 
   /// Outbound path: the pool sends through here instead of the server.
   /// A frame no fault touches is forwarded by move, never copied.
-  bool send(SessionId session, std::vector<std::uint8_t> payload);
+  bool send(SessionId session, FrameBytes payload);
 
  private:
   struct Lane {
@@ -136,7 +136,7 @@ class FaultInjectingTransport {
     bool partitioned = false;
     /// Held (delayed/reordered) frames: release when `frames` passes the
     /// recorded index. Dropped if the session closes first.
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> held;
+    std::deque<std::pair<std::uint64_t, FrameBytes>> held;
   };
   struct SessionState {
     Lane in;
@@ -147,11 +147,11 @@ class FaultInjectingTransport {
   /// Applies faults for one frame on one lane. Returns the frames to
   /// forward, in order (empty = dropped/held); sets `kill` when the
   /// session must die.
-  std::vector<std::vector<std::uint8_t>> run_lane(
-      SessionState& st, Lane& lane, int ordinal, WireDirection dir,
-      std::vector<std::uint8_t> payload, bool& kill);
+  std::vector<FrameBytes> run_lane(SessionState& st, Lane& lane, int ordinal,
+                                   WireDirection dir, FrameBytes payload,
+                                   bool& kill);
 
-  void on_frame_in(SessionId session, std::vector<std::uint8_t> frame);
+  void on_frame_in(SessionId session, FrameBytes frame);
   void count(WireFault fault);
 
   SocketServer& server_;

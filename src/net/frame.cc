@@ -39,7 +39,7 @@ std::array<std::uint8_t, kFrameHeaderBytes> frame_header(std::size_t length) {
 }
 
 std::vector<std::uint8_t> encode_frame(
-    const std::vector<std::uint8_t>& payload) {
+    std::span<const std::uint8_t> payload) {
   const auto header = frame_header(payload.size());
   std::vector<std::uint8_t> out(framed_size(payload.size()));
   std::memcpy(out.data(), header.data(), header.size());
@@ -86,7 +86,7 @@ bool FrameAssembler::commit(std::size_t n, const Sink& sink) {
     if (have >= length) {
       const std::uint8_t* body = head + kFrameHeaderBytes;
       pos += kFrameHeaderBytes + length;
-      sink(std::vector<std::uint8_t>(body, body + length));
+      sink(FrameBytes(body, body + length));
       continue;
     }
     if (kFrameHeaderBytes + length > kStageBytes) {

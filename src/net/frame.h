@@ -20,6 +20,8 @@
 #include <span>
 #include <vector>
 
+#include "support/frame_bytes.h"
+
 namespace rif::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x52494631;  // "RIF1"
@@ -43,21 +45,25 @@ inline constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
 
 /// Serialize one frame (header + payload) into a contiguous buffer.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
 /// Incremental frame reassembler. A reader recv()s straight into window()
 /// and commit()s what it got; the sink runs once per completed payload.
 /// Headers and small frames collect in a fixed staging buffer. Once a
 /// header announces a payload too large for it, the assembler reserves
-/// exactly `length` bytes and window() becomes that payload's unfilled
-/// tail, so a large payload is filled in place and handed over without a
-/// copy. The payload's size grows a step ahead of the bytes received, so a
-/// hostile length commits no memory the peer has not sent. commit()
-/// returns false (and poisons the assembler) on bad magic or an oversized
-/// length; the connection should then be dropped.
+/// exactly `length` bytes of FrameBytes and window() becomes that
+/// payload's unfilled tail, so a large payload is filled in place, never
+/// zero-filled first, and handed over without a copy. The payload's size
+/// grows at most kGrowBytes ahead of the bytes received, and only written
+/// bytes commit memory, so a hostile length commits no more than one huge
+/// page (support/frame_bytes.h) past what the peer sent. commit() returns
+/// false (and poisons the assembler) on bad magic or an oversized length;
+/// the connection should then be dropped.
 class FrameAssembler {
  public:
-  using Sink = std::function<void(std::vector<std::uint8_t> payload)>;
+  using Sink = std::function<void(FrameBytes payload)>;
+  /// How far window() reaches past the bytes a large payload has received.
+  static constexpr std::size_t kGrowBytes = 1 << 20;
 
   /// Where the next read should land; never empty on a healthy assembler.
   [[nodiscard]] std::span<std::uint8_t> window();
@@ -76,11 +82,10 @@ class FrameAssembler {
 
  private:
   static constexpr std::size_t kStageBytes = 1 << 16;
-  static constexpr std::size_t kGrowBytes = 1 << 20;
 
   std::vector<std::uint8_t> stage_;  ///< headers and small frames
   std::size_t staged_ = 0;           ///< valid bytes at the front of stage_
-  std::vector<std::uint8_t> large_;  ///< payload being filled in place
+  FrameBytes large_;                 ///< payload being filled in place
   std::size_t large_length_ = 0;     ///< its announced length; 0 = none
   std::size_t filled_ = 0;           ///< valid bytes at the front of large_
   bool corrupt_ = false;

@@ -116,6 +116,14 @@ void SocketServer::start(FrameFn on_frame, ClosedFn on_closed) {
   thread_ = std::thread([this] { loop(); });
 }
 
+void SocketServer::start(VectorFrameFn on_frame, ClosedFn on_closed) {
+  start(
+      [on_frame = std::move(on_frame)](SessionId s, FrameBytes f) {
+        on_frame(s, std::vector<std::uint8_t>(f.begin(), f.end()));
+      },
+      std::move(on_closed));
+}
+
 void SocketServer::wake() {
   if (wake_pipe_[1] >= 0) {
     const char b = 1;
@@ -123,8 +131,7 @@ void SocketServer::wake() {
   }
 }
 
-bool SocketServer::enqueue(SessionId session,
-                           std::vector<std::uint8_t> payload,
+bool SocketServer::enqueue(SessionId session, FrameBytes payload,
                            std::size_t max_pending_bytes) {
   OutFrame frame{frame_header(payload.size()), std::move(payload)};
   {
@@ -142,13 +149,17 @@ bool SocketServer::enqueue(SessionId session,
   return true;
 }
 
-bool SocketServer::send(SessionId session, std::vector<std::uint8_t> payload) {
+bool SocketServer::send(SessionId session, FrameBytes payload) {
   return enqueue(session, std::move(payload),
                  std::numeric_limits<std::size_t>::max());
 }
 
-bool SocketServer::send_limited(SessionId session,
-                                std::vector<std::uint8_t> payload,
+bool SocketServer::send(SessionId session,
+                        std::span<const std::uint8_t> payload) {
+  return send(session, FrameBytes(payload.begin(), payload.end()));
+}
+
+bool SocketServer::send_limited(SessionId session, FrameBytes payload,
                                 std::size_t max_pending_bytes) {
   return enqueue(session, std::move(payload), max_pending_bytes);
 }
@@ -293,7 +304,7 @@ void SocketServer::loop() {
       }
       if (p.revents & (POLLIN | POLLHUP | POLLERR)) {
         const FrameAssembler::Sink deliver =
-            [this, id](std::vector<std::uint8_t> payload) {
+            [this, id](FrameBytes payload) {
               if (on_frame_) on_frame_(id, std::move(payload));
             };
         for (;;) {
@@ -399,7 +410,7 @@ bool SocketClient::connect_unix(const std::string& path) {
   return true;
 }
 
-bool SocketClient::send_frame(const std::vector<std::uint8_t>& payload) {
+bool SocketClient::send_frame(std::span<const std::uint8_t> payload) {
   if (fd_ < 0) return false;
   const auto header = frame_header(payload.size());
   const std::size_t total = framed_size(payload.size());
@@ -418,14 +429,14 @@ bool SocketClient::send_frame(const std::vector<std::uint8_t>& payload) {
   return true;
 }
 
-bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
+bool SocketClient::read_frame(FrameBytes& payload) {
   while (ready_.empty()) {
     if (fd_ < 0) return false;
     const std::span<std::uint8_t> window = assembler_.window();
     const auto n = ::recv(fd_, window.data(), window.size(), 0);
     if (n > 0) {
       if (!assembler_.commit(static_cast<std::size_t>(n),
-                             [this](std::vector<std::uint8_t> pl) {
+                             [this](FrameBytes pl) {
                                ready_.push_back(std::move(pl));
                              })) {
         return false;  // corrupt stream
@@ -437,6 +448,13 @@ bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
   }
   payload = std::move(ready_.front());
   ready_.pop_front();
+  return true;
+}
+
+bool SocketClient::read_frame(std::vector<std::uint8_t>& payload) {
+  FrameBytes frame;
+  if (!read_frame(frame)) return false;
+  payload.assign(frame.begin(), frame.end());
   return true;
 }
 

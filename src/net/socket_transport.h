@@ -12,6 +12,10 @@
 //   SocketClient — blocking counterpart for worker processes: connect,
 //     send_frame, read_frame. Single-threaded by design; the worker
 //     protocol is strictly reactive.
+//
+// Frames travel in FrameBytes (support/frame_bytes.h) both ways. The
+// std::vector overloads of start(), send() and read_frame() serve callers
+// that keep their frames in one; each costs one copy of the frame.
 #pragma once
 
 #include <atomic>
@@ -35,7 +39,9 @@ inline constexpr SessionId kNoSession = -1;
 
 class SocketServer {
  public:
-  using FrameFn = std::function<void(SessionId, std::vector<std::uint8_t>)>;
+  using FrameFn = std::function<void(SessionId, FrameBytes)>;
+  using VectorFrameFn =
+      std::function<void(SessionId, std::vector<std::uint8_t>)>;
   using ClosedFn = std::function<void(SessionId)>;
 
   SocketServer() = default;
@@ -53,18 +59,20 @@ class SocketServer {
   /// Install callbacks, then start the poll loop. Both run on the loop
   /// thread; reentrant send()/close_session() from them is allowed.
   void start(FrameFn on_frame, ClosedFn on_closed);
+  void start(VectorFrameFn on_frame, ClosedFn on_closed);
 
   /// Queue one frame for a session. Thread-safe. False if unknown session.
   /// The payload is queued as its own buffer and written after its frame
   /// header with one gather write: pass it by move and it is never copied.
-  bool send(SessionId session, std::vector<std::uint8_t> payload);
+  bool send(SessionId session, FrameBytes payload);
+  bool send(SessionId session, std::span<const std::uint8_t> payload);
 
   /// send(), but REFUSE (return false, queue nothing) when the session
   /// already has more than `max_pending_bytes` of unsent outbound bytes.
   /// This is the slow-consumer guard for fan-out paths (the ops plane's
   /// subscribe-metrics push): a subscriber that stops reading loses frames
   /// instead of growing the queue or backpressuring the producer.
-  bool send_limited(SessionId session, std::vector<std::uint8_t> payload,
+  bool send_limited(SessionId session, FrameBytes payload,
                     std::size_t max_pending_bytes);
 
   /// Adopt an already-connected fd (e.g. one end of a socketpair) as a
@@ -91,7 +99,7 @@ class SocketServer {
  private:
   struct OutFrame {
     std::array<std::uint8_t, kFrameHeaderBytes> header;
-    std::vector<std::uint8_t> payload;
+    FrameBytes payload;
   };
   struct Session {
     int fd = -1;
@@ -107,7 +115,7 @@ class SocketServer {
   void wake();
   void destroy_session(SessionId id);
   /// Queue under the lock; refuses past `max_pending_bytes`.
-  bool enqueue(SessionId session, std::vector<std::uint8_t> payload,
+  bool enqueue(SessionId session, FrameBytes payload,
                std::size_t max_pending_bytes);
   [[nodiscard]] bool flush(Session& s);
 
@@ -140,9 +148,10 @@ class SocketClient {
 
   /// Send one frame: header and payload in one gather write, straight
   /// from the caller's buffer; handles partial writes. False on error.
-  [[nodiscard]] bool send_frame(const std::vector<std::uint8_t>& payload);
+  [[nodiscard]] bool send_frame(std::span<const std::uint8_t> payload);
 
   /// Block until one full frame arrives. False on EOF/error/corruption.
+  [[nodiscard]] bool read_frame(FrameBytes& payload);
   [[nodiscard]] bool read_frame(std::vector<std::uint8_t>& payload);
 
   void close();
@@ -150,7 +159,7 @@ class SocketClient {
  private:
   int fd_ = -1;
   FrameAssembler assembler_;
-  std::deque<std::vector<std::uint8_t>> ready_;  ///< decoded, undelivered
+  std::deque<FrameBytes> ready_;  ///< decoded, undelivered
 };
 
 }  // namespace rif::net

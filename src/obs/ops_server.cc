@@ -105,8 +105,8 @@ bool OpsServer::start() {
                          : server_.listen_unix(config_.unix_path);
   if (!bound) return false;
   server_.start(
-      [this](net::SessionId session, std::vector<std::uint8_t> frame) {
-        on_frame(session, std::move(frame));
+      [this](net::SessionId session, FrameBytes frame) {
+        on_frame(session, frame);
       },
       [this](net::SessionId session) { on_closed(session); });
   started_ = true;
@@ -130,7 +130,7 @@ void OpsServer::publish_metrics_sample(const std::string& line) {
     targets.assign(subscribers_.begin(), subscribers_.end());
   }
   if (targets.empty()) return;
-  const std::vector<std::uint8_t> payload(line.begin(), line.end());
+  const FrameBytes payload(line.begin(), line.end());
   for (const net::SessionId session : targets) {
     if (!server_.send_limited(session, payload,
                               config_.max_subscriber_backlog_bytes)) {
@@ -145,7 +145,7 @@ std::size_t OpsServer::subscribers() const {
 }
 
 void OpsServer::reply(net::SessionId session, const std::string& text) {
-  server_.send(session, std::vector<std::uint8_t>(text.begin(), text.end()));
+  server_.send(session, FrameBytes(text.begin(), text.end()));
 }
 
 void OpsServer::reject(net::SessionId session) {
@@ -153,8 +153,7 @@ void OpsServer::reject(net::SessionId session) {
   server_.abort_session(session);
 }
 
-void OpsServer::on_frame(net::SessionId session,
-                         std::vector<std::uint8_t> frame) {
+void OpsServer::on_frame(net::SessionId session, const FrameBytes& frame) {
   const std::optional<OpsRequest> request = parse_ops_request(frame, config_);
   if (!request) {
     reject(session);

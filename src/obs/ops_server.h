@@ -138,7 +138,7 @@ class OpsServer {
   [[nodiscard]] std::size_t subscribers() const;
 
  private:
-  void on_frame(net::SessionId session, std::vector<std::uint8_t> frame);
+  void on_frame(net::SessionId session, const FrameBytes& frame);
   void on_closed(net::SessionId session);
   void reply(net::SessionId session, const std::string& text);
   /// Count a hostile request and close its session (session-only).

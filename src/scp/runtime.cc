@@ -673,7 +673,8 @@ void Runtime::Impl::deliver(cluster::NodeId /*dst_node*/,
       Shell* target = route(e.dst);
       if (target == nullptr) return;
       target->receive_app(e.src.tid, e.seq,
-                          std::make_shared<const Message>(e.to_message()),
+                          std::make_shared<const Message>(
+                              std::move(e).to_message()),
                           ReplyAddr{e.src_node, e.src});
       return;
     }

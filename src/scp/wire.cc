@@ -7,12 +7,6 @@ namespace rif::scp {
 
 namespace {
 
-void put_addr(Writer& w, const WireAddr& a) {
-  w.put(a.tid);
-  w.put(a.slot);
-  w.put(a.incarnation);
-}
-
 WireAddr get_addr(Reader& r) {
   WireAddr a;
   a.tid = r.get<ThreadId>();
@@ -92,35 +86,37 @@ std::span<const std::uint8_t> WireEnvelope::body() const {
       kHeaderBytes, frame_.size() - kHeaderBytes - kTrailerBytes);
 }
 
-void WireEnvelope::encode_header(Writer& w, std::size_t body_bytes) const {
-  w.reserve(kHeaderBytes + body_bytes + kTrailerBytes);
-  w.put(static_cast<std::uint32_t>(kind));
-  w.put(src_node);
-  w.put(dst_node);
-  put_addr(w, src);
-  put_addr(w, dst);
-  w.put(seq);
-  w.put(msg_type);
-  w.put(declared);
-  w.put(flag);
-  w.put<std::uint64_t>(body_bytes);  // rewritten by seal()
+std::array<std::uint8_t, WireEnvelope::kHeaderBytes> WireEnvelope::header(
+    std::size_t body_bytes) const {
+  std::array<std::uint8_t, kHeaderBytes> h{};
+  std::size_t at = 0;
+  const auto put = [&](const auto& v) {
+    std::memcpy(h.data() + at, &v, sizeof(v));
+    at += sizeof(v);
+  };
+  put(static_cast<std::uint32_t>(kind));
+  put(src_node);
+  put(dst_node);
+  for (const WireAddr* a : {&src, &dst}) {
+    put(a->tid);
+    put(a->slot);
+    put(a->incarnation);
+  }
+  put(seq);
+  put(msg_type);
+  put(declared);
+  put(flag);
+  put(static_cast<std::uint64_t>(body_bytes));  // rewritten by seal()
+  return h;
 }
 
-std::vector<std::uint8_t> WireEnvelope::seal(Writer&& w) {
-  std::vector<std::uint8_t> bytes = std::move(w).take();
-  const std::uint64_t body_len = bytes.size() - kHeaderBytes;
+void WireEnvelope::seal(std::span<std::uint8_t> bytes) {
+  const std::uint64_t body_len = bytes.size() - kHeaderBytes - kTrailerBytes;
   std::memcpy(bytes.data() + kHeaderBytes - sizeof(body_len), &body_len,
               sizeof(body_len));
-  const std::uint64_t sum = envelope_checksum(bytes.data(), bytes.size());
-  bytes.resize(bytes.size() + kTrailerBytes);  // within the reservation
-  std::memcpy(bytes.data() + bytes.size() - kTrailerBytes, &sum, sizeof(sum));
-  return bytes;
-}
-
-std::vector<std::uint8_t> WireEnvelope::encode() const {
-  return encode_with(payload.size(), [this](Writer& w) {
-    w.put_bytes(std::span<const std::uint8_t>(payload));
-  });
+  const std::size_t summed = bytes.size() - kTrailerBytes;
+  const std::uint64_t sum = envelope_checksum(bytes.data(), summed);
+  std::memcpy(bytes.data() + summed, &sum, sizeof(sum));
 }
 
 const char* WireEnvelope::parse(std::span<const std::uint8_t> bytes,
@@ -161,21 +157,20 @@ const char* WireEnvelope::parse(std::span<const std::uint8_t> bytes,
 }
 
 std::optional<WireEnvelope> WireEnvelope::try_decode(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   WireEnvelope e;
   if (parse(bytes, e, /*copy_body=*/true) != nullptr) return std::nullopt;
   return e;
 }
 
-std::optional<WireEnvelope> WireEnvelope::try_decode(
-    std::vector<std::uint8_t>&& frame) {
+std::optional<WireEnvelope> WireEnvelope::try_decode(FrameBytes&& frame) {
   WireEnvelope e;
   if (parse(frame, e, /*copy_body=*/false) != nullptr) return std::nullopt;
   e.frame_ = std::move(frame);
   return e;
 }
 
-WireEnvelope WireEnvelope::decode(const std::vector<std::uint8_t>& bytes) {
+WireEnvelope WireEnvelope::decode(std::span<const std::uint8_t> bytes) {
   WireEnvelope e;
   const char* defect = parse(bytes, e, /*copy_body=*/true);
   RIF_CHECK_MSG(defect == nullptr, defect);

@@ -11,6 +11,7 @@
 // leases itself into the service's cluster over the same framing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -21,6 +22,7 @@
 
 #include "cluster/node.h"
 #include "scp/types.h"
+#include "support/frame_bytes.h"
 #include "support/serialize.h"
 
 namespace rif::scp {
@@ -91,63 +93,82 @@ struct WireEnvelope {
   std::uint32_t flag = 0;       ///< kStateInstall: 1 = migration semantics
   /// The body encode() writes (kApp: message body; kStateInstall:
   /// serialized state; worker plane: kind-specific body). A decode that
-  /// borrows its input copies the body here; one that takes the frame by
+  /// borrows its input copies the body here; one that takes a frame by
   /// value keeps the frame and leaves this empty. Read a decoded body
   /// through body(), which covers both.
   std::vector<std::uint8_t> payload;
 
   /// The body: a view into the frame a by-value decode kept, else
-  /// `payload`. Valid while this envelope lives and is not modified.
+  /// `payload`. Valid while this envelope, or one it is moved into, lives
+  /// and is not modified.
   [[nodiscard]] std::span<const std::uint8_t> body() const;
 
   /// Header, payload and checksum trailer in one buffer, allocated once.
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// The socket plane encodes into its frame buffers: encode<FrameBytes>().
+  template <typename Bytes = std::vector<std::uint8_t>>
+  [[nodiscard]] Bytes encode() const {
+    return encode_with<Bytes>(payload.size(), [this](auto& w) {
+      w.put_bytes(std::span<const std::uint8_t>(payload));
+    });
+  }
 
   /// encode(), with the body written straight into the envelope buffer by
-  /// `write_body(Writer&)` instead of copied from `payload` (ignored).
-  /// `body_bytes` sizes the single allocation; the length prefix records
-  /// whatever `write_body` actually wrote.
-  template <typename WriteBody>
-  [[nodiscard]] std::vector<std::uint8_t> encode_with(
-      std::size_t body_bytes, WriteBody&& write_body) const {
-    Writer w;
-    encode_header(w, body_bytes);
+  /// `write_body(BasicWriter<Bytes>&)` instead of copied from `payload`
+  /// (ignored). `body_bytes` sizes the single allocation; the length
+  /// prefix records whatever `write_body` actually wrote.
+  template <typename Bytes = std::vector<std::uint8_t>, typename WriteBody>
+  [[nodiscard]] Bytes encode_with(std::size_t body_bytes,
+                                  WriteBody&& write_body) const {
+    BasicWriter<Bytes> w;
+    w.reserve(kHeaderBytes + body_bytes + kTrailerBytes);
+    w.put_bytes(header(body_bytes));
     write_body(w);
-    return seal(std::move(w));
+    w.put(std::uint64_t{0});  // the trailer seal() fills in
+    Bytes bytes = std::move(w).take();
+    seal(bytes);
+    return bytes;
   }
 
   /// Trusted-path decode: try_decode() plus a fatal RIF_CHECK naming the
   /// defect. Use only on frames this process produced (the sim transport,
   /// loopback to our own worker binary under test).
-  static WireEnvelope decode(const std::vector<std::uint8_t>& bytes);
+  static WireEnvelope decode(std::span<const std::uint8_t> bytes);
 
   /// Trust-boundary decode: returns nullopt on any malformed input
   /// (truncated, trailing bytes, unknown kind, checksum mismatch) instead
   /// of aborting. Use on every frame that arrives over a socket from a
   /// peer process. This overload copies the body into `payload`.
   static std::optional<WireEnvelope> try_decode(
-      const std::vector<std::uint8_t>& bytes);
+      std::span<const std::uint8_t> bytes);
   /// As above, but the envelope keeps `frame` and body() views into it:
   /// the receive path's body is never copied.
-  static std::optional<WireEnvelope> try_decode(
-      std::vector<std::uint8_t>&& frame);
+  static std::optional<WireEnvelope> try_decode(FrameBytes&& frame);
 
-  /// Rebuild the application Message carried by a kApp envelope (copies
-  /// the body).
-  [[nodiscard]] Message to_message() const {
+  /// Rebuild the application Message carried by a kApp envelope. Copies
+  /// the body; the rvalue overload moves `payload` instead when the body
+  /// is there.
+  [[nodiscard]] Message to_message() const& {
     const std::span<const std::uint8_t> b = body();
     return {msg_type, {b.begin(), b.end()}, declared};
   }
+  [[nodiscard]] Message to_message() && {
+    if (!frame_.empty()) return std::as_const(*this).to_message();
+    return {msg_type, std::move(payload), declared};
+  }
 
  private:
-  void encode_header(Writer& w, std::size_t body_bytes) const;
-  [[nodiscard]] static std::vector<std::uint8_t> seal(Writer&& w);
+  /// The fixed header for a body of `body_bytes`.
+  [[nodiscard]] std::array<std::uint8_t, kHeaderBytes> header(
+      std::size_t body_bytes) const;
+  /// Rewrites the body length of an encoded envelope to the bytes between
+  /// header and trailer, then fills the trailer with the checksum.
+  static void seal(std::span<std::uint8_t> bytes);
   /// Parses and verifies `bytes` into `out` (its body into `payload` when
   /// `copy_body`); returns nullptr, or what is wrong with the frame.
   static const char* parse(std::span<const std::uint8_t> bytes,
                            WireEnvelope& out, bool copy_body);
 
-  std::vector<std::uint8_t> frame_;  ///< by-value decode: the whole frame
+  FrameBytes frame_;  ///< by-value decode: the whole frame
 };
 
 /// kHello payload: what a connecting worker advertises.

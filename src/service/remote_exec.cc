@@ -132,7 +132,7 @@ struct Coordinator {
                     "job " << p.job_id << ": cov shard " << s
                            << " overdue (attempt " << track.attempts
                            << "); re-sending to worker " << v);
-      send_app(v, shard_msgs[static_cast<std::size_t>(s)].encode(0));
+      send_app(v, core::kCovShard, shard_msgs[static_cast<std::size_t>(s)]);
       arm(track);
     }
     return true;
@@ -163,11 +163,14 @@ struct Coordinator {
     return env;
   }
 
-  void send_app(int w, scp::Message msg) {
-    scp::WireEnvelope env = app_envelope(w, msg.type);
-    env.declared = msg.declared_bytes;
-    env.payload = std::move(msg.payload);
-    pool.send(w, env.encode());
+  /// `msg` (a CovShardMsg or TransformMsg) to worker `w`, its body
+  /// written straight into the envelope buffer.
+  template <typename Msg>
+  void send_app(int w, std::uint32_t type, const Msg& msg) {
+    pool.send(w, app_envelope(w, type).encode_with<FrameBytes>(
+                     msg.body_bytes(), [&](FrameWriter& body) {
+                       msg.write(body);
+                     }));
   }
 
   void send_control(int w, scp::FrameKind kind,
@@ -176,7 +179,7 @@ struct Coordinator {
     env.kind = kind;
     env.dst_node = pool.node_of(w);
     env.payload = std::move(payload);
-    pool.send(w, env.encode());
+    pool.send(w, env);
   }
 
   void assign_tile(int w, int t) {
@@ -185,11 +188,12 @@ struct Coordinator {
     // one copy on this side of the hop.
     const std::span<const float> px = fusion.pixels(t);
     pool.send(w, app_envelope(w, core::kTileAssign)
-                     .encode_with(core::TileAssignMsg::body_bytes(px.size()),
-                                  [&](Writer& body) {
-                                    core::TileAssignMsg::write(
-                                        body, fusion.tile(t), px);
-                                  }));
+                     .encode_with<FrameBytes>(
+                         core::TileAssignMsg::body_bytes(px.size()),
+                         [&](FrameWriter& body) {
+                           core::TileAssignMsg::write(body, fusion.tile(t),
+                                                      px);
+                         }));
     arm(tile_track[static_cast<std::size_t>(t)]);
   }
 
@@ -197,7 +201,7 @@ struct Coordinator {
     if (next_tile < fusion.tile_count()) {
       assign_tile(w, next_tile++);
     } else {
-      send_app(w, scp::Message{core::kNoMoreTiles, {}, 0});
+      pool.send(w, app_envelope(w, core::kNoMoreTiles));
     }
   }
 
@@ -227,7 +231,7 @@ struct Coordinator {
     for (int s = 0; s < out.shards; ++s) {
       const int w = live[static_cast<std::size_t>(s) % live.size()];
       outstanding[w].push_back(s);
-      send_app(w, shard_msgs[static_cast<std::size_t>(s)].encode(0));
+      send_app(w, core::kCovShard, shard_msgs[static_cast<std::size_t>(s)]);
       arm(shard_track[static_cast<std::size_t>(s)]);
     }
   }
@@ -253,7 +257,7 @@ struct Coordinator {
   void broadcast_transform() {
     const core::TransformMsg tm = fusion.transform();
     transform_sent = true;
-    for (const int w : live) send_app(w, tm.encode(0));
+    for (const int w : live) send_app(w, core::kTransform, tm);
     // Every uncoloured tile is outstanding again — its holder owes a
     // colour reply now that the transform is out.
     for (int t = 0; t < fusion.tile_count(); ++t) {
@@ -280,7 +284,7 @@ struct Coordinator {
       for (const int s : it->second) {
         const int v = live[static_cast<std::size_t>(rr++) % live.size()];
         outstanding[v].push_back(s);
-        send_app(v, shard_msgs[static_cast<std::size_t>(s)].encode(0));
+        send_app(v, core::kCovShard, shard_msgs[static_cast<std::size_t>(s)]);
         // Fresh clock, same attempt count: a crash does not charge the
         // item's resend budget.
         arm(shard_track[static_cast<std::size_t>(s)]);

@@ -4,7 +4,8 @@
 // heartbeat timers) runs on one of these. Events at equal timestamps are
 // executed in schedule order (a monotonically increasing sequence number
 // breaks ties), so a run is a pure function of its inputs and seeds — the
-// property every EXPERIMENTS.md row relies on.
+// property every figure bench in bench/ and every oracle comparison in
+// tests/ relies on.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,8 @@
 //
 // All stochastic components of the simulator (scene synthesis, failure
 // schedules, placement tie-breaking) draw from explicitly seeded generators
-// so that every experiment in EXPERIMENTS.md is reproducible bit-for-bit.
+// so that every figure bench in bench/ and every seeded test in tests/ is
+// reproducible bit-for-bit.
 // xoshiro256** is used for speed; SplitMix64 seeds it and derives
 // independent child streams.
 #pragma once

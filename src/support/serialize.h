@@ -16,11 +16,13 @@
 #include <vector>
 
 #include "support/check.h"
+#include "support/frame_bytes.h"
 
 namespace rif {
 
-/// Append-only encoder producing a flat byte buffer.
-class Writer {
+/// Append-only encoder producing a flat byte buffer of type `Bytes`.
+template <typename Bytes>
+class BasicWriter {
  public:
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -61,12 +63,16 @@ class Writer {
   /// size allocates once.
   void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
+  [[nodiscard]] Bytes take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  Bytes buf_;
 };
+
+using Writer = BasicWriter<std::vector<std::uint8_t>>;
+/// Writes straight into a socket-plane frame buffer (support/frame_bytes.h).
+using FrameWriter = BasicWriter<FrameBytes>;
 
 /// Sequential decoder over a byte buffer produced by Writer. It reads a
 /// view, so a body can be decoded in place from the frame that carried it.

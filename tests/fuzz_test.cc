@@ -2,7 +2,8 @@
 // six fusion messages, encoded the way the coordinator and the worker encode
 // them, are flipped, truncated and spliced, and every mutant runs the whole
 // trust-boundary chain: FrameAssembler -> WireEnvelope::try_decode -> every
-// message's try_decode, all decoding in place from the frame. A decoded
+// message's decoder, all decoding in place from the frame (a tile through
+// the view the worker screens and colours it by). A decoded
 // tile, shard or transform that a worker would accept then runs through
 // the worker's shard op. The invariant is that nothing aborts and nothing
 // reads out of bounds (the ASan leg checks the second half). A fixed seed
@@ -201,10 +202,11 @@ struct ChainStats {
 /// runs each decoded header, tile, shard and transform that the worker
 /// would accept (for a job of kTile's band count; remote_worker.cc drops
 /// the rest) through what the worker does with it: a header opens a unique
-/// set at its threshold, transforms colour kTile.
+/// set at its threshold, a tile is screened where it lies in the frame (the
+/// worker's in-place view), transforms colour kTile.
 void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
   const auto job = scp::JobStartBody::try_decode(body);
-  const auto assign = core::TileAssignMsg::try_decode(body);
+  const auto assign = core::TileAssignMsg::try_view(body);
   const auto shard = core::CovShardMsg::try_decode(body);
   const auto transform = core::TransformMsg::try_decode(body);
   const bool ok[kKindCount] = {
@@ -217,13 +219,16 @@ void decode_all(std::span<const std::uint8_t> body, ChainStats& stats) {
       core::ColorTileMsg::try_decode(body).has_value(),
   };
   for (std::size_t k = 0; k < kKindCount; ++k) stats.decoded[k] += ok[k];
+  // The sim plane's copying tile decode accepts exactly what the view does.
+  EXPECT_EQ(core::TileAssignMsg::try_decode(body).has_value(),
+            assign.has_value());
 
   if (job && core::UniqueSet::valid_threshold(job->screening_threshold)) {
     (void)core::UniqueSet(job->bands, job->screening_threshold);
     ++stats.started;
   }
   if (assign && assign->fills(kTile.bands)) {
-    (void)core::screen_shard(assign->tile, assign->data.data(), 0.05);
+    (void)core::screen_shard(assign->tile, assign->pixels.data(), 0.05);
     ++stats.screened;
   }
   if (shard && shard->mean.size() == static_cast<std::size_t>(kTile.bands)) {
@@ -243,8 +248,8 @@ std::vector<std::vector<std::uint8_t>> run_chain(
     Rng& rng, const std::vector<std::uint8_t>& stream, ChainStats& stats) {
   std::vector<std::vector<std::uint8_t>> accepted;
   net::FrameAssembler assembler;
-  const auto sink = [&](std::vector<std::uint8_t> payload) {
-    const std::vector<std::uint8_t> copy = payload;
+  const auto sink = [&](FrameBytes payload) {
+    const std::vector<std::uint8_t> copy(payload.begin(), payload.end());
     auto env = scp::WireEnvelope::try_decode(std::move(payload));
     if (!env) return;
     ++stats.envelopes;
@@ -352,7 +357,8 @@ TEST(FuzzTest, ShardMessagesOfTheWrongShapeAreRefused) {
   EXPECT_TRUE(core::TransformMsg::try_decode(transform_msg().encode(0)));
 
   // A tile the worker would screen must carry exactly its pixels.
-  core::TileAssignMsg assign{kTile, tile_pixels()};
+  const std::vector<float> px = tile_pixels();
+  core::TileView assign{kTile, px};
   EXPECT_TRUE(assign.fills(kTile.bands));
   EXPECT_FALSE(assign.fills(kTile.bands + 1));  // another job's band count
   assign.tile.rows += 1;  // one row short

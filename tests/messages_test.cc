@@ -289,6 +289,99 @@ TEST(MalformedPayloadTest, ColorTileBoundsChecked) {
       msg, [](const scp::Message& m) { return ColorTileMsg::decode(m); });
 }
 
+// --- In-place tile view -------------------------------------------------------
+
+TileAssignMsg small_tile() {
+  TileAssignMsg msg;
+  msg.tile = {2, 6, 1, 3, 2};
+  msg.data = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  return msg;
+}
+
+TEST(TileViewTest, ViewsThePixelsWhereTheyLieInTheBody) {
+  const scp::Message wire = small_tile().encode(0);
+  const auto view = TileAssignMsg::try_view(wire.payload);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->tile.index, 2);
+  EXPECT_EQ(reinterpret_cast<const std::uint8_t*>(view->pixels.data()),
+            wire.payload.data() + TileAssignMsg::body_bytes(0));
+  EXPECT_EQ(std::vector<float>(view->pixels.begin(), view->pixels.end()),
+            small_tile().data);
+  EXPECT_TRUE(view->fills(2));
+  EXPECT_FALSE(view->fills(3));  // another band count
+}
+
+TEST(TileViewTest, RefusesAMisalignedPixelArray) {
+  // The same body one byte into a buffer: its pixels cannot be read as
+  // floats where they lie. Four bytes in, they can again.
+  const scp::Message wire = small_tile().encode(0);
+  std::vector<std::uint8_t> buffer(wire.payload.size() + 4);
+  for (const std::size_t shift : {1u, 2u, 3u, 4u}) {
+    std::memcpy(buffer.data() + shift, wire.payload.data(),
+                wire.payload.size());
+    const std::span<const std::uint8_t> body(buffer.data() + shift,
+                                             wire.payload.size());
+    EXPECT_EQ(TileAssignMsg::try_view(body).has_value(), shift == 4)
+        << "shift " << shift;
+    EXPECT_EQ(TileAssignMsg::try_decode(body).has_value(), shift == 4)
+        << "shift " << shift;
+  }
+}
+
+TEST(TileViewTest, RefusesARaggedFloatTail) {
+  // Two stray bytes after the six floats: the count still divides out to
+  // six, but the pixel bytes are not whole floats.
+  scp::Message wire = small_tile().encode(0);
+  wire.payload.push_back(0xAB);
+  wire.payload.push_back(0xCD);
+  EXPECT_FALSE(TileAssignMsg::try_view(wire.payload).has_value());
+  wire.payload.resize(wire.payload.size() - 2);
+  EXPECT_TRUE(TileAssignMsg::try_view(wire.payload).has_value());
+}
+
+TEST(TileViewTest, RefusesACountThatDisagreesWithTheBytes) {
+  const scp::Message wire = small_tile().encode(0);
+  for (const std::uint64_t count :
+       {std::uint64_t{0}, std::uint64_t{5}, std::uint64_t{7},
+        std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    std::vector<std::uint8_t> body = wire.payload;
+    std::memcpy(body.data() + sizeof(WireTile), &count, sizeof(count));
+    EXPECT_FALSE(TileAssignMsg::try_view(body).has_value()) << count;
+  }
+  // A body cut inside its header is refused too.
+  const std::span<const std::uint8_t> cut(wire.payload.data(),
+                                          sizeof(WireTile) + 4);
+  EXPECT_FALSE(TileAssignMsg::try_view(cut).has_value());
+}
+
+TEST(MessagesTest, BodyBytesIsTheEncodedBodySize) {
+  // write() sizes the buffer it writes into by body_bytes(): one
+  // allocation, no growth.
+  ScreenResultMsg screen;
+  screen.vectors = {0.5f, 0.25f, 0.125f};
+  CovShardMsg shard;
+  shard.shard_count = 2;
+  shard.vectors = {1.0f, 2.0f, 3.0f, 4.0f};
+  shard.mean = {0.5, 0.5};
+  CovSumMsg sum;
+  sum.accumulator = {1, 2, 3, 4, 5};
+  TransformMsg tm;
+  tm.components = 3;
+  tm.bands = 2;
+  tm.matrix.assign(6, 1.0);
+  tm.mean = {0.1, 0.2};
+  tm.scale_mean = {0.0, 0.0, 0.0};
+  tm.scale_gain = {1.0, 2.0, 3.0};
+  ColorTileMsg color;
+  color.rgb = {1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(small_tile().encode(0).payload.size(), small_tile().body_bytes());
+  EXPECT_EQ(screen.encode(0).payload.size(), screen.body_bytes());
+  EXPECT_EQ(shard.encode(0).payload.size(), shard.body_bytes());
+  EXPECT_EQ(sum.encode(0).payload.size(), sum.body_bytes());
+  EXPECT_EQ(tm.encode(0).payload.size(), tm.body_bytes());
+  EXPECT_EQ(color.encode(0).payload.size(), color.body_bytes());
+}
+
 TEST(MessagesTest, DeclaredBytesDefaultsToPayload) {
   scp::Message m{kRequestWork, {1, 2, 3, 4}, 0};
   EXPECT_EQ(m.wire_bytes(), 64u + 4u);  // header + payload

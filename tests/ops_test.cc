@@ -318,7 +318,7 @@ TEST(OpsServerTest, HostileAndCorruptFramesCloseOnlyTheirSession) {
   {
     net::SocketClient bad;
     ASSERT_TRUE(bad.connect_tcp("127.0.0.1", fx.server.port()));
-    ASSERT_TRUE(bad.send_frame({0x00, 0xff, 0x13, 0x37}));
+    ASSERT_TRUE(bad.send_frame(std::vector<std::uint8_t>{0x00, 0xff, 0x13, 0x37}));
     std::vector<std::uint8_t> frame;
     EXPECT_FALSE(bad.read_frame(frame));  // session closed, no reply
     bad.close();

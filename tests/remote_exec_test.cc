@@ -312,7 +312,7 @@ TEST(RemoteExecTest, MalformedEnvelopeClosesSessionNotProcess) {
 
   // Well-framed but not a decodable envelope: the pool must close this
   // session (not abort the poll thread, which serves every worker).
-  ASSERT_TRUE(client.send_frame({0xDE, 0xAD, 0xBE}));
+  ASSERT_TRUE(client.send_frame(std::vector<std::uint8_t>{0xDE, 0xAD, 0xBE}));
   const auto ev = pool.poll_event(10.0);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->kind, cluster::RemoteWorkerPool::Event::Kind::kClosed);

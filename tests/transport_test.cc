@@ -8,6 +8,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -41,8 +42,8 @@ TEST(FrameTest, EncodeRoundTripsThroughAssembler) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> got;
   ASSERT_TRUE(assembler.feed(frame.data(), frame.size(),
-                             [&](std::vector<std::uint8_t> p) {
-                               got.push_back(std::move(p));
+                             [&](FrameBytes p) {
+                               got.emplace_back(p.begin(), p.end());
                              }));
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], payload);
@@ -54,7 +55,7 @@ TEST(FrameTest, EmptyPayloadIsAValidFrame) {
   FrameAssembler assembler;
   int frames = 0;
   ASSERT_TRUE(assembler.feed(frame.data(), frame.size(),
-                             [&](std::vector<std::uint8_t> p) {
+                             [&](FrameBytes p) {
                                EXPECT_TRUE(p.empty());
                                ++frames;
                              }));
@@ -79,8 +80,8 @@ TEST(FrameTest, ReassemblesFromSingleByteFragments) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> got;
   for (const std::uint8_t b : stream) {
-    ASSERT_TRUE(assembler.feed(&b, 1, [&](std::vector<std::uint8_t> p) {
-      got.push_back(std::move(p));
+    ASSERT_TRUE(assembler.feed(&b, 1, [&](FrameBytes p) {
+      got.emplace_back(p.begin(), p.end());
     }));
   }
   EXPECT_EQ(got, sent);
@@ -104,8 +105,8 @@ TEST(FrameTest, ManyFramesInOneFeed) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> got;
   ASSERT_TRUE(assembler.feed(stream.data(), stream.size(),
-                             [&](std::vector<std::uint8_t> p) {
-                               got.push_back(std::move(p));
+                             [&](FrameBytes p) {
+                               got.emplace_back(p.begin(), p.end());
                              }));
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0], a);
@@ -120,13 +121,13 @@ TEST(FrameTest, BadMagicPoisonsTheAssembler) {
   FrameAssembler assembler;
   int frames = 0;
   EXPECT_FALSE(assembler.feed(frame.data(), frame.size(),
-                              [&](std::vector<std::uint8_t>) { ++frames; }));
+                              [&](FrameBytes) { ++frames; }));
   EXPECT_EQ(frames, 0);
   EXPECT_TRUE(assembler.corrupt());
   // Poisoned: even a pristine frame is refused until the connection drops.
   const auto good = encode_frame(bytes_of({9}));
   EXPECT_FALSE(assembler.feed(good.data(), good.size(),
-                              [&](std::vector<std::uint8_t>) { ++frames; }));
+                              [&](FrameBytes) { ++frames; }));
   EXPECT_EQ(frames, 0);
 }
 
@@ -137,8 +138,71 @@ TEST(FrameTest, OversizedLengthPoisonsTheAssembler) {
   std::memcpy(frame.data() + 4, &huge, sizeof(huge));
   FrameAssembler assembler;
   EXPECT_FALSE(assembler.feed(frame.data(), frame.size(),
-                              [](std::vector<std::uint8_t>) { FAIL(); }));
+                              [](FrameBytes) { FAIL(); }));
   EXPECT_TRUE(assembler.corrupt());
+}
+
+TEST(FrameTest, LargeFrameIsFilledInPlaceFromFragments) {
+  // A payload far past the staging buffer, fed the way a reader feeds it:
+  // fragments recv()'d straight into window(). It comes out byte-identical,
+  // in the very buffer the windows after its header pointed into.
+  FrameBytes payload(3 * FrameAssembler::kGrowBytes + 12345);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
+  }
+  const auto frame = encode_frame(payload);
+  constexpr std::size_t kFragments[] = {1, 7, 4096, 65539, 300001, 1 << 20};
+
+  FrameAssembler assembler;
+  std::vector<FrameBytes> got;
+  // Where each window after the header began, and the payload offset the
+  // bytes written there belong at.
+  std::vector<std::pair<const std::uint8_t*, std::size_t>> windows;
+  std::size_t pos = 0;
+  for (std::size_t k = 0; pos < frame.size(); ++k) {
+    const std::span<std::uint8_t> win = assembler.window();
+    ASSERT_FALSE(win.empty());
+    const std::size_t n =
+        std::min({win.size(), frame.size() - pos,
+                  kFragments[k % std::size(kFragments)]});
+    std::memcpy(win.data(), frame.data() + pos, n);
+    if (pos >= kFrameHeaderBytes) {
+      windows.emplace_back(win.data(), pos - kFrameHeaderBytes);
+    }
+    ASSERT_TRUE(assembler.commit(
+        n, [&](FrameBytes p) { got.push_back(std::move(p)); }));
+    pos += n;
+  }
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], payload);
+  ASSERT_GT(windows.size(), 3u);
+  for (const auto& [at, offset] : windows) {
+    EXPECT_EQ(at, got[0].data() + offset) << "offset " << offset;
+  }
+  EXPECT_EQ(assembler.pending_bytes(), 0u);
+}
+
+TEST(FrameTest, HostileLengthWindowStaysOneGrowthStepAhead) {
+  // A header announcing the largest legal payload, then a trickle of
+  // bytes. window() never reaches more than one growth step past what
+  // arrived, so the reader writes, and the kernel commits, no page the
+  // peer has not sent bytes for.
+  FrameAssembler assembler;
+  const auto header = frame_header(kMaxFramePayload);
+  ASSERT_TRUE(assembler.feed(header.data(), header.size(),
+                             [](FrameBytes) { FAIL(); }));
+  std::size_t received = 0;
+  for (int i = 0; i < 40; ++i) {
+    const std::span<std::uint8_t> win = assembler.window();
+    ASSERT_FALSE(win.empty());
+    EXPECT_LE(win.size(), FrameAssembler::kGrowBytes);
+    EXPECT_EQ(assembler.pending_bytes(), kFrameHeaderBytes + received);
+    const std::size_t n = std::min<std::size_t>(win.size(), i % 2 ? 1 : 99991);
+    std::memset(win.data(), 0x5A, n);
+    ASSERT_TRUE(assembler.commit(n, [](FrameBytes) { FAIL(); }));
+    received += n;
+  }
+  EXPECT_FALSE(assembler.corrupt());
 }
 
 // --- Wire envelope + worker-plane bodies ------------------------------------
@@ -174,6 +238,30 @@ TEST(WireEnvelopeTest, FullRoundTrip) {
   EXPECT_EQ(msg.type, env.msg_type);
   EXPECT_EQ(msg.payload, env.payload);
   EXPECT_EQ(msg.declared_bytes, env.declared);
+}
+
+TEST(WireEnvelopeTest, RvalueToMessageMovesTheDecodedBody) {
+  // The sim transport's receive path: decode() copies the body out of the
+  // frame once, and the Message takes that copy over.
+  scp::WireEnvelope env;
+  env.kind = scp::FrameKind::kApp;
+  env.msg_type = 2;
+  env.declared = 64;
+  env.payload = bytes_of({4, 5, 6, 7});
+  scp::WireEnvelope back = scp::WireEnvelope::decode(env.encode());
+  const std::uint8_t* body = back.payload.data();
+  const scp::Message msg = std::move(back).to_message();
+  EXPECT_EQ(msg.payload.data(), body);
+  EXPECT_EQ(msg.payload, env.payload);
+  EXPECT_EQ(msg.type, env.msg_type);
+  EXPECT_EQ(msg.declared_bytes, env.declared);
+
+  // An envelope that kept its frame still copies the body out of it.
+  const std::vector<std::uint8_t> wire = env.encode();
+  auto owned =
+      scp::WireEnvelope::try_decode(FrameBytes(wire.begin(), wire.end()));
+  ASSERT_TRUE(owned.has_value());
+  EXPECT_EQ(std::move(*owned).to_message().payload, env.payload);
 }
 
 TEST(WireEnvelopeTest, MalformedEnvelopeDies) {
@@ -222,7 +310,8 @@ TEST(WireEnvelopeTest, TryDecodeRejectsMalformedWithoutDying) {
   bad_kind[0] = 0xEE;
   EXPECT_FALSE(scp::WireEnvelope::try_decode(bad_kind).has_value());
 
-  EXPECT_FALSE(scp::WireEnvelope::try_decode({}).has_value());
+  EXPECT_FALSE(scp::WireEnvelope::try_decode(
+                   std::span<const std::uint8_t>()).has_value());
   EXPECT_FALSE(
       scp::WireEnvelope::try_decode(bytes_of({1, 0, 0, 0})).has_value());
 }
@@ -276,7 +365,8 @@ TEST(WireEnvelopeTest, ChecksumRejectsEveryBitFlipAndTruncation) {
     ASSERT_TRUE(copied.has_value());
     EXPECT_EQ(copied->payload, env.payload);
     EXPECT_EQ(copied->encode(), wire);
-    auto owned = scp::WireEnvelope::try_decode(std::vector<std::uint8_t>(wire));
+    auto owned =
+        scp::WireEnvelope::try_decode(FrameBytes(wire.begin(), wire.end()));
     ASSERT_TRUE(owned.has_value());
     EXPECT_TRUE(owned->payload.empty());
     EXPECT_EQ(std::vector<std::uint8_t>(owned->body().begin(),
@@ -314,10 +404,10 @@ TEST(WireEnvelopeTest, ChecksumRejectsEveryBitFlipAndTruncation) {
 struct ServerLog {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<std::pair<SessionId, std::vector<std::uint8_t>>> frames;
+  std::vector<std::pair<SessionId, FrameBytes>> frames;
   std::vector<SessionId> closed;
 
-  void on_frame(SessionId s, std::vector<std::uint8_t> f) {
+  void on_frame(SessionId s, FrameBytes f) {
     std::lock_guard lock(mu);
     frames.emplace_back(s, std::move(f));
     cv.notify_all();
@@ -340,6 +430,7 @@ struct ServerLog {
 };
 
 TEST(SocketTest, LoopbackTcpEchoExchange) {
+  // Through the std::vector overloads of start(), send() and read_frame().
   SocketServer server;
   ASSERT_TRUE(server.listen_tcp(0));  // ephemeral port
   ASSERT_NE(server.port(), 0);
@@ -350,7 +441,7 @@ TEST(SocketTest, LoopbackTcpEchoExchange) {
         // Echo every frame back with a marker byte appended.
         f.push_back(0x5A);
         server.send(s, f);
-        log.on_frame(s, std::move(f));
+        log.on_frame(s, FrameBytes(f.begin(), f.end()));
       },
       [&](SessionId s) { log.on_closed(s); });
 
@@ -374,7 +465,7 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
   SocketServer server;
   ServerLog log;
   server.start(
-      [&](SessionId s, std::vector<std::uint8_t> f) {
+      [&](SessionId s, FrameBytes f) {
         log.on_frame(s, std::move(f));
       },
       [&](SessionId s) { log.on_closed(s); });
@@ -390,7 +481,7 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
   // A payload far beyond any single read()/write() quantum, so both the
   // client's partial-write loop and the server's incremental reassembly
   // are exercised.
-  std::vector<std::uint8_t> big(4 * 1024 * 1024);
+  FrameBytes big(4 * 1024 * 1024);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 2654435761u >> 24);
   }
@@ -407,7 +498,7 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
   // see the frame before EOF.
   ASSERT_TRUE(server.send(session, big));
   server.close_session(session);
-  std::vector<std::uint8_t> got;
+  FrameBytes got;
   ASSERT_TRUE(client.read_frame(got));
   EXPECT_EQ(got, big);
   EXPECT_FALSE(client.read_frame(got));  // EOF after the drain
@@ -419,11 +510,11 @@ TEST(SocketTest, AdoptedSocketpairCarriesLargeFrames) {
 
 /// Frame `i` of the mixed-size stream below: sizes from empty through
 /// control-frame, staged and multi-megabyte, with content unique per frame.
-std::vector<std::uint8_t> mixed_frame(int i) {
+FrameBytes mixed_frame(int i) {
   static constexpr std::size_t kSizes[] = {0,     1,         7,     64,
                                            4093,  65536 - 8, 65536, 300000,
                                            2 << 20};
-  std::vector<std::uint8_t> f(kSizes[static_cast<std::size_t>(i) %
+  FrameBytes f(kSizes[static_cast<std::size_t>(i) %
                                      std::size(kSizes)]);
   for (std::size_t j = 0; j < f.size(); ++j) {
     f[j] = static_cast<std::uint8_t>(j * 131 + static_cast<std::size_t>(i));
@@ -443,7 +534,7 @@ TEST(SocketTest, GatherWritesDeliverMixedFramesInOrderAcrossPartialWrites) {
   SocketServer server;
   ServerLog log;
   server.start(
-      [&](SessionId s, std::vector<std::uint8_t> f) {
+      [&](SessionId s, FrameBytes f) {
         log.on_frame(s, std::move(f));
       },
       [&](SessionId s) { log.on_closed(s); });
@@ -460,7 +551,7 @@ TEST(SocketTest, GatherWritesDeliverMixedFramesInOrderAcrossPartialWrites) {
     ASSERT_TRUE(server.send(session, mixed_frame(i)));
   }
   for (int i = 0; i < kFrames; ++i) {
-    std::vector<std::uint8_t> got;
+    FrameBytes got;
     ASSERT_TRUE(client.read_frame(got)) << "frame " << i;
     ASSERT_EQ(got, mixed_frame(i)) << "frame " << i;
   }
@@ -488,7 +579,7 @@ TEST(SocketTest, GatherWritesDeliverMixedFramesInOrderAcrossPartialWrites) {
 
 TEST(SocketTest, SendLimitedRefusesPastThePendingCapAndKeepsOrder) {
   SocketServer server;
-  server.start([](SessionId, std::vector<std::uint8_t>) {},
+  server.start([](SessionId, FrameBytes) {},
                [](SessionId) {});
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -511,11 +602,11 @@ TEST(SocketTest, SendLimitedRefusesPastThePendingCapAndKeepsOrder) {
   // What was accepted arrives intact and in order, then nothing else.
   server.close_session(session);
   for (int i = 0; i < accepted; ++i) {
-    std::vector<std::uint8_t> got;
+    FrameBytes got;
     ASSERT_TRUE(client.read_frame(got)) << "frame " << i;
     EXPECT_EQ(got, mixed_frame(4));
   }
-  std::vector<std::uint8_t> extra;
+  FrameBytes extra;
   EXPECT_FALSE(client.read_frame(extra));
   client.close();
   server.stop();
